@@ -1,10 +1,9 @@
 """Command-line front end: sweeps, model presets, validation, oracle comparisons.
 
 Every numeric column in every output is produced by exactly one library
-operation; the CLI only parses configuration, dispatches sweep points to a
-worker pool, and formats rows. Output is byte-identical for identical
-configuration (floats at 17 significant digits, rows sorted by the sweep
-variable) independent of the worker count.
+operation; the CLI only parses configuration, evaluates the sweep, and
+formats rows. Output is byte-identical for identical configuration (floats
+at 17 significant digits, rows sorted by the sweep variable).
 
 Exit codes: 0 success (findings included), 1 oracle self-check failure,
 2 configuration error, 3 unphysical partition-function branch.
@@ -16,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +45,8 @@ from .models import (
 )
 from .quaternion import Quaternion
 from .thermo import (
+    MIN_DYSON_STEPS,
+    DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
     ToyModelParams,
@@ -79,7 +79,6 @@ class RunConfig:
     out_path: str | None = None
     discrepancies_path: str = "discrepancies.json"
     tolerance: float = DEFAULT_TOLERANCE
-    parallel: int = 1
     n_particles: int = 1
     k: float = 1.0
     rederived: bool = False
@@ -115,7 +114,7 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _resolve_tolerance(flag: float | None) -> float:
+def _resolve_tolerance(flag: float | None, default: float = DEFAULT_TOLERANCE) -> float:
     if flag is not None:
         return flag
     env = os.environ.get("QUATSTAT_TOL")
@@ -124,7 +123,7 @@ def _resolve_tolerance(flag: float | None) -> float:
             return float(env)
         except ValueError as exc:
             raise click.UsageError(f"QUATSTAT_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOLERANCE
+    return default
 
 
 def _parse_range(spec: str, option: str) -> tuple[float, float, int]:
@@ -312,13 +311,6 @@ def _write_discrepancies(records, cfg: RunConfig, always: bool = False):
     )
 
 
-def _map_parallel(fn, values, workers: int):
-    if workers <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
-
-
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -349,7 +341,7 @@ def run_thermo(cfg: RunConfig) -> int:
         return thermo_spectral(bundle.ensemble, beta)
 
     try:
-        reports = _map_parallel(one, betas, cfg.parallel)
+        reports = [one(beta) for beta in betas]
     except UnphysicalZ as exc:
         click.echo(f"unphysical branch: {exc}", err=True)
         return 3
@@ -378,25 +370,25 @@ def run_compare(cfg: RunConfig) -> int:
     hp = h - h0
     tol = cfg.tolerance
 
-    def one(beta: float):
-        z_sp = z_spectral(ensemble, beta)
-        z_formal = re_trace(bloch_propagator(h, beta))
-        z1_p = z1_formula(sl, beta, rederived=False)
-        z1_r = z1_formula(sl, beta, rederived=True)
-        ui = dyson_second_order(h0, hp, beta, steps=cfg.dyson_steps)
-        z1_d = re_trace(mat_mul(bloch_propagator(h0, beta), ui))
-        return (beta, z_sp, z_formal, z1_p, z1_r, z1_d)
-
     try:
-        rows = _map_parallel(one, betas, cfg.parallel)
+        propagators = dyson_second_order(h0, hp, betas, steps=cfg.dyson_steps)
     except QuadratureUnconverged as exc:
         click.echo(f"oracle self-check failed: {exc}", err=True)
         return 1
+    rows = [
+        (
+            beta,
+            z_spectral(ensemble, beta),
+            re_trace(bloch_propagator(h, beta)),
+            z1_formula(sl, beta, rederived=False),
+            z1_formula(sl, beta, rederived=True),
+            re_trace(mat_mul(bloch_propagator(h0, beta), ui)),
+        )
+        for beta, ui in zip(betas, propagators)
+    ]
     rows.sort(key=lambda row: row[0])
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
     _emit_table(header, rows, cfg)
-
-    from .thermo import DiscrepancyRecord
 
     records: list[DiscrepancyRecord] = []
 
@@ -601,7 +593,9 @@ def _output_options(fn):
         click.option("--tolerance", type=float, default=None,
                      help="Comparison tolerance (overrides QUATSTAT_TOL)."),
         click.option("--parallel", type=int, default=1, show_default=True,
-                     help="Worker count for sweep points."),
+                     expose_value=False,
+                     help="Accepted for compatibility and ignored; sweeps run "
+                          "in one process."),
     ]
     for option in reversed(options):
         fn = option(fn)
@@ -629,14 +623,14 @@ def cli():
               default="discrepancies.json", show_default=True)
 @_output_options
 def thermo(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_particles,
-           k, rederived, discrepancies_path, output, out_path, tolerance, parallel):
+           k, rederived, discrepancies_path, output, out_path, tolerance):
     """Thermodynamic sweep: beta,Z1,A,S,U,Cv per grid point."""
     cfg = RunConfig(
         subcommand="thermo", model=model, params_path=params_path, omega=omega,
         v=v, x=x, phi=phi, beta_grid=_parse_range(beta_spec, "--beta"),
         log_scale=log_scale, n_particles=n_particles, k=k, rederived=rederived,
         discrepancies_path=discrepancies_path, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance), parallel=parallel,
+        tolerance=_resolve_tolerance(tolerance),
     )
     sys.exit(run_thermo(cfg))
 
@@ -650,13 +644,14 @@ def thermo(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_particl
 @click.option("--log", "log_scale", is_flag=True, help="Geometric beta grid.")
 @click.option("--n-particles", type=int, default=1, show_default=True)
 @click.option("--k", type=float, default=1.0, show_default=True)
-@click.option("--steps", "dyson_steps", type=int, default=128, show_default=True,
+@click.option("--steps", "dyson_steps", type=click.IntRange(min=MIN_DYSON_STEPS),
+              default=128, show_default=True,
               help="Quadrature steps for the perturbative propagator.")
 @click.option("--discrepancies", "discrepancies_path", type=click.Path(),
               default="discrepancies.json", show_default=True)
 @_output_options
 def compare(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_particles,
-            k, dyson_steps, discrepancies_path, output, out_path, tolerance, parallel):
+            k, dyson_steps, discrepancies_path, output, out_path, tolerance):
     """Partition-function paths side by side, plus a discrepancy log.
 
     Disagreement between columns is a finding and exits 0; only an oracle
@@ -667,7 +662,7 @@ def compare(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_partic
         v=v, x=x, phi=phi, beta_grid=_parse_range(beta_spec, "--beta"),
         log_scale=log_scale, n_particles=n_particles, k=k, dyson_steps=dyson_steps,
         discrepancies_path=discrepancies_path, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance), parallel=parallel,
+        tolerance=_resolve_tolerance(tolerance),
     )
     sys.exit(run_compare(cfg))
 
@@ -690,14 +685,14 @@ def compare(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_partic
               help="Grid size when --grid is not given.")
 @_output_options
 def negtemp(model, params_path, omega, v, x, e_plus, e_minus, n_particles, k,
-            grid_spec, points, output, out_path, tolerance, parallel):
+            grid_spec, points, output, out_path, tolerance):
     """Entropy and temperature across the two-level energy band."""
     cfg = RunConfig(
         subcommand="negtemp", model=model, params_path=params_path, omega=omega,
         v=v, x=x, e_plus=e_plus, e_minus=e_minus, n_particles=n_particles, k=k,
         energy_grid=_parse_range(grid_spec, "--grid") if grid_spec else None,
         points=points, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance), parallel=parallel,
+        tolerance=_resolve_tolerance(tolerance),
     )
     sys.exit(run_negtemp(cfg))
 
@@ -709,11 +704,10 @@ def negtemp(model, params_path, omega, v, x, e_plus, e_minus, n_particles, k,
               help="Classification tolerance (overrides QUATSTAT_TOL).")
 def validate(params_path, tolerance):
     """Classify a matrix against a metric: adjoint-symmetry verdicts."""
-    tol = tolerance
-    if tol is None:
-        env = os.environ.get("QUATSTAT_TOL")
-        tol = float(env) if env else 1e-10
-    cfg = RunConfig(subcommand="validate", params_path=params_path, tolerance=tol)
+    cfg = RunConfig(
+        subcommand="validate", params_path=params_path,
+        tolerance=_resolve_tolerance(tolerance, default=1e-10),
+    )
     sys.exit(run_validate(cfg))
 
 
@@ -722,13 +716,12 @@ def validate(params_path, tolerance):
               default="spin", show_default=True)
 @_model_options
 @_output_options
-def spectrum(model, params_path, omega, v, x, phi, output, out_path, tolerance,
-             parallel):
+def spectrum(model, params_path, omega, v, x, phi, output, out_path, tolerance):
     """Energy levels and multiplicities of the resolved model."""
     cfg = RunConfig(
         subcommand="spectrum", model=model, params_path=params_path, omega=omega,
         v=v, x=x, phi=phi, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance), parallel=parallel,
+        tolerance=_resolve_tolerance(tolerance),
     )
     sys.exit(run_spectrum(cfg))
 

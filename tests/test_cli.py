@@ -232,6 +232,16 @@ def test_compare_unconverged_quadrature_is_self_check_failure(runner, tmp_path):
         assert "self-check" in result.output
 
 
+@pytest.mark.parametrize("steps", ["8", "15"])
+def test_compare_too_few_steps_is_usage_error(runner, tmp_path, steps):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["compare", "--model", "spin", "--steps", steps])
+        assert result.exit_code == 2
+        assert "--steps" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not Path("discrepancies.json").exists()
+
+
 # -- negtemp --------------------------------------------------------------------
 
 
@@ -341,6 +351,29 @@ def test_validate_corrupted_constraint(runner, tmp_path):
         )
         residual = float(line.split("residual ")[1].rstrip(")"))
         assert residual > 1e-3
+
+
+def test_validate_tolerance_env(runner, tmp_path):
+    # one coupling entry off by 1e-9: a residual between validate's own
+    # default (1e-10) and the other subcommands' (1e-8)
+    near = json.loads(json.dumps(SPIN_FILE))
+    near["matrix"]["entries"][1][0] = [0, 0, 0.5 + 1e-9, 0]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        with open("near.json", "w") as handle:
+            json.dump(near, handle)
+        args = ["validate", "--params", "near.json"]
+        result = runner.invoke(cli, args, env={"QUATSTAT_TOL": "abc"})
+        assert result.exit_code == 2
+        assert "QUATSTAT_TOL is not a number" in result.output
+        assert isinstance(result.exception, SystemExit)
+        default = runner.invoke(cli, args, env={"QUATSTAT_TOL": None})
+        loose = runner.invoke(cli, args, env={"QUATSTAT_TOL": "1e-8"})
+        flag = runner.invoke(cli, args + ["--tolerance", "1e-10"],
+                             env={"QUATSTAT_TOL": "1e-8"})
+        assert default.exit_code == loose.exit_code == flag.exit_code == 0
+        assert "quasi-anti-hermitian: no" in default.output
+        assert "quasi-anti-hermitian: yes" in loose.output
+        assert flag.output == default.output
 
 
 def test_validate_malformed_inputs(runner, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
+from scipy.linalg import expm
 
 from quatstat import (
     ConstraintViolation,
@@ -23,6 +25,7 @@ from quatstat import (
     build_toy_hamiltonian,
     dyson_convergence_slope,
     dyson_second_order,
+    embed,
     energy_variance,
     fro_norm,
     log_z_spectral,
@@ -41,6 +44,7 @@ from quatstat import (
     z_spectral,
 )
 from quatstat.metric import is_quasi_anti_hermitian
+from quatstat.thermo import _cumulative_simpson, _simpson_weights
 
 OMEGA, V, X = 2.0, 0.5, 1.0
 
@@ -195,6 +199,106 @@ def test_dyson_error_is_third_order_generic_toy():
     h0 = QMatrix.diag([a, b])
     slope = dyson_convergence_slope(h0, h - h0, t=1.0, steps=128)
     assert slope == pytest.approx(3.0, abs=0.2)
+
+
+def generic_split(scale=0.3, seed=12):
+    """Diagonal reference and a scaled coupling of a random quaternionic toy."""
+    rng = np.random.default_rng(seed)
+    a = Quaternion(0.0, *rng.normal(size=3))
+    b = Quaternion(0.0, *rng.normal(size=3))
+    c = Quaternion(*rng.normal(size=4))
+    h = build_toy_hamiltonian(ToyModelParams(a=a, b=b, c=c, alpha=1.7, gamma=0.6))
+    h0 = QMatrix.diag([a, b])
+    return h0, (h - h0) * scale
+
+
+def van_loan_terms(h0, hp, t):
+    """Exact ``U0 * first`` and ``U0 * second`` Dyson terms in the embedding.
+
+    The upper blocks of ``exp(t [[A, B, 0], [0, A, B], [0, 0, A]])`` with
+    ``A = -H0``, ``B = -Hp`` are ``exp(A t)`` and the first- and second-order
+    time-ordered integrals (Van Loan, IEEE TAC 23(3), 1978).
+    """
+    a, b = -embed(h0).entries, -embed(hp).entries
+    n = a.shape[0]
+    z = np.zeros((n, n))
+    e = expm(t * np.block([[a, b, z], [z, a, b], [z, z, a]]))
+    return e[:n, :n], e[:n, n:2 * n], e[:n, 2 * n:]
+
+
+@pytest.mark.parametrize("intervals", [16, 17, 33, 128])
+def test_simpson_helpers_match_scipy(intervals):
+    # scipy's rules are the oracle; the module integrates without scipy
+    rng = np.random.default_rng(intervals)
+    y = rng.normal(size=(2, 3, intervals + 1)) + 1j * rng.normal(size=(2, 3, intervals + 1))
+    h = 1.7 / intervals
+    want = cumulative_simpson(y.real, dx=h, initial=0.0) + 1j * cumulative_simpson(
+        y.imag, dx=h, initial=0.0
+    )
+    got = _cumulative_simpson(y, h)
+    assert np.abs(got - want).max() < 1e-13
+    total = y @ _simpson_weights(intervals + 1) * (h / 12.0)
+    want_total = simpson(y.real, dx=h) + 1j * simpson(y.imag, dx=h)
+    assert np.abs(total - want_total).max() < 1e-13
+    assert np.abs(total - got[..., -1]).max() < 1e-13
+
+
+def test_dyson_grid_matches_scalar_calls():
+    # more entries than one chunk, zeros and a negative time included
+    h0, hp = generic_split()
+    ts = [0.3, 0.0, 1.1, -0.4, 0.9, 0.7, 0.05, 1.3, 0.6, 0.0, 0.4]
+    grid = dyson_second_order(h0, hp, ts)
+    assert isinstance(grid, list) and len(grid) == len(ts)
+    for t, ui in zip(ts, grid):
+        single = dyson_second_order(h0, hp, t)
+        assert isinstance(single, QMatrix)
+        assert np.abs(ui.comp - single.comp).max() <= 1e-14
+
+
+@pytest.mark.parametrize("t", [0.4, 0.9, 1.3])
+def test_dyson_terms_match_van_loan(t):
+    h0, hp = generic_split()
+    # U_I(+-Hp) = 1 +- T1 + T2 separates the orders exactly
+    plus, minus = (
+        embed(u).entries
+        for u in dyson_second_order(h0, hp, [t]) + dyson_second_order(h0, -hp, [t])
+    )
+    first, second = (plus - minus) / 2.0, (plus + minus) / 2.0 - np.eye(4)
+    u0, want_first, want_second = van_loan_terms(h0, hp, t)
+    assert np.abs(u0 @ first - want_first).max() < 1e-9
+    assert np.abs(u0 @ second - want_second).max() < 1e-9
+    # the spin model as well, where the reference is the paper's qubit splitting
+    toy = spin_toy()
+    h0 = QMatrix.diag([toy.a, toy.b])
+    hp = build_toy_hamiltonian(toy) - h0
+    u0, e1, e2 = van_loan_terms(h0, hp, t)
+    got = embed(mat_mul(bloch_propagator(h0, t), dyson_second_order(h0, hp, t))).entries
+    assert np.abs(got - (u0 + e1 + e2)).max() < 1e-9
+
+
+def test_dyson_grid_raises_at_first_failing_entry():
+    h0 = QMatrix.diag([I * 40.0, I * (-40.0)])
+    hp = QMatrix.from_rows([[Quaternion(), I], [I, Quaternion()]])
+    dyson_second_order(h0, hp, [0.01, 0.0], steps=16)
+    messages = {}
+    for t in (0.05, 0.02):
+        with pytest.raises(QuadratureUnconverged) as scalar:
+            dyson_second_order(h0, hp, t, steps=16)
+        messages[t] = str(scalar.value)
+    assert messages[0.05] != messages[0.02]
+    # grid order decides, not the size of the drift or of t
+    with pytest.raises(QuadratureUnconverged) as grid:
+        dyson_second_order(h0, hp, [0.01, 0.0, 0.05, 0.02], steps=16)
+    assert str(grid.value) == messages[0.05]
+
+
+def test_dyson_zero_time_entries_are_the_identity():
+    h0, hp = generic_split()
+    grid = dyson_second_order(h0, hp, [0.0, 0.7, 0.0])
+    assert np.array_equal(grid[0].comp, QMatrix.identity(2).comp)
+    assert np.array_equal(grid[2].comp, QMatrix.identity(2).comp)
+    assert fro_norm(grid[1] - QMatrix.identity(2)) > 0.1
+    assert np.array_equal(dyson_second_order(h0, hp, 0.0).comp, QMatrix.identity(2).comp)
 
 
 # -- slice closed forms ---------------------------------------------------------
