@@ -46,7 +46,6 @@ from .models import (
 from .quaternion import Quaternion
 from .thermo import (
     MIN_DYSON_STEPS,
-    DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
     ToyModelParams,
@@ -389,6 +388,8 @@ def run_compare(cfg: RunConfig) -> int:
     rows.sort(key=lambda row: row[0])
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
     _emit_table(header, rows, cfg)
+
+    from .thermo import DiscrepancyRecord
 
     records: list[DiscrepancyRecord] = []
 

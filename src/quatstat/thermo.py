@@ -48,8 +48,8 @@ DEGENERACY_TOL = 1e-9
 MIN_DYSON_STEPS = 16
 
 #: Inverse temperatures integrated together by :func:`dyson_second_order`.
-#: Each sample array of a chunk holds ``8 * dim^2 * (2 steps + 1)`` complex
-#: values, about 0.5 MB for a 2x2 model at the CLI's 128 steps.
+#: Each sample array of a chunk holds ``8 * (2 n)^2 * (2 steps + 1)`` complex
+#: values for an n x n model, about 0.5 MB at n = 2 and the CLI's 128 steps.
 _DYSON_CHUNK = 8
 
 
