@@ -105,6 +105,7 @@ from .thermo import (
     dyson_convergence_slope,
     dyson_second_order,
     energy_variance,
+    formal_trace,
     log_z_spectral,
     log_z_total,
     pressure,

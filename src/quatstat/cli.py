@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import (
     InfiniteTemperature,
+    NotNormal,
     QuadratureUnconverged,
     QuatstatError,
     UnphysicalZ,
@@ -53,6 +55,7 @@ from .thermo import (
     build_toy_hamiltonian,
     dyson_convergence_slope,
     dyson_second_order,
+    formal_trace,
     printed_entropy,
     printed_specific_heat,
     thermo_closed_form,
@@ -133,6 +136,8 @@ def _parse_range(spec: str, option: str) -> tuple[float, float, int]:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise click.UsageError(f"{option} expects MIN:MAX:STEPS, got {spec!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise click.UsageError(f"{option} endpoints must be finite, got {spec!r}")
     if steps < 1:
         raise click.UsageError(f"{option} needs at least one step")
     return lo, hi, steps
@@ -183,8 +188,11 @@ def _metric_from_dict(data: dict) -> MetricOperator:
 
 def _resolve_model(cfg: RunConfig) -> ModelBundle:
     if cfg.model == "spin":
-        spin = SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x)
-        h, metric, ensemble = build_spin_model(spin)
+        try:
+            spin = SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x)
+            h, metric, ensemble = build_spin_model(spin)
+        except QuatstatError as exc:
+            raise click.UsageError(f"spin params rejected: {exc}") from exc
         return ModelBundle(
             name="spin",
             hamiltonian=h,
@@ -371,19 +379,39 @@ def run_compare(cfg: RunConfig) -> int:
 
     try:
         propagators = dyson_second_order(h0, hp, betas, steps=cfg.dyson_steps)
-    except QuadratureUnconverged as exc:
+        z_formal = formal_trace(h, betas)
+        z_dyson = formal_trace(h0, betas, propagators)
+    except (QuadratureUnconverged, NotNormal) as exc:
         click.echo(f"oracle self-check failed: {exc}", err=True)
         return 1
+    # both trace columns come from one eigenbasis each; mat_exp checks the last beta
+    beta = betas[-1]
+    spot_checks = (
+        ("Z_formal", z_formal[-1], re_trace(bloch_propagator(h, beta))),
+        (
+            "Z1_dyson",
+            z_dyson[-1],
+            re_trace(mat_mul(bloch_propagator(h0, beta), propagators[-1])),
+        ),
+    )
+    for name, value, oracle in spot_checks:
+        if not abs(value - oracle) <= tol * max(1.0, abs(oracle)):
+            click.echo(
+                f"oracle self-check failed: {name} = {_fmt(value)} at beta = "
+                f"{_fmt(beta)}, mat_exp gives {_fmt(oracle)} (tol {tol:.1e})",
+                err=True,
+            )
+            return 1
     rows = [
         (
             beta,
             z_spectral(ensemble, beta),
-            re_trace(bloch_propagator(h, beta)),
+            zf,
             z1_formula(sl, beta, rederived=False),
             z1_formula(sl, beta, rederived=True),
-            re_trace(mat_mul(bloch_propagator(h0, beta), ui)),
+            zd,
         )
-        for beta, ui in zip(betas, propagators)
+        for beta, zf, zd in zip(betas, z_formal, z_dyson)
     ]
     rows.sort(key=lambda row: row[0])
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
@@ -490,18 +518,21 @@ def _negtemp_gas(cfg: RunConfig) -> TwoLevelGas:
         raise click.UsageError(
             "negtemp params need either e_plus/e_minus or omega/v"
         )
-    if cfg.model == "spin":
-        return spin_negative_temperature(
-            SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x), cfg.n_particles
-        )
-    if cfg.model == "qubit":
-        return TwoLevelGas(n_particles=cfg.n_particles, e_plus=2.0, e_minus=0.0)
-    if cfg.model == "custom":
-        if cfg.e_plus is None or cfg.e_minus is None:
-            raise click.UsageError("--model custom requires --e-plus and --e-minus")
-        return TwoLevelGas(
-            n_particles=cfg.n_particles, e_plus=cfg.e_plus, e_minus=cfg.e_minus
-        )
+    try:
+        if cfg.model == "spin":
+            return spin_negative_temperature(
+                SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x), cfg.n_particles
+            )
+        if cfg.model == "qubit":
+            return TwoLevelGas(n_particles=cfg.n_particles, e_plus=2.0, e_minus=0.0)
+        if cfg.model == "custom":
+            if cfg.e_plus is None or cfg.e_minus is None:
+                raise click.UsageError("--model custom requires --e-plus and --e-minus")
+            return TwoLevelGas(
+                n_particles=cfg.n_particles, e_plus=cfg.e_plus, e_minus=cfg.e_minus
+            )
+    except QuatstatError as exc:
+        raise click.UsageError(f"negtemp params rejected: {exc}") from exc
     raise click.UsageError(f"unknown negtemp model {cfg.model!r}")
 
 
@@ -615,7 +646,8 @@ def cli():
 @click.option("--beta", "beta_spec", default="0.1:5:50", show_default=True,
               help="Inverse-temperature grid MIN:MAX:STEPS.")
 @click.option("--log", "log_scale", is_flag=True, help="Geometric beta grid.")
-@click.option("--n-particles", type=int, default=1, show_default=True)
+@click.option("--n-particles", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--k", type=float, default=1.0, show_default=True,
               help="Boltzmann constant.")
 @click.option("--rederived", is_flag=True,
@@ -643,7 +675,8 @@ def thermo(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_particl
 @click.option("--beta", "beta_spec", default="0.1:2:20", show_default=True,
               help="Inverse-temperature grid MIN:MAX:STEPS.")
 @click.option("--log", "log_scale", is_flag=True, help="Geometric beta grid.")
-@click.option("--n-particles", type=int, default=1, show_default=True)
+@click.option("--n-particles", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--k", type=float, default=1.0, show_default=True)
 @click.option("--steps", "dyson_steps", type=click.IntRange(min=MIN_DYSON_STEPS),
               default=128, show_default=True,
@@ -678,7 +711,8 @@ def compare(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_partic
 @click.option("--x", type=float, default=1.0, show_default=True)
 @click.option("--e-plus", type=float, default=None, help="Upper level (custom model).")
 @click.option("--e-minus", type=float, default=None, help="Lower level (custom model).")
-@click.option("--n-particles", type=int, default=10, show_default=True)
+@click.option("--n-particles", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @click.option("--k", type=float, default=1.0, show_default=True)
 @click.option("--grid", "grid_spec", default=None,
               help="Energy grid MIN:MAX:STEPS (default: the full band).")

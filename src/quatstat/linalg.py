@@ -29,6 +29,10 @@ from .errors import ConstraintViolation, DimensionMismatch, NotNormal, NotSymple
 from .quaternion import Quaternion, hamilton_product, qconj
 
 
+def _complex_pair(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return comp[..., 0] + 1j * comp[..., 1], comp[..., 2] + 1j * comp[..., 3]
+
+
 class QMatrix:
     """Square quaternionic matrix over the right module convention.
 
@@ -117,9 +121,7 @@ class QMatrix:
 
     def complex_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(M1, M2)`` with ``M = M1 + M2*j``; exact round trip."""
-        z1 = self.comp[..., 0] + 1j * self.comp[..., 1]
-        z2 = self.comp[..., 2] + 1j * self.comp[..., 3]
-        return z1, z2
+        return _complex_pair(self.comp)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "entries": self.comp.tolist()}
@@ -143,14 +145,6 @@ class QMatrix:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def scale_left(self, q: Quaternion) -> "QMatrix":
-        """Entrywise left multiplication ``q * M``."""
-        return QMatrix(hamilton_product(q.as_array(), self.comp))
-
-    def scale_right(self, q: Quaternion) -> "QMatrix":
-        """Entrywise right multiplication ``M * q``."""
-        return QMatrix(hamilton_product(self.comp, q.as_array()))
 
     def _check_same_dim(self, other: "QMatrix"):
         if self.n != other.n:
@@ -176,8 +170,10 @@ class ComplexEmbedding:
         object.__setattr__(self, "entries", entries)
 
 
-def _embed(m: QMatrix) -> np.ndarray:
-    z1, z2 = m.complex_pair()
+def _embed(m: QMatrix | np.ndarray) -> np.ndarray:
+    """``chi(M)``, or ``chi`` of each matrix in a ``(..., n, n, 4)`` stack."""
+    comp = m.comp if isinstance(m, QMatrix) else np.asarray(m, dtype=float)
+    z1, z2 = _complex_pair(comp)
     return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
 
 

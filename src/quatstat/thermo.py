@@ -237,6 +237,68 @@ def bloch_propagator(h: QMatrix, t: float) -> QMatrix:
     return mat_exp(-h, t)
 
 
+def _eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues ``w``, eigenvectors ``v`` and ``v^-1`` of a complex matrix.
+
+    Raises :class:`NotNormal` unless ``v diag(w) v^-1`` reproduces ``a``:
+    a defective or badly conditioned eigenvector matrix fails this check,
+    and with it every result computed in the eigenbasis.
+    """
+    w, v = np.linalg.eig(a)
+    try:
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise NotNormal("matrix could not be diagonalized reliably") from exc
+    residual = np.abs((v * w) @ vinv - a).max()
+    if not residual <= 1e-10 * max(1.0, np.abs(a).max()):
+        raise NotNormal(
+            f"matrix could not be diagonalized reliably (residual {residual:.3e})"
+        )
+    return w, v, vinv
+
+
+def formal_trace(
+    h: QMatrix,
+    t: float | Sequence[float],
+    right: QMatrix | Sequence[QMatrix] | None = None,
+) -> float | np.ndarray:
+    """``Re Tr(exp(-H t) R_t)`` from one diagonalisation of ``chi(H)``.
+
+    With ``chi(H) = V diag(w) V^-1`` the trace is
+    ``1/2 Re sum_a exp(-t w_a) (V^-1 chi(R_t) V)_aa``. Without ``right``,
+    ``R = 1`` and the result is the formal partition function
+    ``Re Tr exp(-t H)``; for a quasi-anti-Hermitian ``H``, whose ``w`` are
+    ``+-i E_r``, that is the cosine sum ``sum_r cos(t E_r)``.
+
+    ``t`` is a number, with ``right`` one matrix, or a 1-D sequence, with
+    ``right`` one matrix per entry; a float or an array is returned.
+    :func:`mat_exp` is the oracle. Raises :class:`NotNormal` when ``chi(H)``
+    cannot be diagonalised reliably and ``OverflowError`` when the result
+    leaves the floating range.
+    """
+    scalar = np.ndim(t) == 0
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise ValueError("t must be a number or a 1-D sequence")
+    w, v, vinv = _eigenbasis(_embed(h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-np.multiply.outer(ts, w))
+        if right is None:
+            sums = phases.sum(axis=-1)
+        else:
+            rights = [right] if scalar else list(right)
+            if len(rights) != len(ts):
+                raise ValueError(f"expected {len(ts)} right factors, got {len(rights)}")
+            for r in rights:
+                h._check_same_dim(r)
+            chi = _embed(np.stack([r.comp for r in rights]))
+            sums = (phases * np.einsum("ab,kbc,ca->ka", vinv, chi, v)).sum(axis=-1)
+        values = 0.5 * sums.real
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("matrix exponential overflowed the floating range")
+    return float(values[0]) if scalar else values
+
+
 def _check_diagonal(m: QMatrix):
     off = m.comp.copy()
     off[np.arange(m.n), np.arange(m.n), :] = 0.0
@@ -336,11 +398,7 @@ def dyson_second_order(
     results = [QMatrix.identity(h0.n) if x == 0.0 else None for x in ts]
     todo = np.flatnonzero(ts != 0.0)
     if len(todo):
-        a0 = _embed(h0)
-        w, v = np.linalg.eig(a0)
-        vinv = np.linalg.inv(v)
-        if np.abs((v * w) @ vinv - a0).max() > 1e-10 * max(1.0, np.abs(a0).max()):
-            raise NotNormal("reference matrix could not be diagonalized reliably")
+        w, v, vinv = _eigenbasis(_embed(h0))
         # interaction-picture generator in the eigenbasis: exp((w_a - w_b) s) b_ab
         b = vinv @ _embed(hp) @ v
         gaps = np.subtract.outer(w, w)

@@ -242,6 +242,60 @@ def test_compare_too_few_steps_is_usage_error(runner, tmp_path, steps):
         assert not Path("discrepancies.json").exists()
 
 
+def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monkeypatch):
+    import quatstat.cli as cli_module
+
+    def off_by_1e6(h, t, right=None):
+        return quatstat.formal_trace(h, t, right) + 1e-6
+
+    args = ["compare", "--model", "spin", "--beta", "0.2:2:8"]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        assert runner.invoke(cli, args).exit_code == 0
+        Path("discrepancies.json").unlink()
+        monkeypatch.setattr(cli_module, "formal_trace", off_by_1e6)
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert "oracle self-check failed: Z_formal" in result.stderr
+        assert result.stdout == ""
+        assert not Path("discrepancies.json").exists()
+        # a looser tolerance lets the same offset through
+        assert runner.invoke(cli, args + ["--tolerance", "1e-5"]).exit_code == 0
+
+
+# -- configuration errors --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermo", "--beta", "1:nan:3"],
+        ["thermo", "--beta", "1:inf:3"],
+        ["compare", "--beta", "1:nan:3"],
+        ["compare", "--beta", "-inf:2:3"],
+        ["negtemp", "--model", "custom", "--e-plus", "1", "--e-minus", "-1",
+         "--grid", "nan:1:3"],
+        ["thermo", "--n-particles", "0"],
+        ["compare", "--n-particles", "0"],
+        ["negtemp", "--n-particles", "0"],
+        ["thermo", "--omega", "-1"],
+        ["thermo", "--v", "0"],
+        ["compare", "--v", "0"],
+        ["negtemp", "--omega", "-1"],
+        ["negtemp", "--model", "custom", "--e-plus", "1", "--e-minus", "2"],
+    ],
+    ids=" ".join,
+)
+def test_configuration_errors_exit_2(runner, tmp_path, argv):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 2, result.output
+        # click turned it into a usage error; an escaped exception would be
+        # result.exception and print a traceback from the console script
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.stderr and "Traceback" not in result.stderr
+        assert not Path("discrepancies.json").exists()
+
+
 # -- negtemp --------------------------------------------------------------------
 
 

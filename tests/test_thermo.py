@@ -13,20 +13,24 @@ from quatstat import (
     I,
     J,
     K,
+    NotNormal,
     QMatrix,
     QuadratureUnconverged,
     Quaternion,
+    QubitModelParams,
     SpectralEnsemble,
     ToyModelParams,
     UnphysicalZ,
     VolumeModel,
     ZeroMeanEnergy,
     bloch_propagator,
+    build_qubit_model,
     build_toy_hamiltonian,
     dyson_convergence_slope,
     dyson_second_order,
     embed,
     energy_variance,
+    formal_trace,
     fro_norm,
     log_z_spectral,
     log_z_total,
@@ -299,6 +303,79 @@ def test_dyson_zero_time_entries_are_the_identity():
     assert np.array_equal(grid[2].comp, QMatrix.identity(2).comp)
     assert fro_norm(grid[1] - QMatrix.identity(2)) > 0.1
     assert np.array_equal(dyson_second_order(h0, hp, 0.0).comp, QMatrix.identity(2).comp)
+
+
+# -- traces from one diagonalisation ------------------------------------------
+
+#: Hamiltonians whose traces are checked against the mat_exp oracle.
+TRACE_MODELS = {
+    "spin-weak": lambda: build_toy_hamiltonian(spin_toy(v=0.5)),
+    "spin-strong": lambda: build_toy_hamiltonian(spin_toy(v=1.5)),
+    # v = omega/2: one level is zero, so chi(H) has the double eigenvalue 0
+    "spin-zero-level": lambda: build_toy_hamiltonian(spin_toy(v=OMEGA / 2, x=1.7)),
+    "toy-jk": lambda: build_toy_hamiltonian(
+        ToyModelParams(
+            a=I * 0.4 + J * 0.2, b=I * (-0.3) + K * 0.2,
+            c=Quaternion(0.0, 0.0, 0.4, 0.3), alpha=1.5, gamma=0.8,
+        )
+    ),
+    "qubit": lambda: build_qubit_model(QubitModelParams(phi=0.7))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_MODELS))
+def test_formal_trace_matches_mat_exp(name):
+    h = TRACE_MODELS[name]()
+    h0 = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
+    ts = np.concatenate([[0.0], np.linspace(0.05, 40.0, 200)])
+    uis = dyson_second_order(h0, h - h0, ts, steps=512)
+    z_formal = formal_trace(h, ts)
+    z_dyson = formal_trace(h0, ts, uis)
+    assert z_formal.shape == z_dyson.shape == ts.shape
+    assert z_formal[0] == z_dyson[0] == h.n
+    for t, zf, zd, ui in zip(ts, z_formal, z_dyson, uis):
+        want_formal = re_trace(bloch_propagator(h, t))
+        want_dyson = re_trace(mat_mul(bloch_propagator(h0, t), ui))
+        assert abs(zf - want_formal) <= 1e-12 * max(1.0, abs(want_formal))
+        assert abs(zd - want_dyson) <= 1e-12 * max(1.0, abs(want_dyson))
+    t = 1.3
+    ui = dyson_second_order(h0, h - h0, t, steps=256)
+    scalar = formal_trace(h, t)
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(re_trace(bloch_propagator(h, t)), rel=1e-12, abs=1e-12)
+    scalar = formal_trace(h0, t, ui)
+    want = re_trace(mat_mul(bloch_propagator(h0, t), ui))
+    assert scalar == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_formal_trace_is_the_cosine_sum():
+    # quasi-anti-Hermitian H: Re Tr exp(-t H) = sum_r cos(t E_r), E = omega/2 +- v
+    h = build_toy_hamiltonian(spin_toy(v=0.3, x=0.6))
+    ts = np.linspace(0.0, 25.0, 51)
+    want = np.cos(ts * (OMEGA / 2 - 0.3)) + np.cos(ts * (OMEGA / 2 + 0.3))
+    assert np.abs(formal_trace(h, ts) - want).max() < 1e-12
+
+
+def test_formal_trace_rejects_defective_and_mismatched_input():
+    # quaternionic Jordan block: chi(H) has no basis of eigenvectors
+    jordan = QMatrix.from_rows([[I, Quaternion(1.0)], [Quaternion(), I]])
+    with pytest.raises(NotNormal):
+        formal_trace(jordan, 1.0)
+    with pytest.raises(NotNormal):
+        formal_trace(jordan, [0.5, 1.0])
+    h = build_toy_hamiltonian(spin_toy())
+    with pytest.raises(ValueError):
+        formal_trace(h, [0.5, 1.0], [QMatrix.identity(2)])
+    with pytest.raises(ValueError):
+        formal_trace(h, [[0.5, 1.0]])
+
+
+def test_formal_trace_overflow_is_reported():
+    # a real spectrum makes exp(-t H) grow like a Boltzmann weight
+    h = QMatrix.diag([Quaternion(-1.0), Quaternion(1.0)])
+    assert formal_trace(h, 2.0) == pytest.approx(re_trace(bloch_propagator(h, 2.0)))
+    with pytest.raises(OverflowError):
+        formal_trace(h, [1.0, 800.0])
 
 
 # -- slice closed forms ---------------------------------------------------------
