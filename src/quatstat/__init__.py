@@ -74,6 +74,7 @@ from .models import (
     printed_spin_internal_energy,
     printed_spin_inverse_temperature,
     printed_spin_log_multiplicity,
+    qubit_negative_temperature,
     spin_eigenvectors,
     spin_entropy_per_particle,
     spin_mean_energy,
@@ -102,6 +103,7 @@ from .thermo import (
     VolumeModel,
     bloch_propagator,
     build_toy_hamiltonian,
+    discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
     energy_variance,

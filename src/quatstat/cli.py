@@ -11,7 +11,6 @@ Exit codes: 0 success (findings included), 1 oracle self-check failure,
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -41,6 +40,7 @@ from .models import (
     log_multiplicity,
     printed_spin_entropy,
     printed_spin_internal_energy,
+    qubit_negative_temperature,
     spin_mean_energy,
     spin_negative_temperature,
     temperature,
@@ -53,14 +53,12 @@ from .thermo import (
     ToyModelParams,
     bloch_propagator,
     build_toy_hamiltonian,
+    discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
     formal_trace,
-    printed_entropy,
-    printed_specific_heat,
     thermo_closed_form,
     thermo_spectral,
-    toy_metric,
     z1_formula,
     z_spectral,
 )
@@ -70,41 +68,40 @@ DEFAULT_TOLERANCE = 1e-8
 
 @dataclass
 class RunConfig:
-    """Resolved configuration of one CLI invocation."""
+    """Resolved configuration of one CLI invocation, by option destination.
 
-    subcommand: str
+    ``beta_spec`` and ``grid_spec`` hold the parsed ``MIN:MAX:STEPS``; a
+    field whose option a subcommand lacks keeps its default."""
+
     model: str = "spin"
-    beta_grid: tuple[float, float, int] = (0.1, 5.0, 50)
-    log_scale: bool = False
     params_path: str | None = None
-    output: str = "csv"
-    out_path: str | None = None
-    discrepancies_path: str = "discrepancies.json"
-    tolerance: float = DEFAULT_TOLERANCE
-    n_particles: int = 1
-    k: float = 1.0
-    rederived: bool = False
     omega: float = 2.0
     v: float = 0.5
     x: float = 1.0
     phi: float = 0.0
     e_plus: float | None = None
     e_minus: float | None = None
-    energy_grid: tuple[float, float, int] | None = None
+    beta_spec: tuple[float, float, int] = (0.1, 5.0, 50)
+    log_scale: bool = False
+    grid_spec: tuple[float, float, int] | None = None
     points: int = 51
+    n_particles: int = 1
+    k: float = 1.0
+    rederived: bool = False
     dyson_steps: int = 128
+    discrepancies_path: str = "discrepancies.json"
+    output: str = "csv"
+    out_path: str | None = None
+    tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass
 class ModelBundle:
     """Everything the runners may need about the resolved model."""
 
-    name: str
     hamiltonian: QMatrix | None = None
-    metric: MetricOperator | None = None
     ensemble: SpectralEnsemble | None = None
     slice_params: EnergySliceParams | None = None
-    spin: SpinModelParams | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +113,27 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _resolve_tolerance(flag: float | None, default: float = DEFAULT_TOLERANCE) -> float:
-    if flag is not None:
-        return flag
-    env = os.environ.get("QUATSTAT_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise click.UsageError(f"QUATSTAT_TOL is not a number: {env!r}") from exc
-    return default
+class _FiniteFloat(click.types.FloatParamType):
+    """A float that must be finite: NaN and infinities are usage errors."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
 
 
-def _parse_range(spec: str, option: str) -> tuple[float, float, int]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise click.UsageError(f"{option} expects MIN:MAX:STEPS, got {spec!r}")
+FINITE = _FiniteFloat()
+
+
+def _range_option(ctx, param, spec: str | None) -> tuple[float, float, int] | None:
+    """Parse a ``MIN:MAX:STEPS`` option (``--beta``, ``--grid``)."""
+    if spec is None:
+        return None
+    option = param.opts[0]
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, steps = spec.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise click.UsageError(f"{option} expects MIN:MAX:STEPS, got {spec!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -172,116 +172,129 @@ def _quaternion_field(data: dict, key: str) -> Quaternion:
         raise click.UsageError(f"params field {key!r} must be a 4-array: {exc}") from exc
 
 
-def _metric_from_dict(data: dict) -> MetricOperator:
+def _load_matrix(path: str) -> tuple[QMatrix, MetricOperator]:
+    """The matrix and metric objects of a params file (``file`` model, ``validate``)."""
+    data = _load_json(path)
     try:
-        x = float(data["x"])
-        y = float(data["y"])
-        z_re, z_im = data.get("z", [0.0, 0.0])
+        h = QMatrix.from_json_dict(data["matrix"])
+    except (KeyError, TypeError, ValueError, QuatstatError) as exc:
+        raise click.UsageError(f"malformed matrix object: {exc}") from exc
+    spec = data.get("metric", {"x": 1.0, "y": 1.0})
+    try:
+        x, y = float(spec["x"]), float(spec["y"])
+        z_re, z_im = spec.get("z", [0.0, 0.0])
         z = complex(float(z_re), float(z_im))
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"malformed metric object: {exc}") from exc
     try:
-        return build_metric(x, y, z)
+        metric = build_metric(x, y, z)
     except QuatstatError as exc:
         raise click.UsageError(f"metric rejected: {exc}") from exc
+    if metric.n != h.n:
+        raise click.UsageError(f"matrix is {h.n}-dim but metric is {metric.n}-dim")
+    return h, metric
+
+
+def _split_diagonal(h: QMatrix) -> tuple[QMatrix, QMatrix]:
+    """``H0 = diag(H)`` and the perturbation ``H - H0``."""
+    h0 = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
+    return h0, h - h0
 
 
 def _resolve_model(cfg: RunConfig) -> ModelBundle:
+    """The model ``cfg`` names; its ensemble carries ``cfg``'s N and k."""
+
+    def ensemble(levels) -> SpectralEnsemble:
+        return SpectralEnsemble(tuple(levels), n_particles=cfg.n_particles, k=cfg.k)
+
     if cfg.model == "spin":
         try:
             spin = SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x)
-            h, metric, ensemble = build_spin_model(spin)
+            h, _, spin_levels = build_spin_model(spin)
         except QuatstatError as exc:
             raise click.UsageError(f"spin params rejected: {exc}") from exc
         return ModelBundle(
-            name="spin",
             hamiltonian=h,
-            metric=metric,
-            ensemble=dataclasses.replace(
-                ensemble, n_particles=cfg.n_particles, k=cfg.k
-            ),
+            ensemble=ensemble(spin_levels.levels),
             slice_params=EnergySliceParams.from_spin(cfg.omega, cfg.v),
-            spin=spin,
         )
     if cfg.model == "qubit":
-        h, metric, ensemble = build_qubit_model(QubitModelParams(phi=cfg.phi))
-        energies = sorted(e for e, _ in ensemble.levels)
+        h, _, qubit_levels = build_qubit_model(QubitModelParams(phi=cfg.phi))
+        levels = qubit_levels.levels  # sorted by energy
         return ModelBundle(
-            name="qubit",
             hamiltonian=h,
-            metric=metric,
-            ensemble=dataclasses.replace(
-                ensemble, n_particles=cfg.n_particles, k=cfg.k
-            ),
-            slice_params=EnergySliceParams(aE=energies[-1], bE=energies[0], kappa=0.0),
+            ensemble=ensemble(levels),
+            slice_params=EnergySliceParams(aE=levels[-1][0], bE=levels[0][0], kappa=0.0),
         )
-    if cfg.model == "toy":
-        if not cfg.params_path:
-            raise click.UsageError("--model toy requires --params FILE")
-        data = _load_json(cfg.params_path)
-        if "aE" in data:
-            try:
-                slice_params = EnergySliceParams(
-                    aE=float(data["aE"]),
-                    bE=float(data["bE"]),
-                    kappa=float(data.get("kappa", 0.0)),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise click.UsageError(f"malformed slice params: {exc}") from exc
-            return ModelBundle(name="toy", slice_params=slice_params)
-        try:
-            toy = ToyModelParams(
-                a=_quaternion_field(data, "a"),
-                b=_quaternion_field(data, "b"),
-                c=_quaternion_field(data, "c"),
-                alpha=float(data.get("alpha", 1.0)),
-                gamma=float(data.get("gamma", 1.0)),
-            )
-            h = build_toy_hamiltonian(toy)
-            slice_params = EnergySliceParams.from_toy(toy)
-            h0 = QMatrix.diag([toy.a, toy.b])
-            energies = energies_by_continuity(h0, h - h0)
-            ensemble = SpectralEnsemble(
-                tuple((e, 1) for e in energies),
-                n_particles=cfg.n_particles,
-                k=cfg.k,
-            )
-        except QuatstatError as exc:
-            raise click.UsageError(f"toy params rejected: {exc}") from exc
-        return ModelBundle(
-            name="toy",
-            hamiltonian=h,
-            metric=toy_metric(toy),
-            ensemble=ensemble,
-            slice_params=slice_params,
-        )
+    if not cfg.params_path:
+        raise click.UsageError(f"--model {cfg.model} requires --params FILE")
     if cfg.model == "file":
-        if not cfg.params_path:
-            raise click.UsageError("--model file requires --params FILE")
-        data = _load_json(cfg.params_path)
+        h, _ = _load_matrix(cfg.params_path)
         try:
-            h = QMatrix.from_json_dict(data["matrix"])
-        except (KeyError, TypeError, ValueError, QuatstatError) as exc:
-            raise click.UsageError(f"malformed matrix object: {exc}") from exc
-        metric = _metric_from_dict(data.get("metric", {"x": 1.0, "y": 1.0}))
-        if metric.n != h.n:
-            raise click.UsageError(
-                f"matrix is {h.n}-dim but metric is {metric.n}-dim"
+            energies = energies_by_continuity(*_split_diagonal(h))
+        except QuatstatError as exc:
+            raise click.UsageError(f"cannot assign energies: {exc}") from exc
+        return ModelBundle(hamiltonian=h, ensemble=ensemble((e, 1) for e in energies))
+    data = _load_json(cfg.params_path)
+    if "aE" in data:
+        try:
+            slice_params = EnergySliceParams(
+                aE=float(data["aE"]),
+                bE=float(data["bE"]),
+                kappa=float(data.get("kappa", 0.0)),
             )
-        return ModelBundle(name="file", hamiltonian=h, metric=metric)
-    raise click.UsageError(f"unknown model {cfg.model!r}")
-
-
-def _file_ensemble(bundle: ModelBundle, cfg: RunConfig) -> SpectralEnsemble:
-    h = bundle.hamiltonian
-    diag = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise click.UsageError(f"malformed slice params: {exc}") from exc
+        return ModelBundle(slice_params=slice_params)
     try:
-        energies = energies_by_continuity(diag, h - diag)
+        toy = ToyModelParams(
+            a=_quaternion_field(data, "a"),
+            b=_quaternion_field(data, "b"),
+            c=_quaternion_field(data, "c"),
+            alpha=float(data.get("alpha", 1.0)),
+            gamma=float(data.get("gamma", 1.0)),
+        )
+        h = build_toy_hamiltonian(toy)
+        slice_params = EnergySliceParams.from_toy(toy)
+        energies = energies_by_continuity(*_split_diagonal(h))
     except QuatstatError as exc:
-        raise click.UsageError(f"cannot assign energies: {exc}") from exc
-    return SpectralEnsemble(
-        tuple((e, 1) for e in energies), n_particles=cfg.n_particles, k=cfg.k
+        raise click.UsageError(f"toy params rejected: {exc}") from exc
+    return ModelBundle(
+        hamiltonian=h,
+        ensemble=ensemble((e, 1) for e in energies),
+        slice_params=slice_params,
     )
+
+
+def _negtemp_gas(cfg: RunConfig) -> TwoLevelGas:
+    """The two-level gas of ``negtemp``. A params file replaces the model and
+    level flags with ``e_plus``/``e_minus`` or ``omega``/``v`` (and ``x``),
+    and may set ``n_particles``."""
+    model, values, n = cfg.model, vars(cfg), cfg.n_particles
+    try:
+        if cfg.params_path:
+            data = _load_json(cfg.params_path)
+            model = "custom" if "e_plus" in data else "spin" if "omega" in data else None
+            if model is None:
+                raise click.UsageError(
+                    "negtemp params need either e_plus/e_minus or omega/v"
+                )
+            keys = ("e_plus", "e_minus") if model == "custom" else ("omega", "v")
+            values = {key: float(data[key]) for key in keys}
+            values["x"] = float(data.get("x", 1.0))
+            n = int(data.get("n_particles", n))
+        if model == "spin":
+            spin = SpinModelParams(omega=values["omega"], v=values["v"], x=values["x"])
+            return spin_negative_temperature(spin, n)
+        if model == "qubit":
+            return qubit_negative_temperature(n)
+        if values["e_plus"] is None or values["e_minus"] is None:
+            raise click.UsageError("--model custom requires --e-plus and --e-minus")
+        return TwoLevelGas(
+            n_particles=n, e_plus=values["e_plus"], e_minus=values["e_minus"]
+        )
+    except (KeyError, TypeError, ValueError, QuatstatError) as exc:
+        raise click.UsageError(f"negtemp params rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -289,33 +302,30 @@ def _file_ensemble(bundle: ModelBundle, cfg: RunConfig) -> SpectralEnsemble:
 # ---------------------------------------------------------------------------
 
 
+def _write(path: str, text: str, what: str):
+    """Write ``text`` to ``path``; an unwritable path is a configuration error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}") from exc
+    click.echo(f"wrote {what} to {path}", err=True)
+
+
 def _emit_table(header: list[str], rows: list[tuple], cfg: RunConfig):
     if cfg.output == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
-            )
-        text = "\n".join(lines) + "\n"
+        lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+        text = "\n".join([",".join(header), *lines]) + "\n"
     if cfg.out_path:
-        Path(cfg.out_path).write_text(text)
-        click.echo(f"wrote {len(rows)} rows to {cfg.out_path}", err=True)
+        _write(cfg.out_path, text, f"{len(rows)} rows")
     else:
         click.echo(text, nl=False)
 
 
-def _write_discrepancies(records, cfg: RunConfig, always: bool = False):
-    if not records and not always:
-        return
-    payload = [r.to_dict() for r in records]
-    Path(cfg.discrepancies_path).write_text(json.dumps(payload, indent=2) + "\n")
-    click.echo(
-        f"wrote {len(payload)} discrepancy records to {cfg.discrepancies_path}",
-        err=True,
-    )
+def _write_discrepancies(records, cfg: RunConfig):
+    text = json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+    _write(cfg.discrepancies_path, text, f"{len(records)} discrepancy records")
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +335,16 @@ def _write_discrepancies(records, cfg: RunConfig, always: bool = False):
 
 def run_thermo(cfg: RunConfig) -> int:
     bundle = _resolve_model(cfg)
-    betas = _grid(cfg.beta_grid, cfg.log_scale)
+    betas = _grid(cfg.beta_spec, cfg.log_scale)
     if min(betas) <= 0:
         raise click.UsageError("thermo sweeps require beta > 0")
 
-    use_slice = bundle.name in ("toy", "spin") and bundle.slice_params is not None
-    if bundle.name == "file":
-        bundle.ensemble = _file_ensemble(bundle, cfg)
-    if not use_slice and bundle.ensemble is None:
-        raise click.UsageError("model provides neither slice parameters nor energies")
-
     def one(beta: float):
-        if use_slice:
-            return thermo_closed_form(
-                bundle.slice_params,
-                beta,
-                n_particles=cfg.n_particles,
-                k=cfg.k,
-                rederived=cfg.rederived,
-                diff_tol=cfg.tolerance,
-            )
-        return thermo_spectral(bundle.ensemble, beta)
+        if cfg.model == "qubit" or cfg.model == "file":
+            return thermo_spectral(bundle.ensemble, beta)
+        return thermo_closed_form(
+            bundle.slice_params, beta, cfg.n_particles, cfg.k, cfg.rederived, cfg.tolerance
+        )
 
     try:
         reports = [one(beta) for beta in betas]
@@ -356,7 +355,8 @@ def run_thermo(cfg: RunConfig) -> int:
     rows = [(r.beta, r.Z1, r.A, r.S, r.U, r.Cv) for r in reports]
     _emit_table(["beta", "Z1", "A", "S", "U", "Cv"], rows, cfg)
     records = [rec for r in reports for rec in r.discrepancies]
-    _write_discrepancies(records, cfg)
+    if records:
+        _write_discrepancies(records, cfg)
     return 0
 
 
@@ -367,15 +367,12 @@ def run_compare(cfg: RunConfig) -> int:
             "compare needs a full model (quaternion form); slice-only params "
             "do not determine a Hamiltonian"
         )
-    betas = _grid(cfg.beta_grid, cfg.log_scale)
+    betas = _grid(cfg.beta_spec, cfg.log_scale)
     if min(betas) <= 0:
         raise click.UsageError("compare sweeps require beta > 0")
-    h = bundle.hamiltonian
-    ensemble = bundle.ensemble
-    sl = bundle.slice_params
-    h0 = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
-    hp = h - h0
-    tol = cfg.tolerance
+    h, ensemble, sl = bundle.hamiltonian, bundle.ensemble, bundle.slice_params
+    h0, hp = _split_diagonal(h)
+    n, k, tol = cfg.n_particles, cfg.k, cfg.tolerance
 
     try:
         propagators = dyson_second_order(h0, hp, betas, steps=cfg.dyson_steps)
@@ -386,101 +383,61 @@ def run_compare(cfg: RunConfig) -> int:
         return 1
     # both trace columns come from one eigenbasis each; mat_exp checks the last beta
     beta = betas[-1]
+    u_dyson = mat_mul(bloch_propagator(h0, beta), propagators[-1])
     spot_checks = (
         ("Z_formal", z_formal[-1], re_trace(bloch_propagator(h, beta))),
-        (
-            "Z1_dyson",
-            z_dyson[-1],
-            re_trace(mat_mul(bloch_propagator(h0, beta), propagators[-1])),
-        ),
+        ("Z1_dyson", z_dyson[-1], re_trace(u_dyson)),
     )
     for name, value, oracle in spot_checks:
-        if not abs(value - oracle) <= tol * max(1.0, abs(oracle)):
+        # the rule records no NaN, so a non-finite gap fails here on its own
+        off = discrepancy(name, lambda: value, oracle, beta, tol)
+        if off is not None or not math.isfinite(value - oracle):
             click.echo(
                 f"oracle self-check failed: {name} = {_fmt(value)} at beta = "
                 f"{_fmt(beta)}, mat_exp gives {_fmt(oracle)} (tol {tol:.1e})",
                 err=True,
             )
             return 1
-    rows = [
-        (
-            beta,
-            z_spectral(ensemble, beta),
-            zf,
-            z1_formula(sl, beta, rederived=False),
-            z1_formula(sl, beta, rederived=True),
-            zd,
-        )
-        for beta, zf, zd in zip(betas, z_formal, z_dyson)
-    ]
-    rows.sort(key=lambda row: row[0])
+    rows = sorted(
+        ((beta, z_spectral(ensemble, beta), zf, z1_formula(sl, beta, rederived=False),
+          z1_formula(sl, beta, rederived=True), zd)
+         for beta, zf, zd in zip(betas, z_formal, z_dyson)),
+        key=lambda row: row[0],
+    )
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
     _emit_table(header, rows, cfg)
 
-    from .thermo import DiscrepancyRecord
-
-    records: list[DiscrepancyRecord] = []
-
-    def note(quantity, printed_value, derived_value, beta):
-        if abs(printed_value - derived_value) > tol * max(1.0, abs(derived_value)):
-            records.append(
-                DiscrepancyRecord(quantity, printed_value, derived_value, beta)
-            )
-
+    # per beta the log lists Z1, S (rederived report), Cv (printed report),
+    # then the spin model's U and S_two_level: that order is part of the file
+    records = []
     for beta, _, _, z1_p, z1_r, _ in rows:
-        note("Z1", z1_p, z1_r, beta)
-        try:
-            derived = thermo_closed_form(
-                sl, beta, cfg.n_particles, cfg.k, rederived=True, diff_tol=tol
-            )
-            note("S", printed_entropy(sl, beta, cfg.n_particles, cfg.k), derived.S, beta)
-        except (UnphysicalZ, QuatstatError):
-            pass
-        try:
-            printed_branch = thermo_closed_form(
-                sl, beta, cfg.n_particles, cfg.k, rederived=False, diff_tol=tol
-            )
-            note(
-                "Cv",
-                printed_specific_heat(sl, beta, cfg.n_particles, cfg.k),
-                printed_branch.Cv,
-                beta,
-            )
-        except (UnphysicalZ, QuatstatError):
-            pass
-        if bundle.spin is not None:
-            spin = bundle.spin
-            note(
-                "U",
-                printed_spin_internal_energy(spin.omega, spin.v, beta, cfg.n_particles),
-                cfg.n_particles * spin_mean_energy(spin.omega, spin.v, beta),
-                beta,
-            )
+        found = [discrepancy("Z1", lambda: z1_p, z1_r, beta, tol)]
+        for rederived, quantity in ((True, "S"), (False, "Cv")):
             try:
-                note(
-                    "S_two_level",
-                    printed_spin_entropy(spin.omega, spin.v, beta, cfg.n_particles, cfg.k),
-                    thermo_spectral(ensemble, beta).S,
-                    beta,
-                )
-            except (UnphysicalZ, QuatstatError):
-                pass
+                report = thermo_closed_form(sl, beta, n, k, rederived, diff_tol=tol)
+            except QuatstatError:
+                continue
+            found += [r for r in report.discrepancies if r.quantity == quantity]
+        if cfg.model == "spin":
+            omega, v = cfg.omega, cfg.v
+            checks = (
+                ("U", lambda: printed_spin_internal_energy(omega, v, beta, n),
+                 n * spin_mean_energy(omega, v, beta)),
+                ("S_two_level", lambda: printed_spin_entropy(omega, v, beta, n, k),
+                 thermo_spectral(ensemble, beta).S),
+            )
+            found += [discrepancy(q, printed, d, beta, tol) for q, printed, d in checks]
+        records += [r for r in found if r is not None]
 
-    _write_discrepancies(records, cfg, always=True)
+    _write_discrepancies(records, cfg)
 
     arr = np.array([row[1:] for row in rows])
-    click.echo(
-        f"max |Z_spectral - Z_formal|    = {_fmt(np.abs(arr[:, 0] - arr[:, 1]).max())}",
-        err=True,
-    )
-    click.echo(
-        f"max |Z1_printed - Z1_rederived| = {_fmt(np.abs(arr[:, 2] - arr[:, 3]).max())}",
-        err=True,
-    )
-    click.echo(
-        f"max |Z1_dyson - Z_formal|      = {_fmt(np.abs(arr[:, 4] - arr[:, 1]).max())}",
-        err=True,
-    )
+    for label, i, j in (
+        ("Z_spectral - Z_formal|   ", 0, 1),
+        ("Z1_printed - Z1_rederived|", 2, 3),
+        ("Z1_dyson - Z_formal|     ", 4, 1),
+    ):
+        click.echo(f"max |{label} = {_fmt(np.abs(arr[:, i] - arr[:, j]).max())}", err=True)
 
     if fro_norm(hp) > 0.0:
         slope = dyson_convergence_slope(h0, hp, t=1.0, steps=cfg.dyson_steps)
@@ -495,56 +452,9 @@ def run_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def _negtemp_gas(cfg: RunConfig) -> TwoLevelGas:
-    if cfg.params_path:
-        data = _load_json(cfg.params_path)
-        n = int(data.get("n_particles", cfg.n_particles))
-        try:
-            if "e_plus" in data:
-                return TwoLevelGas(
-                    n_particles=n,
-                    e_plus=float(data["e_plus"]),
-                    e_minus=float(data["e_minus"]),
-                )
-            if "omega" in data:
-                spin = SpinModelParams(
-                    omega=float(data["omega"]),
-                    v=float(data["v"]),
-                    x=float(data.get("x", 1.0)),
-                )
-                return spin_negative_temperature(spin, n)
-        except (KeyError, TypeError, ValueError, QuatstatError) as exc:
-            raise click.UsageError(f"negtemp params rejected: {exc}") from exc
-        raise click.UsageError(
-            "negtemp params need either e_plus/e_minus or omega/v"
-        )
-    try:
-        if cfg.model == "spin":
-            return spin_negative_temperature(
-                SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x), cfg.n_particles
-            )
-        if cfg.model == "qubit":
-            return TwoLevelGas(n_particles=cfg.n_particles, e_plus=2.0, e_minus=0.0)
-        if cfg.model == "custom":
-            if cfg.e_plus is None or cfg.e_minus is None:
-                raise click.UsageError("--model custom requires --e-plus and --e-minus")
-            return TwoLevelGas(
-                n_particles=cfg.n_particles, e_plus=cfg.e_plus, e_minus=cfg.e_minus
-            )
-    except QuatstatError as exc:
-        raise click.UsageError(f"negtemp params rejected: {exc}") from exc
-    raise click.UsageError(f"unknown negtemp model {cfg.model!r}")
-
-
 def run_negtemp(cfg: RunConfig) -> int:
     gas = _negtemp_gas(cfg)
-
-    if cfg.energy_grid is not None:
-        lo, hi, steps = cfg.energy_grid
-        energies = _grid((lo, hi, steps), False)
-    else:
-        energies = _grid((gas.e_min, gas.e_max, cfg.points), False)
-
+    energies = _grid(cfg.grid_spec or (gas.e_min, gas.e_max, cfg.points), False)
     rows = []
     for energy in energies:
         try:
@@ -562,16 +472,7 @@ def run_negtemp(cfg: RunConfig) -> int:
 
 
 def run_validate(cfg: RunConfig) -> int:
-    if not cfg.params_path:
-        raise click.UsageError("validate requires --params FILE")
-    data = _load_json(cfg.params_path)
-    try:
-        h = QMatrix.from_json_dict(data["matrix"])
-    except (KeyError, TypeError, ValueError, QuatstatError) as exc:
-        raise click.UsageError(f"malformed matrix object: {exc}") from exc
-    metric = _metric_from_dict(data.get("metric", {"x": 1.0, "y": 1.0}))
-    if metric.n != h.n:
-        raise click.UsageError(f"matrix is {h.n}-dim but metric is {metric.n}-dim")
+    h, metric = _load_matrix(cfg.params_path)
     report = classification_report(h, metric, tol=cfg.tolerance)
     for key in ("pseudo_anti_hermitian", "quasi_anti_hermitian", "pseudo_hermitian"):
         entry = report[key]
@@ -584,8 +485,6 @@ def run_validate(cfg: RunConfig) -> int:
 
 def run_spectrum(cfg: RunConfig) -> int:
     bundle = _resolve_model(cfg)
-    if bundle.name == "file":
-        bundle.ensemble = _file_ensemble(bundle, cfg)
     if bundle.ensemble is None:
         raise click.UsageError("model does not define an energy spectrum")
     rows = [(e, g) for e, g in bundle.ensemble.levels]
@@ -597,41 +496,78 @@ def run_spectrum(cfg: RunConfig) -> int:
 # Click wiring
 # ---------------------------------------------------------------------------
 
-
-def _model_options(fn):
-    options = [
-        click.option("--params", "params_path", type=click.Path(), default=None,
-                     help="JSON params file (toy/file models)."),
-        click.option("--omega", type=float, default=2.0, show_default=True,
-                     help="Spin model level splitting."),
-        click.option("--v", type=float, default=0.5, show_default=True,
-                     help="Spin model potential strength."),
-        click.option("--x", type=float, default=1.0, show_default=True,
-                     help="Spin model metric parameter."),
-        click.option("--phi", type=float, default=0.0, show_default=True,
-                     help="Qubit model phase."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+def _number(flag: str, default: float | None, help: str):
+    return (flag,), dict(type=FINITE, default=default, show_default=True, help=help)
 
 
-def _output_options(fn):
-    options = [
-        click.option("--output", type=click.Choice(["csv", "json"]), default="csv",
-                     show_default=True),
-        click.option("--out", "out_path", type=click.Path(), default=None,
-                     help="Write the table here instead of stdout."),
-        click.option("--tolerance", type=float, default=None,
-                     help="Comparison tolerance (overrides QUATSTAT_TOL)."),
-        click.option("--parallel", type=int, default=1, show_default=True,
-                     expose_value=False,
-                     help="Accepted for compatibility and ignored; sweeps run "
-                          "in one process."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+#: Every option of every subcommand, declared once: name -> (declarations,
+#: keyword arguments of ``click.option``). Subcommands pick theirs with
+#: :func:`_options`, which can replace a default, the choices or a help text.
+_OPTIONS = {
+    "model": (("--model",), dict(default="spin", show_default=True)),
+    "params": (("--params", "params_path"), dict(
+        type=click.Path(), default=None, help="JSON params file (toy/file models).")),
+    "omega": _number("--omega", 2.0, "Spin model level splitting."),
+    "v": _number("--v", 0.5, "Spin model potential strength."),
+    "x": _number("--x", 1.0, "Spin model metric parameter."),
+    "phi": _number("--phi", 0.0, "Qubit model phase."),
+    "e_plus": _number("--e-plus", None, "Upper level (custom model)."),
+    "e_minus": _number("--e-minus", None, "Lower level (custom model)."),
+    "beta": (("--beta", "beta_spec"), dict(
+        callback=_range_option, show_default=True,
+        help="Inverse-temperature grid MIN:MAX:STEPS.")),
+    "log": (("--log", "log_scale"), dict(is_flag=True, help="Geometric beta grid.")),
+    "grid": (("--grid", "grid_spec"), dict(
+        callback=_range_option, default=None,
+        help="Energy grid MIN:MAX:STEPS (default: the full band).")),
+    "points": (("--points",), dict(
+        type=click.IntRange(min=1), default=51, show_default=True,
+        help="Grid size when --grid is not given.")),
+    "n_particles": (("--n-particles",), dict(
+        type=click.IntRange(min=1), default=1, show_default=True)),
+    "k": _number("--k", 1.0, "Boltzmann constant."),
+    "rederived": (("--rederived",), dict(
+        is_flag=True, help="Use the re-derived coupling sign on the closed-form path.")),
+    "steps": (("--steps", "dyson_steps"), dict(
+        type=click.IntRange(min=MIN_DYSON_STEPS), default=128, show_default=True,
+        help="Quadrature steps for the perturbative propagator.")),
+    "discrepancies": (("--discrepancies", "discrepancies_path"), dict(
+        type=click.Path(), default="discrepancies.json", show_default=True)),
+    "output": (("--output",), dict(
+        type=click.Choice(["csv", "json"]), default="csv", show_default=True)),
+    "out": (("--out", "out_path"), dict(
+        type=click.Path(), default=None, help="Write the table here instead of stdout.")),
+    "tolerance": _number("--tolerance", None, "Comparison tolerance (overrides QUATSTAT_TOL)."),
+    "parallel": (("--parallel",), dict(
+        type=int, default=1, show_default=True, expose_value=False,
+        help="Accepted for compatibility and ignored; sweeps run in one process.")),
+}
+
+
+def _options(*names: str, **overrides: dict) -> list[click.Option]:
+    """The named options of :data:`_OPTIONS`, in order, with per-command overrides."""
+    options = []
+    for name in names:
+        decls, attrs = _OPTIONS[name]
+        attrs = {**attrs, **overrides.get(name, {})}
+        if attrs.get("required"):  # click enforces it only without a default
+            del attrs["default"]
+        options.append(click.Option(decls, **attrs))
+    return options
+
+
+def _config(params: dict, default_tolerance: float = DEFAULT_TOLERANCE) -> RunConfig:
+    """``RunConfig`` from click's parsed parameters; ``--tolerance`` falls back
+    to ``QUATSTAT_TOL``, then to ``default_tolerance``."""
+    tolerance, env = params["tolerance"], os.environ.get("QUATSTAT_TOL")
+    if tolerance is None and env:
+        try:
+            tolerance = FINITE.convert(env, None, None)
+        except click.BadParameter as exc:
+            raise click.UsageError(f"QUATSTAT_TOL is not a number: {env!r}") from exc
+    if tolerance is None:
+        tolerance = default_tolerance
+    return RunConfig(**{**params, "tolerance": tolerance})
 
 
 @click.group()
@@ -639,126 +575,58 @@ def cli():
     """Quaternionic quantum statistical mechanics toolkit."""
 
 
-@cli.command()
-@click.option("--model", type=click.Choice(["toy", "spin", "qubit", "file"]),
-              default="spin", show_default=True)
-@_model_options
-@click.option("--beta", "beta_spec", default="0.1:5:50", show_default=True,
-              help="Inverse-temperature grid MIN:MAX:STEPS.")
-@click.option("--log", "log_scale", is_flag=True, help="Geometric beta grid.")
-@click.option("--n-particles", type=click.IntRange(min=1), default=1,
-              show_default=True)
-@click.option("--k", type=float, default=1.0, show_default=True,
-              help="Boltzmann constant.")
-@click.option("--rederived", is_flag=True,
-              help="Use the re-derived coupling sign on the closed-form path.")
-@click.option("--discrepancies", "discrepancies_path", type=click.Path(),
-              default="discrepancies.json", show_default=True)
-@_output_options
-def thermo(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_particles,
-           k, rederived, discrepancies_path, output, out_path, tolerance):
+_MODEL = ("model", "params", "omega", "v", "x", "phi")
+_OUTPUT = ("output", "out", "tolerance", "parallel")
+_ALL_MODELS = {"type": click.Choice(["toy", "spin", "qubit", "file"])}
+
+
+@cli.command(params=_options(
+    *_MODEL, "beta", "log", "n_particles", "k", "rederived", "discrepancies", *_OUTPUT,
+    model=_ALL_MODELS, beta={"default": "0.1:5:50"},
+))
+def thermo(**params):
     """Thermodynamic sweep: beta,Z1,A,S,U,Cv per grid point."""
-    cfg = RunConfig(
-        subcommand="thermo", model=model, params_path=params_path, omega=omega,
-        v=v, x=x, phi=phi, beta_grid=_parse_range(beta_spec, "--beta"),
-        log_scale=log_scale, n_particles=n_particles, k=k, rederived=rederived,
-        discrepancies_path=discrepancies_path, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance),
-    )
-    sys.exit(run_thermo(cfg))
+    sys.exit(run_thermo(_config(params)))
 
 
-@cli.command()
-@click.option("--model", type=click.Choice(["toy", "spin", "qubit"]),
-              default="spin", show_default=True)
-@_model_options
-@click.option("--beta", "beta_spec", default="0.1:2:20", show_default=True,
-              help="Inverse-temperature grid MIN:MAX:STEPS.")
-@click.option("--log", "log_scale", is_flag=True, help="Geometric beta grid.")
-@click.option("--n-particles", type=click.IntRange(min=1), default=1,
-              show_default=True)
-@click.option("--k", type=float, default=1.0, show_default=True)
-@click.option("--steps", "dyson_steps", type=click.IntRange(min=MIN_DYSON_STEPS),
-              default=128, show_default=True,
-              help="Quadrature steps for the perturbative propagator.")
-@click.option("--discrepancies", "discrepancies_path", type=click.Path(),
-              default="discrepancies.json", show_default=True)
-@_output_options
-def compare(model, params_path, omega, v, x, phi, beta_spec, log_scale, n_particles,
-            k, dyson_steps, discrepancies_path, output, out_path, tolerance):
+@cli.command(params=_options(
+    *_MODEL, "beta", "log", "n_particles", "k", "steps", "discrepancies", *_OUTPUT,
+    model={"type": click.Choice(["toy", "spin", "qubit"])}, beta={"default": "0.1:2:20"},
+))
+def compare(**params):
     """Partition-function paths side by side, plus a discrepancy log.
 
     Disagreement between columns is a finding and exits 0; only an oracle
     self-check failure exits 1.
     """
-    cfg = RunConfig(
-        subcommand="compare", model=model, params_path=params_path, omega=omega,
-        v=v, x=x, phi=phi, beta_grid=_parse_range(beta_spec, "--beta"),
-        log_scale=log_scale, n_particles=n_particles, k=k, dyson_steps=dyson_steps,
-        discrepancies_path=discrepancies_path, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance),
-    )
-    sys.exit(run_compare(cfg))
+    sys.exit(run_compare(_config(params)))
 
 
-@cli.command()
-@click.option("--model", type=click.Choice(["spin", "qubit", "custom"]),
-              default="spin", show_default=True)
-@click.option("--params", "params_path", type=click.Path(), default=None,
-              help="JSON file with omega/v or e_plus/e_minus (and n_particles).")
-@click.option("--omega", type=float, default=2.0, show_default=True)
-@click.option("--v", type=float, default=0.5, show_default=True)
-@click.option("--x", type=float, default=1.0, show_default=True)
-@click.option("--e-plus", type=float, default=None, help="Upper level (custom model).")
-@click.option("--e-minus", type=float, default=None, help="Lower level (custom model).")
-@click.option("--n-particles", type=click.IntRange(min=1), default=10,
-              show_default=True)
-@click.option("--k", type=float, default=1.0, show_default=True)
-@click.option("--grid", "grid_spec", default=None,
-              help="Energy grid MIN:MAX:STEPS (default: the full band).")
-@click.option("--points", type=int, default=51, show_default=True,
-              help="Grid size when --grid is not given.")
-@_output_options
-def negtemp(model, params_path, omega, v, x, e_plus, e_minus, n_particles, k,
-            grid_spec, points, output, out_path, tolerance):
+@cli.command(params=_options(
+    "model", "params", "omega", "v", "x", "e_plus", "e_minus", "n_particles", "k",
+    "grid", "points", *_OUTPUT,
+    model={"type": click.Choice(["spin", "qubit", "custom"])},
+    params={"help": "JSON file with omega/v or e_plus/e_minus (and n_particles)."},
+    n_particles={"default": 10},
+))
+def negtemp(**params):
     """Entropy and temperature across the two-level energy band."""
-    cfg = RunConfig(
-        subcommand="negtemp", model=model, params_path=params_path, omega=omega,
-        v=v, x=x, e_plus=e_plus, e_minus=e_minus, n_particles=n_particles, k=k,
-        energy_grid=_parse_range(grid_spec, "--grid") if grid_spec else None,
-        points=points, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance),
-    )
-    sys.exit(run_negtemp(cfg))
+    sys.exit(run_negtemp(_config(params)))
 
 
-@cli.command()
-@click.option("--params", "params_path", type=click.Path(), required=True,
-              help="JSON file with matrix and metric objects.")
-@click.option("--tolerance", type=float, default=None,
-              help="Classification tolerance (overrides QUATSTAT_TOL).")
-def validate(params_path, tolerance):
+@cli.command(params=_options(
+    "params", "tolerance",
+    params={"required": True, "help": "JSON file with matrix and metric objects."},
+))
+def validate(**params):
     """Classify a matrix against a metric: adjoint-symmetry verdicts."""
-    cfg = RunConfig(
-        subcommand="validate", params_path=params_path,
-        tolerance=_resolve_tolerance(tolerance, default=1e-10),
-    )
-    sys.exit(run_validate(cfg))
+    sys.exit(run_validate(_config(params, default_tolerance=1e-10)))
 
 
-@cli.command()
-@click.option("--model", type=click.Choice(["toy", "spin", "qubit", "file"]),
-              default="spin", show_default=True)
-@_model_options
-@_output_options
-def spectrum(model, params_path, omega, v, x, phi, output, out_path, tolerance):
+@cli.command(params=_options(*_MODEL, *_OUTPUT, model=_ALL_MODELS))
+def spectrum(**params):
     """Energy levels and multiplicities of the resolved model."""
-    cfg = RunConfig(
-        subcommand="spectrum", model=model, params_path=params_path, omega=omega,
-        v=v, x=x, phi=phi, output=output, out_path=out_path,
-        tolerance=_resolve_tolerance(tolerance),
-    )
-    sys.exit(run_spectrum(cfg))
+    sys.exit(run_spectrum(_config(params)))
 
 
 def main():

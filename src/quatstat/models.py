@@ -234,6 +234,12 @@ def spin_negative_temperature(p: SpinModelParams, n_particles: int = 1) -> TwoLe
     )
 
 
+def qubit_negative_temperature(n_particles: int = 1) -> TwoLevelGas:
+    """Two-level gas with the reduced two-qubit levels exactly ``2`` and ``0``;
+    :func:`build_qubit_model` tracks the upper one to a few ulps above 2."""
+    return TwoLevelGas(n_particles=n_particles, e_plus=2.0, e_minus=0.0)
+
+
 def spin_mean_energy(omega: float, v: float, beta: float) -> float:
     """Mean energy per particle from the spectral path: ``omega/2 - v tanh(beta v)``."""
     return omega / 2.0 - v * math.tanh(beta * v)

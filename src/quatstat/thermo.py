@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     NotNormal,
     QuadratureUnconverged,
+    QuatstatError,
     UnphysicalZ,
     ZeroMeanEnergy,
 )
@@ -513,8 +514,8 @@ def thermo_closed_form(
     beta derivatives of the chosen ``Z1`` branch, so every report satisfies
     ``A = U - T S`` and ``Cv = (1/N) dU/dT`` by construction. The display
     forms of ``U``, ``S`` and ``Cv`` are evaluated alongside and logged into
-    ``report.discrepancies`` wherever they disagree with the derivation
-    chain beyond ``diff_tol``.
+    ``report.discrepancies`` wherever :func:`discrepancy` finds them apart
+    from the derivation chain at ``diff_tol``.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive on the thermodynamic branch")
@@ -527,29 +528,35 @@ def thermo_closed_form(
     u = -n * z1p / z1
     s = n * k * math.log(z1) + k * beta * u
     cv = k * beta * beta * (z1pp * z1 - z1p * z1p) / (z1 * z1)
-    report = ThermoReport(
-        beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv, provenance="closed_form"
+    found = [
+        discrepancy("U", lambda: printed_internal_energy(p, beta, n), u, beta, diff_tol),
+        discrepancy("S", lambda: printed_entropy(p, beta, n, k), s, beta, diff_tol),
+        discrepancy("Cv", lambda: printed_specific_heat(p, beta, n, k), cv, beta, diff_tol),
+    ]
+    return ThermoReport(
+        beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv, provenance="closed_form",
+        discrepancies=[record for record in found if record is not None],
     )
-    if abs(p.aE - p.bE) >= DEGENERACY_TOL:
-        evaluators = {
-            "U": lambda: printed_internal_energy(p, beta, n),
-            "S": lambda: printed_entropy(p, beta, n, k),
-            "Cv": lambda: printed_specific_heat(p, beta, n, k),
-        }
-        derived = {"U": u, "S": s, "Cv": cv}
-        for quantity, evaluate in evaluators.items():
-            try:
-                printed_value = evaluate()
-            except (OverflowError, UnphysicalZ):
-                continue
-            derived_value = derived[quantity]
-            if abs(printed_value - derived_value) > diff_tol * max(
-                1.0, abs(derived_value)
-            ):
-                report.discrepancies.append(
-                    DiscrepancyRecord(quantity, printed_value, derived_value, beta)
-                )
-    return report
+
+
+def discrepancy(
+    quantity: str, printed: Callable[[], float], derived: float, beta: float, tol: float
+) -> DiscrepancyRecord | None:
+    """The one rule for when a printed display value is a discrepancy.
+
+    ``printed`` is evaluated here. A display form that fails with
+    ``OverflowError`` or a :class:`QuatstatError` (an unphysical ``Z1``,
+    degenerate levels) gives no record. Otherwise the pair is recorded when
+    ``|printed - derived| > tol * max(1, |derived|)``; a gap exactly at the
+    threshold, or a NaN on either side, is none.
+    """
+    try:
+        value = printed()
+    except (OverflowError, QuatstatError):
+        return None
+    if abs(value - derived) > tol * max(1.0, abs(derived)):
+        return DiscrepancyRecord(quantity, value, derived, beta)
+    return None
 
 
 def _require_distinct(p: EnergySliceParams):

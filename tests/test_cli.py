@@ -282,6 +282,15 @@ def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monke
         ["compare", "--v", "0"],
         ["negtemp", "--omega", "-1"],
         ["negtemp", "--model", "custom", "--e-plus", "1", "--e-minus", "2"],
+        ["thermo", "--model", "qubit", "--phi", "nan"],
+        ["thermo", "--v", "inf"],
+        ["compare", "--x", "nan"],
+        ["spectrum", "--model", "qubit", "--phi", "inf"],
+        ["thermo", "--tolerance", "nan"],
+        ["thermo", "--out", "/nonexistent/dir/x.csv"],
+        ["thermo", "--discrepancies", "/nonexistent/d.json"],
+        ["negtemp", "--points", "0"],
+        ["validate"],
     ],
     ids=" ".join,
 )
@@ -340,6 +349,12 @@ def test_negtemp_params_file(runner, tmp_path):
         with open("junk.json", "w") as handle:
             json.dump({"foo": 1}, handle)
         assert runner.invoke(cli, ["negtemp", "--params", "junk.json"]).exit_code == 2
+        with open("bad_n.json", "w") as handle:
+            json.dump({"n_particles": "x", "e_plus": 1, "e_minus": 0}, handle)
+        result = runner.invoke(cli, ["negtemp", "--params", "bad_n.json"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "negtemp params rejected" in result.stderr
 
 
 def test_negtemp_custom_and_errors(runner, tmp_path):
@@ -416,10 +431,11 @@ def test_validate_tolerance_env(runner, tmp_path):
         with open("near.json", "w") as handle:
             json.dump(near, handle)
         args = ["validate", "--params", "near.json"]
-        result = runner.invoke(cli, args, env={"QUATSTAT_TOL": "abc"})
-        assert result.exit_code == 2
-        assert "QUATSTAT_TOL is not a number" in result.output
-        assert isinstance(result.exception, SystemExit)
+        for bad in ("abc", "nan", "inf", "-inf"):
+            result = runner.invoke(cli, args, env={"QUATSTAT_TOL": bad})
+            assert result.exit_code == 2
+            assert "QUATSTAT_TOL is not a number" in result.output
+            assert isinstance(result.exception, SystemExit)
         default = runner.invoke(cli, args, env={"QUATSTAT_TOL": None})
         loose = runner.invoke(cli, args, env={"QUATSTAT_TOL": "1e-8"})
         flag = runner.invoke(cli, args + ["--tolerance", "1e-10"],

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.linalg import expm
 
 from quatstat import (
     ConstraintViolation,
     DegenerateLevels,
+    DiscrepancyRecord,
     DomainError,
     EnergySliceParams,
     I,
@@ -26,6 +29,7 @@ from quatstat import (
     bloch_propagator,
     build_qubit_model,
     build_toy_hamiltonian,
+    discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
     embed,
@@ -36,6 +40,7 @@ from quatstat import (
     log_z_total,
     mat_mul,
     pressure,
+    printed_entropy,
     printed_internal_energy,
     printed_pressure,
     printed_specific_heat,
@@ -47,6 +52,7 @@ from quatstat import (
     z1_formula,
     z_spectral,
 )
+from quatstat.cli import cli
 from quatstat.metric import is_quasi_anti_hermitian
 from quatstat.thermo import _cumulative_simpson, _simpson_weights
 
@@ -493,6 +499,96 @@ def test_printed_forms_reject_degenerate_levels():
         printed_internal_energy(sl, 1.0)
     with pytest.raises(DegenerateLevels):
         printed_specific_heat(sl, 1.0)
+
+
+# -- the discrepancy rule -------------------------------------------------------
+
+
+def test_discrepancy_threshold_is_strict():
+    # tol * max(1, |derived|) = 0.25 * 2 = 0.5, exactly representable
+    assert discrepancy("U", lambda: 2.5, 2.0, 0.7, 0.25) is None
+    assert discrepancy("U", lambda: 1.5, 2.0, 0.7, 0.25) is None
+    past = math.nextafter(2.5, math.inf)
+    assert discrepancy("U", lambda: past, 2.0, 0.7, 0.25) == DiscrepancyRecord(
+        "U", past, 2.0, 0.7
+    )
+    # below |derived| = 1 the threshold is tol itself
+    assert discrepancy("S", lambda: 0.35, 0.1, 1.0, 0.25) is None
+    assert discrepancy("S", lambda: 0.36, 0.1, 1.0, 0.25) is not None
+
+
+def test_discrepancy_nan_is_no_record():
+    assert discrepancy("Cv", lambda: math.nan, 1.0, 1.0, 1e-8) is None
+    assert discrepancy("Cv", lambda: 1.0, math.nan, 1.0, 1e-8) is None
+
+
+@pytest.mark.parametrize(
+    "error", [OverflowError("math range error"), UnphysicalZ("Z1 <= 0"),
+              DegenerateLevels("aE = bE")],
+    ids=lambda e: type(e).__name__,
+)
+def test_failing_printed_form_is_no_record(error):
+    def printed():
+        raise error
+
+    assert discrepancy("S", printed, 1.0, 1.0, 1e-8) is None
+
+
+def test_discrepancy_rule_on_real_display_forms():
+    degenerate = EnergySliceParams(aE=0.5, bE=0.5, kappa=0.1)
+    sl = EnergySliceParams.from_spin(OMEGA, V)
+    # kappa > 0 drives the printed Z1 below zero
+    steep = EnergySliceParams(aE=1.0, bE=-1.0, kappa=4.0)
+    cases = [
+        (DegenerateLevels, lambda: printed_specific_heat(degenerate, 1.0)),
+        (OverflowError, lambda: printed_specific_heat(sl, 800.0)),
+        (UnphysicalZ, lambda: printed_entropy(steep, 3.0)),
+    ]
+    for error, printed in cases:
+        with pytest.raises(error):
+            printed()
+        assert discrepancy("Cv", printed, 0.0, 1.0, 1e-8) is None
+
+
+@pytest.mark.parametrize(
+    "argv, sl",
+    [
+        (["--model", "spin", "--omega", "2", "--v", "1.5", "--x", "1.3"],
+         EnergySliceParams.from_spin(2.0, 1.5)),
+        (["--model", "toy", "--params", "toy.json"],
+         EnergySliceParams.from_toy(spin_toy(2.0, 0.5, 1.0))),
+    ],
+    ids=["spin", "toy"],
+)
+def test_compare_slice_records_are_the_reports_records(tmp_path, argv, sl):
+    # compare's S and Cv records are exactly those of the rederived and the
+    # printed closed-form reports, in grid order
+    n, k, tol = 3, 1.3, 1e-8
+    toy = {"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0],
+           "alpha": 1.0, "gamma": 1.0}
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        with open("toy.json", "w") as handle:
+            json.dump(toy, handle)
+        result = runner.invoke(
+            cli, ["compare", *argv, "--beta", "0.2:12:25", "--n-particles", str(n),
+                  "--k", str(k), "--output", "json"], env={"QUATSTAT_TOL": None},
+        )
+        assert result.exit_code == 0, result.output
+        with open("discrepancies.json") as handle:
+            records = json.load(handle)
+    betas = [row["beta"] for row in json.loads(result.stdout)]
+    want = []
+    for beta in betas:
+        for rederived, quantity in ((True, "S"), (False, "Cv")):
+            try:
+                report = thermo_closed_form(sl, beta, n, k, rederived, diff_tol=tol)
+            except UnphysicalZ:
+                continue
+            want += [r.to_dict() for r in report.discrepancies if r.quantity == quantity]
+    got = [r for r in records if r["quantity"] in ("S", "Cv")]
+    assert got == want
+    assert {r["quantity"] for r in got} == {"S", "Cv"}
 
 
 # -- pressure -------------------------------------------------------------------
