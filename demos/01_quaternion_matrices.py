@@ -40,13 +40,13 @@ print("complex pair   =", z1, z2, "->", Quaternion.from_complex_pair(z1, z2))
 print("\n== complex representation ==")
 m = QMatrix.from_rows([[I, J * 0.5], [J * 2.0, -1.0 * I]])
 x = embed(m)
-print("2x2 quaternionic matrix embeds as a", x.entries.shape, "complex matrix")
-print(np.array_str(x.entries, precision=3))
+print("2x2 quaternionic matrix embeds as a", x.shape, "complex matrix")
+print(np.array_str(x, precision=3))
 print("round trip is exact:", np.allclose(unembed(x).comp, m.comp, atol=0))
 
 n = QMatrix.diag([Quaternion(0.0, 0.3, -0.1, 0.7), K])
-lhs = embed(mat_mul(m, n)).entries
-rhs = embed(m).entries @ embed(n).entries
+lhs = embed(mat_mul(m, n))
+rhs = embed(m) @ embed(n)
 print("product homomorphism residual:", np.abs(lhs - rhs).max())
 
 print("\n== exponential and spectrum ==")

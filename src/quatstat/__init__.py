@@ -31,7 +31,6 @@ from .errors import (
     ZeroMeanEnergy,
 )
 from .linalg import (
-    ComplexEmbedding,
     QMatrix,
     dagger,
     embed,

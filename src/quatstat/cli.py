@@ -3,7 +3,7 @@
 Every numeric column in every output is produced by exactly one library
 operation; the CLI only parses configuration, evaluates the sweep, and
 formats rows. Output is byte-identical for identical configuration (floats
-at 17 significant digits, rows sorted by the sweep variable).
+at 17 significant digits, rows in ascending order of the sweep variable).
 
 Exit codes: 0 success (findings included), 1 oracle self-check failure,
 2 configuration error, 3 unphysical partition-function branch.
@@ -15,8 +15,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -64,35 +65,6 @@ from .thermo import (
 )
 
 DEFAULT_TOLERANCE = 1e-8
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration of one CLI invocation, by option destination.
-
-    ``beta_spec`` and ``grid_spec`` hold the parsed ``MIN:MAX:STEPS``; a
-    field whose option a subcommand lacks keeps its default."""
-
-    model: str = "spin"
-    params_path: str | None = None
-    omega: float = 2.0
-    v: float = 0.5
-    x: float = 1.0
-    phi: float = 0.0
-    e_plus: float | None = None
-    e_minus: float | None = None
-    beta_spec: tuple[float, float, int] = (0.1, 5.0, 50)
-    log_scale: bool = False
-    grid_spec: tuple[float, float, int] | None = None
-    points: int = 51
-    n_particles: int = 1
-    k: float = 1.0
-    rederived: bool = False
-    dyson_steps: int = 128
-    discrepancies_path: str = "discrepancies.json"
-    output: str = "csv"
-    out_path: str | None = None
-    tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass
@@ -144,21 +116,27 @@ def _range_option(ctx, param, spec: str | None) -> tuple[float, float, int] | No
 
 
 def _grid(grid: tuple[float, float, int], log_scale: bool) -> list[float]:
+    """The points of a ``MIN:MAX:STEPS`` grid, in ascending order."""
     lo, hi, steps = grid
-    if steps == 1:
-        return [lo]
-    if log_scale:
-        if lo <= 0 or hi <= 0:
-            raise click.UsageError("--log grids need positive endpoints")
-        return [float(b) for b in np.geomspace(lo, hi, steps)]
-    return [float(b) for b in np.linspace(lo, hi, steps)]
+    if log_scale and (lo <= 0 or hi <= 0):
+        raise click.UsageError("--log grids need positive endpoints")
+    points = np.geomspace(lo, hi, steps) if log_scale else np.linspace(lo, hi, steps)
+    return sorted(float(b) for b in points)
+
+
+def _finite_number(text: str) -> int | float:
+    """JSON number hook: NaN, infinities and literals past the float range are errors."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{text[:24]}{'...' * (len(text) > 24)} is not a finite number")
+    return float(text) if "." in text or "e" in text.lower() else int(text)
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(handle, parse_float=_finite_number, parse_int=_finite_number,
+                             parse_constant=_finite_number)
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read params file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise click.UsageError(f"params file {path} must hold a JSON object")
@@ -201,11 +179,11 @@ def _split_diagonal(h: QMatrix) -> tuple[QMatrix, QMatrix]:
     return h0, h - h0
 
 
-def _resolve_model(cfg: RunConfig) -> ModelBundle:
-    """The model ``cfg`` names; its ensemble carries ``cfg``'s N and k."""
+def _resolve_model(cfg: SimpleNamespace) -> ModelBundle:
+    """The model ``cfg`` names; its ensemble has one particle and ``k = 1``."""
 
     def ensemble(levels) -> SpectralEnsemble:
-        return SpectralEnsemble(tuple(levels), n_particles=cfg.n_particles, k=cfg.k)
+        return SpectralEnsemble(tuple(levels))
 
     if cfg.model == "spin":
         try:
@@ -266,7 +244,7 @@ def _resolve_model(cfg: RunConfig) -> ModelBundle:
     )
 
 
-def _negtemp_gas(cfg: RunConfig) -> TwoLevelGas:
+def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
     """The two-level gas of ``negtemp``. A params file replaces the model and
     level flags with ``e_plus``/``e_minus`` or ``omega``/``v`` (and ``x``),
     and may set ``n_particles``."""
@@ -302,30 +280,35 @@ def _negtemp_gas(cfg: RunConfig) -> TwoLevelGas:
 # ---------------------------------------------------------------------------
 
 
-def _write(path: str, text: str, what: str):
-    """Write ``text`` to ``path``; an unwritable path is a configuration error."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {path}: {exc}") from exc
-    click.echo(f"wrote {what} to {path}", err=True)
+def _emit(cfg: SimpleNamespace, header: list[str], rows: list[tuple], records=None):
+    """Write the table, then the discrepancy log unless ``records`` is None.
 
-
-def _emit_table(header: list[str], rows: list[tuple], cfg: RunConfig):
+    Both are rendered and every destination is checked first, so that a
+    path that cannot be written is a configuration error with no output.
+    """
     if cfg.output == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        table = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
         lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
-        text = "\n".join([",".join(header), *lines]) + "\n"
-    if cfg.out_path:
-        _write(cfg.out_path, text, f"{len(rows)} rows")
-    else:
-        click.echo(text, nl=False)
-
-
-def _write_discrepancies(records, cfg: RunConfig):
-    text = json.dumps([r.to_dict() for r in records], indent=2) + "\n"
-    _write(cfg.discrepancies_path, text, f"{len(records)} discrepancy records")
+        table = "\n".join([",".join(header), *lines]) + "\n"
+    writes = [(cfg.out_path, table, f"{len(rows)} rows")] if cfg.out_path else []
+    if records is not None:
+        log = json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+        writes.append((cfg.discrepancies_path, log, f"{len(records)} discrepancy records"))
+    for path, _, _ in writes:
+        parent = Path(path).parent
+        if Path(path).is_dir():
+            raise click.UsageError(f"cannot write {path}: it is a directory")
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise click.UsageError(f"cannot write {path}: {parent} is not a writable directory")
+    if not cfg.out_path:
+        click.echo(table, nl=False)
+    for path, text, what in writes:
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {path}: {exc}") from exc
+        click.echo(f"wrote {what} to {path}", err=True)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +316,19 @@ def _write_discrepancies(records, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def run_thermo(cfg: RunConfig) -> int:
+def run_thermo(cfg: SimpleNamespace) -> int:
     bundle = _resolve_model(cfg)
     betas = _grid(cfg.beta_spec, cfg.log_scale)
-    if min(betas) <= 0:
+    if betas[0] <= 0:
         raise click.UsageError("thermo sweeps require beta > 0")
 
+    spectral = cfg.model == "qubit" or cfg.model == "file"
+    ensemble = (replace(bundle.ensemble, n_particles=cfg.n_particles, k=cfg.k)
+                if spectral else None)
+
     def one(beta: float):
-        if cfg.model == "qubit" or cfg.model == "file":
-            return thermo_spectral(bundle.ensemble, beta)
+        if spectral:
+            return thermo_spectral(ensemble, beta)
         return thermo_closed_form(
             bundle.slice_params, beta, cfg.n_particles, cfg.k, cfg.rederived, cfg.tolerance
         )
@@ -351,16 +338,13 @@ def run_thermo(cfg: RunConfig) -> int:
     except UnphysicalZ as exc:
         click.echo(f"unphysical branch: {exc}", err=True)
         return 3
-    reports.sort(key=lambda r: r.beta)
     rows = [(r.beta, r.Z1, r.A, r.S, r.U, r.Cv) for r in reports]
-    _emit_table(["beta", "Z1", "A", "S", "U", "Cv"], rows, cfg)
     records = [rec for r in reports for rec in r.discrepancies]
-    if records:
-        _write_discrepancies(records, cfg)
+    _emit(cfg, ["beta", "Z1", "A", "S", "U", "Cv"], rows, records or None)
     return 0
 
 
-def run_compare(cfg: RunConfig) -> int:
+def run_compare(cfg: SimpleNamespace) -> int:
     bundle = _resolve_model(cfg)
     if bundle.hamiltonian is None or bundle.slice_params is None:
         raise click.UsageError(
@@ -368,11 +352,12 @@ def run_compare(cfg: RunConfig) -> int:
             "do not determine a Hamiltonian"
         )
     betas = _grid(cfg.beta_spec, cfg.log_scale)
-    if min(betas) <= 0:
+    if betas[0] <= 0:
         raise click.UsageError("compare sweeps require beta > 0")
-    h, ensemble, sl = bundle.hamiltonian, bundle.ensemble, bundle.slice_params
+    h, sl = bundle.hamiltonian, bundle.slice_params
     h0, hp = _split_diagonal(h)
     n, k, tol = cfg.n_particles, cfg.k, cfg.tolerance
+    ensemble = replace(bundle.ensemble, n_particles=n, k=k)
 
     try:
         propagators = dyson_second_order(h0, hp, betas, steps=cfg.dyson_steps)
@@ -381,7 +366,7 @@ def run_compare(cfg: RunConfig) -> int:
     except (QuadratureUnconverged, NotNormal) as exc:
         click.echo(f"oracle self-check failed: {exc}", err=True)
         return 1
-    # both trace columns come from one eigenbasis each; mat_exp checks the last beta
+    # both trace columns come from one eigenbasis each; mat_exp checks the largest beta
     beta = betas[-1]
     u_dyson = mat_mul(bloch_propagator(h0, beta), propagators[-1])
     spot_checks = (
@@ -398,14 +383,24 @@ def run_compare(cfg: RunConfig) -> int:
                 err=True,
             )
             return 1
-    rows = sorted(
-        ((beta, z_spectral(ensemble, beta), zf, z1_formula(sl, beta, rederived=False),
-          z1_formula(sl, beta, rederived=True), zd)
-         for beta, zf, zd in zip(betas, z_formal, z_dyson)),
-        key=lambda row: row[0],
-    )
-    header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
-    _emit_table(header, rows, cfg)
+    slope_line = None
+    if fro_norm(hp) > 0.0:
+        try:
+            slope = dyson_convergence_slope(h0, hp, t=1.0, steps=cfg.dyson_steps)
+        except (QuadratureUnconverged, NotNormal) as exc:
+            click.echo(f"oracle self-check failed: order slope: {exc}", err=True)
+            return 1
+        ok = 2.8 <= slope <= 3.2
+        slope_line = (f"perturbation order slope = {slope:.3f} (expected 3.0 +- 0.2): "
+                      + ("ok" if ok else "FAIL"))
+        if not ok:
+            click.echo(slope_line, err=True)
+            return 1
+    rows = [
+        (beta, z_spectral(ensemble, beta), zf, z1_formula(sl, beta, rederived=False),
+         z1_formula(sl, beta, rederived=True), zd)
+        for beta, zf, zd in zip(betas, z_formal, z_dyson)
+    ]
 
     # per beta the log lists Z1, S (rederived report), Cv (printed report),
     # then the spin model's U and S_two_level: that order is part of the file
@@ -429,8 +424,8 @@ def run_compare(cfg: RunConfig) -> int:
             found += [discrepancy(q, printed, d, beta, tol) for q, printed, d in checks]
         records += [r for r in found if r is not None]
 
-    _write_discrepancies(records, cfg)
-
+    header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
+    _emit(cfg, header, rows, records)
     arr = np.array([row[1:] for row in rows])
     for label, i, j in (
         ("Z_spectral - Z_formal|   ", 0, 1),
@@ -438,21 +433,12 @@ def run_compare(cfg: RunConfig) -> int:
         ("Z1_dyson - Z_formal|     ", 4, 1),
     ):
         click.echo(f"max |{label} = {_fmt(np.abs(arr[:, i] - arr[:, j]).max())}", err=True)
-
-    if fro_norm(hp) > 0.0:
-        slope = dyson_convergence_slope(h0, hp, t=1.0, steps=cfg.dyson_steps)
-        ok = 2.8 <= slope <= 3.2
-        click.echo(
-            f"perturbation order slope = {slope:.3f} (expected 3.0 +- 0.2): "
-            + ("ok" if ok else "FAIL"),
-            err=True,
-        )
-        if not ok:
-            return 1
+    if slope_line:
+        click.echo(slope_line, err=True)
     return 0
 
 
-def run_negtemp(cfg: RunConfig) -> int:
+def run_negtemp(cfg: SimpleNamespace) -> int:
     gas = _negtemp_gas(cfg)
     energies = _grid(cfg.grid_spec or (gas.e_min, gas.e_max, cfg.points), False)
     rows = []
@@ -467,11 +453,11 @@ def run_negtemp(cfg: RunConfig) -> int:
         except InfiniteTemperature:
             t_cell = "infinite"
         rows.append((energy, s_model, s_exact, t_cell))
-    _emit_table(["E", "S_stirling", "S_exact", "T"], rows, cfg)
+    _emit(cfg, ["E", "S_stirling", "S_exact", "T"], rows)
     return 0
 
 
-def run_validate(cfg: RunConfig) -> int:
+def run_validate(cfg: SimpleNamespace) -> int:
     h, metric = _load_matrix(cfg.params_path)
     report = classification_report(h, metric, tol=cfg.tolerance)
     for key in ("pseudo_anti_hermitian", "quasi_anti_hermitian", "pseudo_hermitian"):
@@ -483,12 +469,12 @@ def run_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def run_spectrum(cfg: RunConfig) -> int:
+def run_spectrum(cfg: SimpleNamespace) -> int:
     bundle = _resolve_model(cfg)
     if bundle.ensemble is None:
         raise click.UsageError("model does not define an energy spectrum")
     rows = [(e, g) for e, g in bundle.ensemble.levels]
-    _emit_table(["energy", "multiplicity"], rows, cfg)
+    _emit(cfg, ["energy", "multiplicity"], rows)
     return 0
 
 
@@ -556,9 +542,9 @@ def _options(*names: str, **overrides: dict) -> list[click.Option]:
     return options
 
 
-def _config(params: dict, default_tolerance: float = DEFAULT_TOLERANCE) -> RunConfig:
-    """``RunConfig`` from click's parsed parameters; ``--tolerance`` falls back
-    to ``QUATSTAT_TOL``, then to ``default_tolerance``."""
+def _config(params: dict, default_tolerance: float = DEFAULT_TOLERANCE) -> SimpleNamespace:
+    """Click's parsed parameters by option destination, with the resolved
+    tolerance: ``--tolerance``, else ``QUATSTAT_TOL``, else ``default_tolerance``."""
     tolerance, env = params["tolerance"], os.environ.get("QUATSTAT_TOL")
     if tolerance is None and env:
         try:
@@ -567,7 +553,7 @@ def _config(params: dict, default_tolerance: float = DEFAULT_TOLERANCE) -> RunCo
             raise click.UsageError(f"QUATSTAT_TOL is not a number: {env!r}") from exc
     if tolerance is None:
         tolerance = default_tolerance
-    return RunConfig(**{**params, "tolerance": tolerance})
+    return SimpleNamespace(**{**params, "tolerance": tolerance})
 
 
 @click.group()

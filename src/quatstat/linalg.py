@@ -18,7 +18,6 @@ right, so the right-eigenvalue relation reads ``M v = v * lam``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -154,35 +153,18 @@ class QMatrix:
         return f"QMatrix(n={self.n})"
 
 
-@dataclass(frozen=True)
-class ComplexEmbedding:
-    """The 2n x 2n complex representation of a quaternionic matrix."""
+def embed(m: QMatrix | np.ndarray) -> np.ndarray:
+    """``chi(M)`` as a ``(2n, 2n)`` complex array; an algebra homomorphism.
 
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"expected shape ({self.dim}, {self.dim}), got {entries.shape}"
-            )
-        object.__setattr__(self, "entries", entries)
-
-
-def _embed(m: QMatrix | np.ndarray) -> np.ndarray:
-    """``chi(M)``, or ``chi`` of each matrix in a ``(..., n, n, 4)`` stack."""
+    A ``(..., n, n, 4)`` stack of components is embedded matrix by matrix.
+    """
     comp = m.comp if isinstance(m, QMatrix) else np.asarray(m, dtype=float)
     z1, z2 = _complex_pair(comp)
     return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
 
 
-def embed(m: QMatrix) -> ComplexEmbedding:
-    """Faithful complex representation; an algebra homomorphism."""
-    return ComplexEmbedding(2 * m.n, _embed(m))
-
-
-def _unembed_array(x: np.ndarray, tol: float = 1e-10) -> QMatrix:
+def unembed(x: np.ndarray, tol: float = 1e-10) -> QMatrix:
+    """Invert :func:`embed`; raises :class:`NotSymplectic` off the subalgebra."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2:
         raise DimensionMismatch(f"expected even square matrix, got {x.shape}")
@@ -196,13 +178,6 @@ def _unembed_array(x: np.ndarray, tol: float = 1e-10) -> QMatrix:
             f"block symmetry residual {residual:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
     return QMatrix.from_complex(a, b)
-
-
-def unembed(x, tol: float = 1e-10) -> QMatrix:
-    """Invert :func:`embed`; raises :class:`NotSymplectic` off the subalgebra."""
-    if isinstance(x, ComplexEmbedding):
-        x = x.entries
-    return _unembed_array(x, tol=tol)
 
 
 def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -241,7 +216,7 @@ def fro_norm(m: QMatrix) -> float:
 
 def inverse(m: QMatrix) -> QMatrix:
     """Matrix inverse via the complex embedding."""
-    return _unembed_array(np.linalg.inv(_embed(m)))
+    return unembed(np.linalg.inv(embed(m)))
 
 
 def mat_exp(m: QMatrix, t: float = 1.0) -> QMatrix:
@@ -252,10 +227,10 @@ def mat_exp(m: QMatrix, t: float = 1.0) -> QMatrix:
     the result leaves the representable range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm(_embed(m) * float(t))
+        e = scipy.linalg.expm(embed(m) * float(t))
     if not np.all(np.isfinite(e)):
         raise OverflowError("matrix exponential overflowed the floating range")
-    return _unembed_array(e)
+    return unembed(e)
 
 
 def _normality_residual(m: QMatrix) -> float:
@@ -276,7 +251,7 @@ def standard_spectrum(
     scale = fro_norm(m)
     if _normality_residual(m) > normal_tol * max(scale**2, 1e-30):
         raise NotNormal("matrix is not normal within tolerance")
-    eig = np.linalg.eigvals(_embed(m))
+    eig = np.linalg.eigvals(embed(m))
     reps = eig.real + 1j * np.abs(eig.imag)
     cluster_tol = tol * max(1.0, np.abs(eig).max())
     # greedy 2-d clustering against running class centroids; adjacency in a
@@ -319,7 +294,7 @@ def energies_by_continuity(h0: QMatrix, hp: QMatrix, steps: int = 16) -> list[fl
         refs.extend([lam] * mult)
     current = np.array(refs, dtype=complex)
     velocity = np.zeros_like(current)
-    e0, ep = _embed(h0), _embed(hp)
+    e0, ep = embed(h0), embed(hp)
     for step in range(1, steps + 1):
         tau = step / steps
         candidates = np.linalg.eigvals(e0 + tau * ep)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, NotDensity, NotPositive, SingularTheta
-from .linalg import QMatrix, _embed, dagger, fro_norm, inverse, mat_mul, re_trace
+from .linalg import QMatrix, dagger, embed, fro_norm, inverse, mat_mul, re_trace
 
 DEFAULT_REL_TOL = 1e-10
 
@@ -75,7 +75,7 @@ class MetricOperator:
         scale = max(1.0, fro_norm(eta))
         if fro_norm(eta - dagger(eta)) > tol * scale:
             raise ConstraintViolation("metric must be Hermitian")
-        eigenvalues = np.linalg.eigvalsh(_embed(eta))
+        eigenvalues = np.linalg.eigvalsh(embed(eta))
         if np.abs(eigenvalues).min() <= tol * scale:
             raise NotPositive("metric is numerically singular")
         positive = bool(eigenvalues.min() > 0.0)
@@ -106,7 +106,7 @@ def build_metric(x: float, y: float, z: complex, tol: float = 1e-12) -> MetricOp
         raise SingularTheta(f"x*y - |z|^2 = {det:.3e} is numerically zero")
     theta = QMatrix.from_complex(np.array([[x, z], [np.conj(z), y]]))
     eta = mat_mul(theta, theta)
-    eigenvalues = np.linalg.eigvalsh(_embed(eta))
+    eigenvalues = np.linalg.eigvalsh(embed(eta))
     if eigenvalues.min() <= 0.0:
         raise NotPositive("constructed metric failed the positivity check")
     return MetricOperator(eta=eta, theta=theta, positive=True, params=(x, y, z))
@@ -184,7 +184,7 @@ def generalized_density(
     scale = max(1.0, fro_norm(rho))
     if fro_norm(rho - dagger(rho)) > tol * scale:
         raise NotDensity("density matrix must be Hermitian")
-    eigenvalues = np.linalg.eigvalsh(_embed(rho))
+    eigenvalues = np.linalg.eigvalsh(embed(rho))
     if eigenvalues.min() <= -tol * scale:
         raise NotDensity(f"density matrix has negative eigenvalue {eigenvalues.min():.6g}")
     return mat_mul(rho, m.eta)

@@ -38,7 +38,7 @@ from .errors import (
     UnphysicalZ,
     ZeroMeanEnergy,
 )
-from .linalg import QMatrix, _embed, fro_norm, mat_exp, mat_mul, unembed
+from .linalg import QMatrix, embed, fro_norm, mat_exp, mat_mul, unembed
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import Quaternion, is_imaginary, qconj, qmul
 
@@ -190,7 +190,6 @@ class ThermoReport:
     S: float
     U: float
     Cv: float
-    P: float | None = None
     provenance: str = "closed_form"
     discrepancies: list[DiscrepancyRecord] = field(default_factory=list)
 
@@ -281,7 +280,7 @@ def formal_trace(
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError("t must be a number or a 1-D sequence")
-    w, v, vinv = _eigenbasis(_embed(h))
+    w, v, vinv = _eigenbasis(embed(h))
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-np.multiply.outer(ts, w))
         if right is None:
@@ -292,7 +291,7 @@ def formal_trace(
                 raise ValueError(f"expected {len(ts)} right factors, got {len(rights)}")
             for r in rights:
                 h._check_same_dim(r)
-            chi = _embed(np.stack([r.comp for r in rights]))
+            chi = embed(np.stack([r.comp for r in rights]))
             sums = (phases * np.einsum("ab,kbc,ca->ka", vinv, chi, v)).sum(axis=-1)
         values = 0.5 * sums.real
     if not np.all(np.isfinite(values)):
@@ -396,29 +395,26 @@ def dyson_second_order(
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError("t must be a number or a 1-D sequence")
-    results = [QMatrix.identity(h0.n) if x == 0.0 else None for x in ts]
-    todo = np.flatnonzero(ts != 0.0)
-    if len(todo):
-        w, v, vinv = _eigenbasis(_embed(h0))
-        # interaction-picture generator in the eigenbasis: exp((w_a - w_b) s) b_ab
-        b = vinv @ _embed(hp) @ v
-        gaps = np.subtract.outer(w, w)
-        u = np.linspace(0.0, 1.0, 2 * steps + 1)
-        for lo in range(0, len(todo), _DYSON_CHUNK):
-            idx = todo[lo:lo + _DYSON_CHUNK]
-            h = ts[idx] / (2 * steps)
-            phases = np.exp(gaps[:, :, None] * np.multiply.outer(ts[idx], u)[:, None, None])
-            terms = np.stack(
-                [_dyson_terms(phases, b, h), _dyson_terms(phases[..., ::2], b, 2.0 * h)]
-            )
-            fine, coarse = np.eye(len(w)) + v @ terms @ vinv
-            for k, i in enumerate(idx):
-                drift = np.abs(fine[k] - coarse[k]).max()
-                if drift > tol * max(1.0, np.abs(fine[k]).max()):
-                    raise QuadratureUnconverged(
-                        f"step doubling moved the result by {drift:.3e} (tol {tol:.1e})"
-                    )
-                results[i] = unembed(fine[k])
+    w, v, vinv = _eigenbasis(embed(h0))
+    # interaction-picture generator in the eigenbasis: exp((w_a - w_b) s) b_ab
+    b = vinv @ embed(hp) @ v
+    gaps = np.subtract.outer(w, w)
+    u = np.linspace(0.0, 1.0, 2 * steps + 1)
+    results = []
+    for lo in range(0, len(ts), _DYSON_CHUNK):
+        chunk = ts[lo:lo + _DYSON_CHUNK]
+        h = chunk / (2 * steps)
+        phases = np.exp(gaps[:, :, None] * np.multiply.outer(chunk, u)[:, None, None])
+        terms = np.stack(
+            [_dyson_terms(phases, b, h), _dyson_terms(phases[..., ::2], b, 2.0 * h)]
+        )
+        for fine, coarse in zip(*(np.eye(len(w)) + v @ terms @ vinv)):
+            drift = np.abs(fine - coarse).max()
+            if drift > tol * max(1.0, np.abs(fine).max()):
+                raise QuadratureUnconverged(
+                    f"step doubling moved the result by {drift:.3e} (tol {tol:.1e})"
+                )
+            results.append(unembed(fine))
     return results[0] if scalar else results
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import quatstat as qs
-from quatstat.linalg import _embed
 from quatstat.quaternion import hamilton_product
 
 BASIS = {"1": qs.ONE, "i": qs.I, "j": qs.J, "k": qs.K}
@@ -55,7 +54,7 @@ def test_criterion_02_embedding_homomorphism():
             a = qs.QMatrix(rng.normal(size=(n, n, 4)))
             b = qs.QMatrix(rng.normal(size=(n, n, 4)))
             residual = np.linalg.norm(
-                _embed(qs.mat_mul(a, b)) - _embed(a) @ _embed(b)
+                qs.embed(qs.mat_mul(a, b)) - qs.embed(a) @ qs.embed(b)
             )
             assert residual <= 1e-12 * qs.fro_norm(a) * qs.fro_norm(b)
     _report("criterion 2: embedding homomorphism at 1e-12 on 10^3 random "
@@ -80,8 +79,8 @@ def test_criterion_03_exponential_vs_rk4():
         n = 2 if trial % 2 else 3
         m = qs.QMatrix(rng.normal(size=(n, n, 4)))
         m = m * (rng.uniform(0.2, 2.0) / qs.fro_norm(m))
-        got = _embed(qs.mat_exp(m, 1.0))
-        want = _rk4(_embed(m), 1.0, 500)
+        got = qs.embed(qs.mat_exp(m, 1.0))
+        want = _rk4(qs.embed(m), 1.0, 500)
         assert np.abs(got - want).max() <= 1e-8
     _report("criterion 3: mat_exp matches fixed-step RK4 at 1e-8 for 100 "
             "random matrices with norm <= 2")

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,19 @@ TOY_DECOUPLED = {
     "c": [0, 0, 0, 0],
     "alpha": 1.0,
     "gamma": 1.0,
+}
+
+
+#: Params files whose numbers are not finite floats: NaN, infinities and
+#: literals past the float range are rejected when the file is read.
+NON_FINITE = {
+    "inf_levels.json": '{"e_plus": Infinity, "e_minus": 0, "n_particles": 3}',
+    "inf_slice.json": '{"aE": Infinity, "bE": 0, "kappa": -0.2}',
+    "inf_alpha.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
+                      '"alpha": Infinity, "gamma": 1.0}',
+    "huge_n.json": '{"e_plus": 1, "e_minus": 0, "n_particles": 1e400}',
+    "inf_metric.json": '{"matrix": {"n": 2, "entries": [[[0, 1, 0, 0], [0, 0, 0.5, 0]], '
+                       '[[0, 0, 0.5, 0], [0, -1, 0, 0]]]}, "metric": {"x": Infinity, "y": 1}}',
 }
 
 
@@ -262,6 +276,39 @@ def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monke
         assert runner.invoke(cli, args + ["--tolerance", "1e-5"]).exit_code == 0
 
 
+def test_compare_order_slope_fails_before_any_output(runner, tmp_path, monkeypatch):
+    import quatstat.cli as cli_module
+
+    args = ["compare", "--model", "spin", "--beta", "0.2:2:8"]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        ok = runner.invoke(cli, args)
+        assert ok.exit_code == 0
+        # the ok line keeps its place after the three summary lines
+        assert ok.stderr.splitlines()[-1] == (
+            "perturbation order slope = 3.000 (expected 3.0 +- 0.2): ok")
+        assert ok.stderr.splitlines()[-2].startswith("max |Z1_dyson - Z_formal|")
+        Path("discrepancies.json").unlink()
+        monkeypatch.setattr(cli_module, "dyson_convergence_slope", lambda *a, **k: 2.0)
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "perturbation order slope = 2.000 (expected 3.0 +- 0.2): FAIL\n"
+        assert not Path("discrepancies.json").exists()
+
+
+def test_compare_unconverged_order_slope_is_self_check_failure(runner, tmp_path):
+    stiff_toy = {"a": [0, 40.0, 0, 0], "b": [0, -40.0, 0, 0], "c": [0, 0.3, 0, 0],
+                 "alpha": 1.0, "gamma": 1.0}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("toy.json").write_text(json.dumps(stiff_toy))
+        # the sweep's small betas converge; the slope's quadrature at t = 1 does not
+        result = runner.invoke(cli, ["compare", "--model", "toy", "--params", "toy.json",
+                                     "--beta", "0.001:0.002:2", "--steps", "16"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("oracle self-check failed: order slope: step doubling")
+        assert result.stdout == "" and not Path("discrepancies.json").exists()
+
+
 # -- configuration errors --------------------------------------------------------
 
 
@@ -291,18 +338,85 @@ def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monke
         ["thermo", "--discrepancies", "/nonexistent/d.json"],
         ["negtemp", "--points", "0"],
         ["validate"],
+        ["negtemp", "--params", "inf_levels.json"],
+        ["thermo", "--model", "toy", "--params", "inf_slice.json"],
+        ["thermo", "--model", "toy", "--params", "inf_alpha.json"],
+        ["negtemp", "--params", "huge_n.json"],
+        ["validate", "--params", "inf_metric.json"],
+        ["thermo", "--log", "--beta", "1:-1:1"],
+        ["compare", "--beta", "0.2:1:3", "--discrepancies", "/nonexistent/d.json"],
     ],
     ids=" ".join,
 )
 def test_configuration_errors_exit_2(runner, tmp_path, argv):
     with runner.isolated_filesystem(temp_dir=tmp_path):
+        for name, text in NON_FINITE.items():
+            Path(name).write_text(text)
         result = runner.invoke(cli, argv)
         assert result.exit_code == 2, result.output
         # click turned it into a usage error; an escaped exception would be
         # result.exception and print a traceback from the console script
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.stderr and "Traceback" not in result.stderr
-        assert not Path("discrepancies.json").exists()
+        # exit 2 means nothing was written
+        assert result.stdout == ""
+        assert sorted(os.listdir()) == sorted(NON_FINITE)
+
+
+def test_params_file_error_names_the_file(runner, tmp_path):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for name, text in NON_FINITE.items():
+            Path(name).write_text(text)
+        result = runner.invoke(cli, ["negtemp", "--params", "huge_n.json"])
+        assert "params file huge_n.json: 1e400 is not a finite number" in result.stderr
+        result = runner.invoke(cli, ["validate", "--params", "inf_metric.json"])
+        assert "params file inf_metric.json: Infinity is not a finite number" in result.stderr
+
+
+@pytest.mark.parametrize("command", [["thermo"], ["compare", "--beta", "0.2:1:3"]])
+def test_unwritable_destination_writes_nothing(runner, tmp_path, command):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("taken").mkdir()
+        for flag in ("--discrepancies", "--out"):
+            result = runner.invoke(cli, [*command, flag, "taken"])
+            assert result.exit_code == 2, result.output
+            assert "cannot write taken: it is a directory" in result.stderr
+            assert result.stdout == ""
+            assert sorted(os.listdir()) == ["taken"] and not os.listdir("taken")
+
+
+def test_thermo_without_records_never_opens_the_log(runner, tmp_path):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["thermo", "--model", "qubit", "--beta", "1:2:3",
+                                     "--discrepancies", "/nonexistent/d.json"])
+        assert result.exit_code == 0, result.output
+        assert len(parse_csv(result.stdout)[1]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, ascending",
+    [
+        (["thermo", "--beta", "2:0.5:4"], ["thermo", "--beta", "0.5:2:4"]),
+        (["thermo", "--model", "qubit", "--beta", "4:0.5:4", "--log"],
+         ["thermo", "--model", "qubit", "--beta", "0.5:4:4", "--log"]),
+        (["compare", "--beta", "2:0.5:4"], ["compare", "--beta", "0.5:2:4"]),
+        (["negtemp", "--grid", "2.5:1.5:3", "--n-particles", "2"],
+         ["negtemp", "--grid", "1.5:2.5:3", "--n-particles", "2"]),
+    ],
+    ids=["thermo", "thermo-qubit-log", "compare", "negtemp"],
+)
+def test_rows_ascend_over_a_descending_grid(runner, tmp_path, argv, ascending):
+    log = Path("discrepancies.json")
+    outputs = []
+    for args in (argv, ascending):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, result.output
+            outputs.append((result.stdout, log.read_bytes() if log.exists() else None))
+    column = [float(row[0]) for row in parse_csv(outputs[0][0])[1]]
+    assert column == sorted(column) and len(set(column)) == len(column)
+    # these endpoints give the same points either way, so the same bytes
+    assert outputs[0] == outputs[1]
 
 
 # -- negtemp --------------------------------------------------------------------

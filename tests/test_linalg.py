@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quatstat import (
-    ComplexEmbedding,
     DimensionMismatch,
     I,
     J,
@@ -28,7 +27,6 @@ from quatstat import (
     vec_outer,
     vec_scale_right,
 )
-from quatstat.linalg import _embed
 
 
 def random_qmatrix(rng, n, scale=1.0):
@@ -104,10 +102,16 @@ def test_dagger_qubit_entry():
 
 
 def test_embed_identity():
-    e = embed(QMatrix.identity(3))
-    assert isinstance(e, ComplexEmbedding)
-    assert e.dim == 6
-    np.testing.assert_array_equal(e.entries, np.eye(6))
+    np.testing.assert_array_equal(embed(QMatrix.identity(3)), np.eye(6))
+
+
+def test_embed_takes_a_stack_of_components():
+    rng = np.random.default_rng(1)
+    ms = [random_qmatrix(rng, 2) for _ in range(3)]
+    stack = embed(np.stack([m.comp for m in ms]))
+    assert stack.shape == (3, 4, 4)
+    for m, chi in zip(ms, stack):
+        np.testing.assert_array_equal(chi, embed(m))
 
 
 def test_embedding_homomorphism_random():
@@ -115,8 +119,8 @@ def test_embedding_homomorphism_random():
     for n in (2, 3):
         for _ in range(50):
             a, b = random_qmatrix(rng, n), random_qmatrix(rng, n)
-            lhs = _embed(mat_mul(a, b))
-            rhs = _embed(a) @ _embed(b)
+            lhs = embed(mat_mul(a, b))
+            rhs = embed(a) @ embed(b)
             bound = 1e-12 * max(fro_norm(a) * fro_norm(b), 1e-30)
             assert np.linalg.norm(lhs - rhs) <= bound
 
@@ -126,7 +130,7 @@ def test_embed_dagger_is_conjugate_transpose():
     for _ in range(20):
         m = random_qmatrix(rng, 3)
         np.testing.assert_allclose(
-            _embed(dagger(m)), _embed(m).conj().T, atol=1e-14
+            embed(dagger(m)), embed(m).conj().T, atol=1e-14
         )
 
 
@@ -134,7 +138,7 @@ def test_unembed_roundtrip_and_rejection():
     rng = np.random.default_rng(4)
     m = random_qmatrix(rng, 3)
     assert fro_norm(unembed(embed(m)) - m) == 0.0
-    bad = _embed(m)
+    bad = embed(m)
     bad[0, 0] += 0.1  # breaks the conjugate block symmetry
     with pytest.raises(NotSymplectic):
         unembed(bad)
@@ -164,7 +168,7 @@ def test_re_trace_matches_embedding_trace():
     for _ in range(20):
         m = random_qmatrix(rng, 3)
         assert re_trace(m) == pytest.approx(
-            np.trace(_embed(m)).real / 2.0, rel=1e-12, abs=1e-12
+            np.trace(embed(m)).real / 2.0, rel=1e-12, abs=1e-12
         )
 
 
@@ -226,8 +230,8 @@ def test_mat_exp_vs_rk4_oracle():
     for _ in range(25):
         m = random_qmatrix(rng, 2)
         m = m * (rng.uniform(0.1, 2.0) / fro_norm(m))
-        got = _embed(mat_exp(m, 1.0))
-        want = rk4_propagator(_embed(m), 1.0, 400)
+        got = embed(mat_exp(m, 1.0))
+        want = rk4_propagator(embed(m), 1.0, 400)
         assert np.abs(got - want).max() < 1e-8
 
 
@@ -269,7 +273,7 @@ def test_embedding_eigenvalues_pair_under_conjugation():
     rng = np.random.default_rng(12)
     for _ in range(20):
         m = random_qmatrix(rng, 3)
-        eig = np.linalg.eigvals(_embed(m))
+        eig = np.linalg.eigvals(embed(m))
         conjugates = eig.conj()
         # multiset match: every eigenvalue finds a distinct conjugate partner
         cost = np.abs(eig[:, None] - conjugates[None, :])

@@ -17,6 +17,7 @@ from quatstat import (
     build_metric,
     classification_report,
     dagger,
+    embed,
     eta_adjoint,
     expectation,
     fro_norm,
@@ -30,7 +31,6 @@ from quatstat import (
     vec_inner,
     vec_outer,
 )
-from quatstat.linalg import _embed
 
 
 def spin_hamiltonian(omega=2.0, v=0.5, x=2.0):
@@ -72,7 +72,7 @@ def test_build_metric_general_entry():
     z1, z2 = m.eta.complex_pair()
     np.testing.assert_allclose(z1, np.array([[2.0, 3.0j], [-3.0j, 5.0]]), atol=1e-14)
     assert np.abs(z2).max() == 0.0
-    eigenvalues = np.linalg.eigvalsh(_embed(m.eta))
+    eigenvalues = np.linalg.eigvalsh(embed(m.eta))
     assert eigenvalues.min() > 0.0
     assert fro_norm(m.eta - dagger(m.eta)) < 1e-14
 
@@ -87,7 +87,7 @@ def test_metric_square_root_invariant():
     for _ in range(20):
         m = random_metric(rng)
         assert fro_norm(mat_mul(m.theta, m.theta) - m.eta) <= 1e-12 * fro_norm(m.eta)
-        assert np.linalg.eigvalsh(_embed(m.eta)).min() > 0.0
+        assert np.linalg.eigvalsh(embed(m.eta)).min() > 0.0
 
 
 def test_from_matrix_indefinite():
@@ -227,7 +227,7 @@ def test_generalized_density_pure_state_is_pseudo_hermitian():
     rho_tilde = generalized_density(rho, m)
     assert is_pseudo_hermitian(rho_tilde, m)
     # rank 1: embedding has exactly two nonzero singular values (pair structure)
-    umat = _embed(rho_tilde)
+    umat = embed(rho_tilde)
     singular = np.linalg.svd(umat, compute_uv=False)
     assert (singular > 1e-10).sum() == 2
 

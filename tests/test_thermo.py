@@ -229,7 +229,7 @@ def van_loan_terms(h0, hp, t):
     ``A = -H0``, ``B = -Hp`` are ``exp(A t)`` and the first- and second-order
     time-ordered integrals (Van Loan, IEEE TAC 23(3), 1978).
     """
-    a, b = -embed(h0).entries, -embed(hp).entries
+    a, b = -embed(h0), -embed(hp)
     n = a.shape[0]
     z = np.zeros((n, n))
     e = expm(t * np.block([[a, b, z], [z, a, b], [z, z, a]]))
@@ -265,12 +265,22 @@ def test_dyson_grid_matches_scalar_calls():
         assert np.abs(ui.comp - single.comp).max() <= 1e-14
 
 
+def test_dyson_at_zero_time_is_the_exact_identity():
+    # the general quadrature path, with no branch on t == 0
+    ts = [0.0, 0.5, -0.0]
+    for h0, hp in (generic_split(), (QMatrix.diag([I, I * -1.0]), QMatrix.zeros(2))):
+        grid = dyson_second_order(h0, hp, ts)
+        for ui in [u for t, u in zip(ts, grid) if t == 0.0] + [dyson_second_order(h0, hp, 0.0)]:
+            np.testing.assert_array_equal(ui.comp, QMatrix.identity(2).comp)
+            assert not np.signbit(ui.comp).any()
+
+
 @pytest.mark.parametrize("t", [0.4, 0.9, 1.3])
 def test_dyson_terms_match_van_loan(t):
     h0, hp = generic_split()
     # U_I(+-Hp) = 1 +- T1 + T2 separates the orders exactly
     plus, minus = (
-        embed(u).entries
+        embed(u)
         for u in dyson_second_order(h0, hp, [t]) + dyson_second_order(h0, -hp, [t])
     )
     first, second = (plus - minus) / 2.0, (plus + minus) / 2.0 - np.eye(4)
@@ -282,7 +292,7 @@ def test_dyson_terms_match_van_loan(t):
     h0 = QMatrix.diag([toy.a, toy.b])
     hp = build_toy_hamiltonian(toy) - h0
     u0, e1, e2 = van_loan_terms(h0, hp, t)
-    got = embed(mat_mul(bloch_propagator(h0, t), dyson_second_order(h0, hp, t))).entries
+    got = embed(mat_mul(bloch_propagator(h0, t), dyson_second_order(h0, hp, t)))
     assert np.abs(got - (u0 + e1 + e2)).max() < 1e-9
 
 
