@@ -108,8 +108,8 @@ def _range_option(ctx, param, spec: str | None) -> tuple[float, float, int] | No
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise click.UsageError(f"{option} expects MIN:MAX:STEPS, got {spec!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise click.UsageError(f"{option} endpoints must be finite, got {spec!r}")
+    if not math.isfinite(hi - lo):
+        raise click.UsageError(f"{option} endpoints and span must be finite, got {spec!r}")
     if steps < 1:
         raise click.UsageError(f"{option} needs at least one step")
     return lo, hi, steps
@@ -121,7 +121,7 @@ def _grid(grid: tuple[float, float, int], log_scale: bool) -> list[float]:
     if log_scale and (lo <= 0 or hi <= 0):
         raise click.UsageError("--log grids need positive endpoints")
     points = np.geomspace(lo, hi, steps) if log_scale else np.linspace(lo, hi, steps)
-    return sorted(float(b) for b in points)
+    return np.sort(points, kind="stable").tolist()
 
 
 def _finite_number(text: str) -> int | float:

@@ -55,12 +55,7 @@ def test_pairs_medians_quartiles_and_wins(bench_pairs, tmp_path):
     write_record(parent, "thermo-sweep", 9, 1.0, 1.0, 0, 2000.0)
     (parent / ".perfbench_out" / "cli-mix-seed0-trace1.json").write_text("{}")
 
-    out, benchmark = tmp_path / "BENCH_6.json", tmp_path / "BENCHMARK.json"
-    benchmark.write_text(json.dumps({"end_to_end": METRICS}))
-    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--pr", "6",
-                             "--out", str(out), "--labels", "abc123", "work",
-                             "--benchmark", str(benchmark)]) == 0
-    got = json.loads(out.read_text())
+    got = bench_pairs.collect(parent, change, 6, METRICS, ("abc123", "work"))
     assert (got["pr"], got["parent"], got["change"]) == (6, "abc123", "work")
     assert list(got["workloads"]) == ["cli-mix"]
     entry = got["workloads"]["cli-mix"]
@@ -80,25 +75,26 @@ def test_pairs_medians_quartiles_and_wins(bench_pairs, tmp_path):
     assert entry["metrics"]["rows_per_s"]["pairs_won"] == 1
     assert got["environment"]["python"] == "3.11.7"
     assert got["environment"]["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1"}
+    # a field that differs between records is named, not listed per record
+    assert got["environment"]["varies"] == ["loadavg_before"]
     assert "loadavg_before" not in got["environment"]
-    assert got["loadavg"]["change"]["cli-mix-seed3"] == [3, 0.0, 0.0]
 
 
-def test_disagreeing_environments_list_every_value(bench_pairs, tmp_path):
+def test_disagreeing_environment_fields_are_named(bench_pairs, tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     write_record(parent, "cli-mix", 1, 1.0, 1.0, 0, 1.0, numpy="2.4.6")
     write_record(change, "cli-mix", 1, 1.0, 1.0, 0, 2.0, numpy="2.5.0")
     got = bench_pairs.collect(parent, change, 6, METRICS)
-    assert got["environment"]["numpy"] == ["2.4.6", "2.5.0"]
+    assert got["environment"]["varies"] == ["numpy"]
+    assert "numpy" not in got["environment"] and got["environment"]["nproc"] == 2
     one = got["workloads"]["cli-mix"]["metrics"]["request_p50_s"]["parent"]
     assert one["q1"] == one["median"] == one["q3"] == 1.0
 
 
-def test_no_pairs_is_an_error(bench_pairs, tmp_path, capsys):
+def test_no_pairs_is_an_error(bench_pairs, tmp_path, capsys, monkeypatch):
     write_record(tmp_path / "parent", "cli-mix", 1, 1.0, 1.0, 0, 1.0)
     (tmp_path / "change").mkdir()
-    code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
-                             "--change", str(tmp_path / "change"), "--pr", "6",
-                             "--out", str(tmp_path / "out.json")])
+    monkeypatch.chdir(tmp_path)
+    code = bench_pairs.main(["--parent", "parent", "--change", "change", "--pr", "6"])
     assert code == 2 and "no paired records" in capsys.readouterr().err
-    assert not (tmp_path / "out.json").exists()
+    assert not Path("BENCH_6.json").exists()

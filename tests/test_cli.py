@@ -344,6 +344,9 @@ def test_compare_unconverged_order_slope_is_self_check_failure(runner, tmp_path)
         ["negtemp", "--params", "huge_n.json"],
         ["validate", "--params", "inf_metric.json"],
         ["thermo", "--log", "--beta", "1:-1:1"],
+        ["thermo", "--model", "qubit", "--beta", "-1e308:1e308:1"],
+        ["thermo", "--beta", "-1e308:1e308:3"],
+        ["negtemp", "--grid", "-1e308:1e308:1"],
         ["compare", "--beta", "0.2:1:3", "--discrepancies", "/nonexistent/d.json"],
     ],
     ids=" ".join,

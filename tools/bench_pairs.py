@@ -27,8 +27,6 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
-#: environment fields that change from run to run and are kept per record
-VOLATILE = ("loadavg_before", "loadavg_after")
 
 
 def read_records(tree: Path) -> dict[tuple[str, int], tuple[dict, float]]:
@@ -52,16 +50,14 @@ def summary(values: list[float]) -> dict:
 
 
 def environment(records: list[dict]) -> dict:
-    """Fields every record agrees on; a list of the distinct values otherwise."""
-    env: dict = {}
-    keys = sorted({k for r in records for k in r["environment"] if k not in VOLATILE})
-    for key in keys:
-        values = []
-        for r in records:
-            value = r["environment"].get(key)
-            if value not in values:
-                values.append(value)
-        env[key] = values[0] if len(values) == 1 else values
+    """Fields every record agrees on, and under ``varies`` the names of the rest."""
+    env: dict = {"varies": []}
+    for key in sorted({k for r in records for k in r["environment"]}):
+        values = [r["environment"].get(key) for r in records]
+        if all(value == values[0] for value in values):
+            env[key] = values[0]
+        else:
+            env["varies"].append(key)
     return env
 
 
@@ -108,8 +104,6 @@ def collect(parent: Path, change: Path, pr: int, metrics: list[dict],
         "parent": labels[0],
         "change": labels[1],
         "environment": environment(every),
-        "loadavg": {side: {f"{w}-seed{s}": sides[side][(w, s)][0]["environment"].get(
-            "loadavg_before") for w, s in keys} for side in sides},
         "workloads": workloads,
     }
 
@@ -119,19 +113,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="tree of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="tree of the change")
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
-    parser.add_argument("--out", type=Path, help="output file (default: BENCH_<pr>.json)")
     parser.add_argument("--labels", nargs=2, default=("parent", "change"),
                         metavar=("PARENT", "CHANGE"), help="names of the two sides")
-    parser.add_argument("--benchmark", type=Path, default=BENCHMARK,
-                        help="BENCHMARK.json that lists the end-to-end metrics")
     args = parser.parse_args(argv)
-    metrics = json.loads(args.benchmark.read_text())["end_to_end"]
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     try:
         result = collect(args.parent, args.change, args.pr, metrics, tuple(args.labels))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
     for name, entry in result["workloads"].items():
         print(f"{name}: {entry['pairs']} pairs, failed {entry['failed']}", file=sys.stderr)
