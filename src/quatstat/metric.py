@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, NotDensity, NotPositive, SingularTheta
+from .errors import (ConstraintViolation, DimensionMismatch, NotDensity, NotPositive,
+                     SingularTheta)
 from .linalg import QMatrix, dagger, embed, fro_norm, inverse, mat_mul, re_trace
 
 DEFAULT_REL_TOL = 1e-10
@@ -34,15 +35,12 @@ class MetricOperator:
     """Hermitian invertible metric ``eta``, with square-root factor when positive.
 
     ``theta`` is the Hermitian factor with ``eta = theta^2``; it exists only
-    for positive-definite metrics and is ``None`` otherwise. ``params`` holds
-    the generating parameters ``(x, y, z)`` when the metric was built from
-    the general 2-dimensional positive form.
+    for positive-definite metrics and is ``None`` otherwise.
     """
 
     eta: QMatrix
     theta: QMatrix | None
     positive: bool
-    params: tuple[float, float, complex] | None = None
 
     @property
     def n(self) -> int:
@@ -109,34 +107,32 @@ def build_metric(x: float, y: float, z: complex, tol: float = 1e-12) -> MetricOp
     eigenvalues = np.linalg.eigvalsh(embed(eta))
     if eigenvalues.min() <= 0.0:
         raise NotPositive("constructed metric failed the positivity check")
-    return MetricOperator(eta=eta, theta=theta, positive=True, params=(x, y, z))
+    return MetricOperator(eta=eta, theta=theta, positive=True)
 
 
 def eta_adjoint(q: QMatrix, m: MetricOperator) -> QMatrix:
     """Metric adjoint ``eta^-1 Q^dag eta``; an involution that reverses products."""
-    if q.n != m.n:
-        raise _dimension_error(q, m)
+    _check_dimension(q, m)
     return mat_mul(m.eta_inv, mat_mul(dagger(q), m.eta))
 
 
-def _dimension_error(q: QMatrix, m: MetricOperator):
-    from .errors import DimensionMismatch
+def _check_dimension(q: QMatrix, m: MetricOperator):
+    if q.n != m.n:
+        raise DimensionMismatch(f"operator is {q.n}-dim but metric is {m.n}-dim")
 
-    return DimensionMismatch(f"operator is {q.n}-dim but metric is {m.n}-dim")
 
-
-def _similarity_residual(h: QMatrix, m: MetricOperator, sign: float) -> float:
+def _relative_residual(h: QMatrix, m: MetricOperator, sign: float) -> float:
+    """``|eta H eta^-1 + sign H^dag| / |H|``: every verdict compares it with ``tol``."""
+    _check_dimension(h, m)
     lhs = mat_mul(m.eta, mat_mul(h, m.eta_inv))
-    return fro_norm(lhs + sign * dagger(h))
+    return fro_norm(lhs + sign * dagger(h)) / max(fro_norm(h), 1e-300)
 
 
 def is_pseudo_anti_hermitian(
     h: QMatrix, m: MetricOperator, tol: float = DEFAULT_REL_TOL
 ) -> bool:
     """True when ``eta H eta^-1 == -H^dag`` within ``tol`` (relative)."""
-    if h.n != m.n:
-        raise _dimension_error(h, m)
-    return _similarity_residual(h, m, +1.0) <= tol * max(fro_norm(h), 1e-300)
+    return _relative_residual(h, m, +1.0) <= tol
 
 
 def is_quasi_anti_hermitian(
@@ -150,16 +146,13 @@ def is_pseudo_hermitian(
     q: QMatrix, m: MetricOperator, tol: float = DEFAULT_REL_TOL
 ) -> bool:
     """True when ``eta Q eta^-1 == Q^dag`` within ``tol`` (relative)."""
-    if q.n != m.n:
-        raise _dimension_error(q, m)
-    return _similarity_residual(q, m, -1.0) <= tol * max(fro_norm(q), 1e-300)
+    return _relative_residual(q, m, -1.0) <= tol
 
 
 def classification_report(h: QMatrix, m: MetricOperator, tol: float = DEFAULT_REL_TOL):
     """Verdicts plus residual norms for the three symmetry classes."""
-    norm = max(fro_norm(h), 1e-300)
-    anti = _similarity_residual(h, m, +1.0) / norm
-    herm = _similarity_residual(h, m, -1.0) / norm
+    anti = _relative_residual(h, m, +1.0)
+    herm = _relative_residual(h, m, -1.0)
     return {
         "pseudo_anti_hermitian": {"verdict": anti <= tol, "residual": anti},
         "quasi_anti_hermitian": {
@@ -179,8 +172,7 @@ def generalized_density(
     Requires ``rho`` Hermitian positive definite; the result is
     pseudo-Hermitian with respect to the metric.
     """
-    if rho.n != m.n:
-        raise _dimension_error(rho, m)
+    _check_dimension(rho, m)
     scale = max(1.0, fro_norm(rho))
     if fro_norm(rho - dagger(rho)) > tol * scale:
         raise NotDensity("density matrix must be Hermitian")

@@ -341,19 +341,10 @@ def printed_spin_inverse_temperature(
 class QubitModelParams:
     """Phase ``phi`` of the reduced two-qubit interaction.
 
-    ``zeta`` records the interaction constants of the underlying two-qubit
-    coupling; only the ``(0, 0, 1)`` instance has the reduced two-level
-    form implemented here.
+    The model is the ``zeta = (0, 0, 1)`` instance of the two-qubit coupling.
     """
 
     phi: float = 0.0
-    zeta: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        if tuple(self.zeta) != (0.0, 0.0, 1.0):
-            raise ConstraintViolation(
-                "only the zeta = (0, 0, 1) instance reduces to this two-level form"
-            )
 
 
 def build_qubit_model(

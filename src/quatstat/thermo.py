@@ -166,14 +166,6 @@ class DiscrepancyRecord:
     derived_value: float
     beta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "printed_value": self.printed_value,
-            "derived_value": self.derived_value,
-            "beta": self.beta,
-        }
-
 
 @dataclass
 class ThermoReport:
@@ -190,7 +182,6 @@ class ThermoReport:
     S: float
     U: float
     Cv: float
-    provenance: str = "closed_form"
     discrepancies: list[DiscrepancyRecord] = field(default_factory=list)
 
 
@@ -530,7 +521,7 @@ def thermo_closed_form(
         discrepancy("Cv", lambda: printed_specific_heat(p, beta, n, k), cv, beta, diff_tol),
     ]
     return ThermoReport(
-        beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv, provenance="closed_form",
+        beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv,
         discrepancies=[record for record in found if record is not None],
     )
 
@@ -696,8 +687,7 @@ def z_spectral(e: SpectralEnsemble, beta: float) -> float:
 
 
 def log_z_spectral(e: SpectralEnsemble, beta: float) -> float:
-    w, shift = _boltzmann_weights(e, beta)
-    return float(shift + np.log(w.sum()))
+    return _boltzmann_sums(e, beta)[0]
 
 
 def log_z_total(e: SpectralEnsemble, beta: float) -> float:
@@ -705,12 +695,14 @@ def log_z_total(e: SpectralEnsemble, beta: float) -> float:
     return e.n_particles * log_z_spectral(e, beta)
 
 
-def _level_moments(e: SpectralEnsemble, beta: float):
-    w, _ = _boltzmann_weights(e, beta)
-    prob = w / w.sum()
-    mean = float(prob @ e.energies)
-    var = float(prob @ (e.energies - mean) ** 2)
-    return mean, var
+def _boltzmann_sums(e: SpectralEnsemble, beta: float) -> tuple[float, float, float]:
+    """``ln Z1``, the mean energy and the energy variance from one set of weights."""
+    w, shift = _boltzmann_weights(e, beta)
+    total = w.sum()
+    prob = w / total
+    energies = e.energies
+    mean = float(prob @ energies)
+    return float(shift + np.log(total)), mean, float(prob @ (energies - mean) ** 2)
 
 
 def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
@@ -723,8 +715,7 @@ def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
     if beta == 0.0:
         raise ValueError("beta must be nonzero for the free-energy branch")
     n, k = e.n_particles, e.k
-    mean, var = _level_moments(e, beta)
-    log_z1 = log_z_spectral(e, beta)
+    log_z1, mean, var = _boltzmann_sums(e, beta)
     a_free = -(n / beta) * log_z1
     u = n * mean
     s = k * beta * (u - a_free)
@@ -736,14 +727,12 @@ def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
         S=s,
         U=u,
         Cv=cv,
-        provenance="spectral",
     )
 
 
 def energy_variance(e: SpectralEnsemble, beta: float) -> float:
     """Single-particle energy variance ``<E^2> - <E>^2`` from the weights."""
-    _, var = _level_moments(e, beta)
-    return var
+    return _boltzmann_sums(e, beta)[2]
 
 
 def relative_rms(e: SpectralEnsemble, beta: float) -> float:
@@ -752,7 +741,7 @@ def relative_rms(e: SpectralEnsemble, beta: float) -> float:
     Independent particles add variances, so the ratio carries an explicit
     ``1/sqrt(N)`` prefactor: quadrupling ``N`` halves the result exactly.
     """
-    mean, var = _level_moments(e, beta)
+    _, mean, var = _boltzmann_sums(e, beta)
     scale = max(1.0, float(np.abs(e.energies).max()))
     if abs(mean) <= 1e-12 * scale:
         raise ZeroMeanEnergy("mean energy vanishes; relative fluctuation undefined")

@@ -149,14 +149,6 @@ def test_thermo_file_model_uses_spectral_path(runner, tmp_path):
             assert float(row[4]) == pytest.approx(expected.U, rel=1e-9)
 
 
-def test_thermo_parallel_is_byte_identical(runner, tmp_path):
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        args = ["thermo", "--model", "spin", "--beta", "0.2:4:17"]
-        serial = runner.invoke(cli, args + ["--parallel", "1"])
-        threaded = runner.invoke(cli, args + ["--parallel", "4"])
-        assert serial.output == threaded.output
-
-
 def test_thermo_json_output_and_log_grid(runner, tmp_path):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(
@@ -348,14 +340,20 @@ def test_compare_unconverged_order_slope_is_self_check_failure(runner, tmp_path)
         ["thermo", "--beta", "-1e308:1e308:3"],
         ["negtemp", "--grid", "-1e308:1e308:1"],
         ["compare", "--beta", "0.2:1:3", "--discrepancies", "/nonexistent/d.json"],
+        ["thermo", "--beta", "1:2:3", "--out", "discrepancies.json"],
+        ["compare", "--beta", "0.2:1:3", "--out", "./d.csv", "--discrepancies", "d.csv"],
+        ["thermo", "--beta", "1:2:2", "--tolerance", "-1"],
+        ["QUATSTAT_TOL=-1", "thermo", "--beta", "1:2:2"],
     ],
     ids=" ".join,
 )
 def test_configuration_errors_exit_2(runner, tmp_path, argv):
+    # a leading NAME=value sets an environment variable for the command
+    env = dict(arg.split("=", 1) for arg in argv if arg.startswith("QUATSTAT_TOL="))
     with runner.isolated_filesystem(temp_dir=tmp_path):
         for name, text in NON_FINITE.items():
             Path(name).write_text(text)
-        result = runner.invoke(cli, argv)
+        result = runner.invoke(cli, argv[len(env):], env=env)
         assert result.exit_code == 2, result.output
         # click turned it into a usage error; an escaped exception would be
         # result.exception and print a traceback from the console script
@@ -394,6 +392,11 @@ def test_thermo_without_records_never_opens_the_log(runner, tmp_path):
                                      "--discrepancies", "/nonexistent/d.json"])
         assert result.exit_code == 0, result.output
         assert len(parse_csv(result.stdout)[1]) == 3
+        # no log is written, so the table may take the log's default name
+        result = runner.invoke(cli, ["thermo", "--model", "qubit", "--beta", "1:2:3",
+                                     "--out", "discrepancies.json"])
+        assert result.exit_code == 0, result.output
+        assert len(parse_csv(Path("discrepancies.json").read_text())[1]) == 3
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,17 @@ def test_pseudo_anti_hermitian_iff_eta_h_anti_hermitian():
         assert is_pseudo_anti_hermitian(g, m) == (
             anti_residual <= 1e-10 * max(fro_norm(g), 1e-300)
         )
+        # the report's verdicts are the predicates', also at a tolerance equal
+        # to a residual, where rounding decides the edge
+        for q in (h, g, pseudo_hermitian_sample(rng, m)):
+            report = classification_report(q, m)
+            for tol in (1e-10, report["pseudo_anti_hermitian"]["residual"],
+                        report["pseudo_hermitian"]["residual"]):
+                report = classification_report(q, m, tol)
+                assert [report[key]["verdict"] for key in (
+                    "pseudo_anti_hermitian", "quasi_anti_hermitian", "pseudo_hermitian"
+                )] == [is_pseudo_anti_hermitian(q, m, tol), is_quasi_anti_hermitian(q, m, tol),
+                       is_pseudo_hermitian(q, m, tol)]
 
 
 # -- densities and expectations ----------------------------------------------

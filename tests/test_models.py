@@ -277,11 +277,6 @@ def test_qubit_partition_function():
         )
 
 
-def test_qubit_rejects_other_interactions():
-    with pytest.raises(ConstraintViolation):
-        QubitModelParams(phi=0.0, zeta=(1.0, 0.0, 0.0))
-
-
 def test_two_level_gas_validation():
     with pytest.raises(ConstraintViolation):
         TwoLevelGas(n_particles=0, e_plus=1.0, e_minus=0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from quatstat import (
     z1_formula,
     z_spectral,
 )
+from quatstat import thermo as thermo_module
 from quatstat.cli import cli
 from quatstat.metric import is_quasi_anti_hermitian
 from quatstat.thermo import _cumulative_simpson, _simpson_weights
@@ -456,7 +458,6 @@ def test_thermo_closed_form_two_level_limit():
     ea, eb = math.exp(-1.2 * beta), math.exp(0.4 * beta)
     assert report.U == pytest.approx(n * (1.2 * ea - 0.4 * eb) / (ea + eb), rel=1e-12)
     assert report.Z1 == pytest.approx(ea + eb, rel=1e-14)
-    assert report.provenance == "closed_form"
 
 
 def test_thermo_closed_form_identities():
@@ -595,7 +596,7 @@ def test_compare_slice_records_are_the_reports_records(tmp_path, argv, sl):
                 report = thermo_closed_form(sl, beta, n, k, rederived, diff_tol=tol)
             except UnphysicalZ:
                 continue
-            want += [r.to_dict() for r in report.discrepancies if r.quantity == quantity]
+            want += [asdict(r) for r in report.discrepancies if r.quantity == quantity]
     got = [r for r in records if r["quantity"] in ("S", "Cv")]
     assert got == want
     assert {r["quantity"] for r in got} == {"S", "Cv"}
@@ -679,6 +680,19 @@ def test_thermo_spectral_limits():
     assert cold.U == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         thermo_spectral(e, 0.0)
+
+
+def test_thermo_spectral_weighs_the_levels_once(monkeypatch):
+    calls = []
+    weights = thermo_module._boltzmann_weights
+    monkeypatch.setattr(thermo_module, "_boltzmann_weights",
+                        lambda e, beta: calls.append(beta) or weights(e, beta))
+    e = SpectralEnsemble(((-0.5, 1), (1.0, 2), (3.0, 1)), n_particles=3, k=1.3)
+    report = thermo_spectral(e, 0.7)
+    assert calls == [0.7]
+    # the public sums read the same single pass, bit for bit
+    assert report.A == -(3 / 0.7) * log_z_spectral(e, 0.7)
+    assert report.Cv == 1.3 * 0.7 * 0.7 * energy_variance(e, 0.7)
 
 
 def test_thermo_spectral_spin_oracle():
