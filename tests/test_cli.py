@@ -348,7 +348,7 @@ def test_compare_unconverged_order_slope_is_self_check_failure(runner, tmp_path)
     ids=" ".join,
 )
 def test_configuration_errors_exit_2(runner, tmp_path, argv):
-    # a leading NAME=value sets an environment variable for the command
+    # a leading QUATSTAT_TOL=value element sets that variable for the command
     env = dict(arg.split("=", 1) for arg in argv if arg.startswith("QUATSTAT_TOL="))
     with runner.isolated_filesystem(temp_dir=tmp_path):
         for name, text in NON_FINITE.items():
