@@ -277,11 +277,36 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
 # ---------------------------------------------------------------------------
 
 
+#: One record of ``discrepancies.json``, laid out as ``json.dumps(..., indent=2)`` does.
+_RECORD = ('  {{\n    "quantity": {},\n    "printed_value": {},\n'
+           '    "derived_value": {},\n    "beta": {}\n  }}')
+
+
+def _json_number(value: float) -> str:
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # NaN, Infinity, -Infinity
+
+
+def _discrepancy_log(records: list) -> str:
+    """``json.dumps([vars(r) for r in records], indent=2) + "\\n"``, from the
+    template :data:`_RECORD`; the pure-Python indent encoder is twice as slow."""
+    if not records:
+        return "[]\n"
+    quoted = {q: json.dumps(q) for q in {r.quantity for r in records}}
+    return "[\n" + ",\n".join(
+        _RECORD.format(quoted[r.quantity], _json_number(r.printed_value),
+                       _json_number(r.derived_value), _json_number(r.beta))
+        for r in records
+    ) + "\n]\n"
+
+
 def _emit(cfg: SimpleNamespace, header: list[str], rows: list[tuple], records=None):
     """Write the table, then the discrepancy log unless ``records`` is None.
 
     Both are rendered and every destination is checked first, so that a
-    path that cannot be written is a configuration error with no output.
+    path that cannot be written, or one that names the ``--params`` input,
+    is a configuration error with no output.
     """
     if cfg.output == "json":
         table = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
@@ -290,11 +315,13 @@ def _emit(cfg: SimpleNamespace, header: list[str], rows: list[tuple], records=No
         table = "\n".join([",".join(header), *lines]) + "\n"
     writes = [(cfg.out_path, table, f"{len(rows)} rows")] if cfg.out_path else []
     if records is not None:
-        # vars() gives the fields in declaration order; asdict deep-copies each, 25x slower
-        log = json.dumps([vars(r) for r in records], indent=2) + "\n"
+        log = _discrepancy_log(records)
         writes.append((cfg.discrepancies_path, log, f"{len(records)} discrepancy records"))
-    if len({Path(path).resolve() for path, _, _ in writes}) < len(writes):
+    targets = [Path(path).resolve() for path, _, _ in writes]
+    if len(set(targets)) < len(targets):
         raise click.UsageError(f"--out and --discrepancies both name {cfg.out_path}")
+    if cfg.params_path and Path(cfg.params_path).resolve() in targets:
+        raise click.UsageError(f"cannot write the --params input {cfg.params_path}")
     for path, _, _ in writes:
         parent = Path(path).parent
         if Path(path).is_dir():

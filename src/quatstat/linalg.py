@@ -18,11 +18,10 @@ right, so the right-eigenvalue relation reads ``M v = v * lam``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import permutations
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConstraintViolation, DimensionMismatch, NotNormal, NotSymplectic
 from .quaternion import Quaternion, hamilton_product, qconj
@@ -226,6 +225,8 @@ def mat_exp(m: QMatrix, t: float = 1.0) -> QMatrix:
     scaling-and-squaring with a Pade kernel. Raises ``OverflowError`` when
     the result leaves the representable range.
     """
+    import scipy.linalg  # on use, so that importing quatstat loads no scipy
+
     with np.errstate(over="ignore", invalid="ignore"):
         e = scipy.linalg.expm(embed(m) * float(t))
     if not np.all(np.isfinite(e)):
@@ -279,6 +280,29 @@ def standard_spectrum(
     return out
 
 
+#: Above this many rows a matching is not found by enumeration: an
+#: ``n``-level model has ``P(2n, n)`` injective assignments, 1680 at ``n = 4``.
+_MAX_ENUMERATED_ROWS = 4
+
+
+def _matcher(rows: int, cols: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Minimum-cost matching of ``rows`` branches to ``cols >= rows`` candidates.
+
+    The returned function maps a ``(rows, cols)`` cost matrix to the column
+    of each row, no column used twice, with the least total cost. Up to
+    :data:`_MAX_ENUMERATED_ROWS` rows it is exact over every injective
+    assignment, the first in lexicographic order winning a tie; above that
+    it is scipy's ``linear_sum_assignment``, imported only then.
+    """
+    if rows > _MAX_ENUMERATED_ROWS:
+        from scipy.optimize import linear_sum_assignment
+
+        return lambda cost: linear_sum_assignment(cost)[1]
+    table = np.array(list(permutations(range(cols), rows)), dtype=np.intp)
+    row_index = np.arange(rows)
+    return lambda cost: table[cost[row_index, table].sum(axis=1).argmin()]
+
+
 def energies_by_continuity(h0: QMatrix, hp: QMatrix, steps: int = 16) -> list[float]:
     """Signed energies of ``H0 + Hp`` tracked from the unperturbed spectrum.
 
@@ -295,14 +319,12 @@ def energies_by_continuity(h0: QMatrix, hp: QMatrix, steps: int = 16) -> list[fl
     current = np.array(refs, dtype=complex)
     velocity = np.zeros_like(current)
     e0, ep = embed(h0), embed(hp)
+    match = _matcher(len(current), len(e0))
     for step in range(1, steps + 1):
         tau = step / steps
         candidates = np.linalg.eigvals(e0 + tau * ep)
         predicted = current + velocity
-        cost = np.abs(predicted[:, None] - candidates[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        new = np.empty_like(current)
-        new[rows] = candidates[cols]
+        new = candidates[match(np.abs(predicted[:, None] - candidates[None, :]))]
         velocity = new - current
         current = new
     scale = max(1.0, np.abs(current).max())

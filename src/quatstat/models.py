@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln, xlogy
-
 from .errors import ConstraintViolation, EnergyOutOfRange, InfiniteTemperature, UnphysicalZ
 from .linalg import (
     QMatrix,
@@ -36,6 +34,19 @@ from .thermo import SpectralEnsemble, ToyModelParams, build_toy_hamiltonian
 # ---------------------------------------------------------------------------
 # Generic two-level gas
 # ---------------------------------------------------------------------------
+
+
+def xlogy(x: float, y: float) -> float:
+    """``x * ln(y)``, and ``0`` where ``x == 0`` and ``y`` is not NaN.
+
+    Bit for bit ``scipy.special.xlogy`` on floats: ``y == 0`` gives
+    ``x * -inf`` and ``y < 0`` gives NaN.
+    """
+    if x == 0 and not math.isnan(y):
+        return 0.0
+    if y > 0:
+        return x * math.log(y)
+    return x * -math.inf if y == 0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,8 @@ def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
 def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
     by analytic continuation."""
+    from scipy.special import gammaln  # on use: math.lgamma differs in the last bits
+
     n_plus, n_minus = occupation_numbers(g, energy)
     return float(
         gammaln(g.n_particles + 1.0) - gammaln(n_plus + 1.0) - gammaln(n_minus + 1.0)
@@ -299,6 +312,8 @@ def printed_spin_log_multiplicity(
     inside its argument; both arguments below are the manifestly positive
     populations, which is the same number.
     """
+    from scipy.special import gammaln  # on use: math.lgamma differs in the last bits
+
     n_minus = -(energy - n_particles * (omega / 2.0 + v)) / (2.0 * v)
     n_plus = (energy - n_particles * (omega / 2.0 - v)) / (2.0 * v)
     if n_plus < -1e-12 or n_minus < -1e-12:

@@ -631,12 +631,14 @@ def pressure(
     n_particles: int = 1,
     rederived: bool = False,
     log: list[DiscrepancyRecord] | None = None,
+    diff_tol: float = 1e-8,
 ) -> float:
     """Pressure ``-dA/dV`` at fixed beta, by Richardson-extrapolated
     central differences of the free energy.
 
-    When ``log`` is given, the display-form pressure is evaluated as well
-    and the pair is appended to the log.
+    When ``log`` is given, the display-form pressure is evaluated as well,
+    and the pair is appended to the log when :func:`discrepancy` at
+    ``diff_tol`` makes it a record.
     """
     h = vm.h
     if vm.domain is not None:
@@ -659,11 +661,11 @@ def pressure(
     derivative = (4.0 * fine - coarse) / 3.0
     result = -derivative
     if log is not None:
-        log.append(
-            DiscrepancyRecord(
-                "P", printed_pressure(vm, beta, volume, n_particles), result, beta
-            )
+        record = discrepancy(
+            "P", lambda: printed_pressure(vm, beta, volume, n_particles), result, beta, diff_tol
         )
+        if record is not None:
+            log.append(record)
     return result
 
 

@@ -10,8 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import quatstat
-from quatstat import SpectralEnsemble, thermo_spectral
-from quatstat.cli import cli
+from quatstat import DiscrepancyRecord, SpectralEnsemble, thermo_spectral
+from quatstat.cli import _discrepancy_log, cli
 
 SPIN_FILE = {
     "matrix": {
@@ -43,6 +43,14 @@ NON_FINITE = {
     "huge_n.json": '{"e_plus": 1, "e_minus": 0, "n_particles": 1e400}',
     "inf_metric.json": '{"matrix": {"n": 2, "entries": [[[0, 1, 0, 0], [0, 0, 0.5, 0]], '
                        '[[0, 0, 0.5, 0], [0, -1, 0, 0]]]}, "metric": {"x": Infinity, "y": 1}}',
+}
+
+#: The inputs of every configuration-error case: the files above, and a
+#: valid toy model whose thermo sweep writes discrepancy records.
+CONFIG_INPUTS = {
+    **NON_FINITE,
+    "toy.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
+                '"alpha": 1.0, "gamma": 1.0}',
 }
 
 
@@ -344,6 +352,10 @@ def test_compare_unconverged_order_slope_is_self_check_failure(runner, tmp_path)
         ["compare", "--beta", "0.2:1:3", "--out", "./d.csv", "--discrepancies", "d.csv"],
         ["thermo", "--beta", "1:2:2", "--tolerance", "-1"],
         ["QUATSTAT_TOL=-1", "thermo", "--beta", "1:2:2"],
+        ["thermo", "--model", "toy", "--params", "toy.json", "--beta", "1:2:2",
+         "--out", "toy.json"],
+        ["thermo", "--model", "toy", "--params", "./toy.json", "--beta", "1:2:2",
+         "--discrepancies", "toy.json"],
     ],
     ids=" ".join,
 )
@@ -351,7 +363,7 @@ def test_configuration_errors_exit_2(runner, tmp_path, argv):
     # a leading QUATSTAT_TOL=value element sets that variable for the command
     env = dict(arg.split("=", 1) for arg in argv if arg.startswith("QUATSTAT_TOL="))
     with runner.isolated_filesystem(temp_dir=tmp_path):
-        for name, text in NON_FINITE.items():
+        for name, text in CONFIG_INPUTS.items():
             Path(name).write_text(text)
         result = runner.invoke(cli, argv[len(env):], env=env)
         assert result.exit_code == 2, result.output
@@ -359,9 +371,20 @@ def test_configuration_errors_exit_2(runner, tmp_path, argv):
         # result.exception and print a traceback from the console script
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.stderr and "Traceback" not in result.stderr
-        # exit 2 means nothing was written
+        # exit 2 means nothing was written, the inputs included
         assert result.stdout == ""
-        assert sorted(os.listdir()) == sorted(NON_FINITE)
+        assert {name: Path(name).read_text() for name in os.listdir()} == CONFIG_INPUTS
+
+
+def test_discrepancy_log_template_is_jsons_indent_2():
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0.1,
+              np.float64(2.5), np.float64(math.nan)]
+    records = [DiscrepancyRecord(q, p, d, b) for q, p, d, b in zip(
+        ["U", "S", "Cv", "Z1", "S_two_level", "P", "U", 'q"\\', "Z_formal", "S", "Cv"],
+        values, values[3:] + values[:3], values[5:] + values[:5])]
+    for chosen in ([], records[:1], records):
+        want = json.dumps([vars(r) for r in chosen], indent=2) + "\n"
+        assert _discrepancy_log(chosen) == want
 
 
 def test_params_file_error_names_the_file(runner, tmp_path):
@@ -634,3 +657,51 @@ def test_cli_subprocess_imports_the_package_under_test(tmp_path, cli_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert Path(proc.stdout.strip()).resolve() == Path(quatstat.__file__).resolve()
+
+
+#: Run in a fresh interpreter with a command's arguments: import the CLI, run
+#: the command in-process, then report its exit code and the scipy modules
+#: loaded on the last line of stderr.
+SCIPY_PROBE = """
+import json, sys
+from quatstat.cli import cli
+code = None
+if sys.argv[1:]:
+    try:
+        cli.main(sys.argv[1:], standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+sys.stderr.write("\\n" + json.dumps({"code": code, "scipy": loaded}))
+"""
+
+
+def scipy_probe(tmp_path, cli_env, argv):
+    (tmp_path / "spin.json").write_text(json.dumps(SPIN_FILE))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                          cwd=tmp_path, env=cli_env, capture_output=True, text=True)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["thermo", "--beta", "0.1:5:20"],
+        ["thermo", "--model", "qubit", "--beta", "0.1:5:20"],
+        ["thermo", "--model", "file", "--params", "spin.json", "--beta", "0.1:5:20"],
+        ["spectrum"],
+        ["spectrum", "--model", "qubit"],
+        ["spectrum", "--model", "file", "--params", "spin.json"],
+        ["validate", "--params", "spin.json"],
+    ],
+    ids=lambda argv: " ".join(argv) or "import",
+)
+def test_import_and_scipy_free_commands_load_no_scipy(tmp_path, cli_env, argv):
+    assert scipy_probe(tmp_path, cli_env, argv) == {"code": 0 if argv else None, "scipy": []}
+
+
+def test_negtemp_loads_scipy_on_use(tmp_path, cli_env):
+    # the probe does see scipy: negtemp's exact multiplicity uses gammaln
+    report = scipy_probe(tmp_path, cli_env, ["negtemp", "--points", "5"])
+    assert report["code"] == 0 and "scipy.special" in report["scipy"]

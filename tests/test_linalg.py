@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import quatstat.linalg
 from quatstat import (
     DimensionMismatch,
     I,
@@ -277,8 +279,6 @@ def test_embedding_eigenvalues_pair_under_conjugation():
         conjugates = eig.conj()
         # multiset match: every eigenvalue finds a distinct conjugate partner
         cost = np.abs(eig[:, None] - conjugates[None, :])
-        from scipy.optimize import linear_sum_assignment
-
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-10 * max(1.0, np.abs(eig).max())
 
@@ -299,6 +299,62 @@ def test_energies_by_continuity_signed_branch():
         h0 = QMatrix.diag([I * (omega / 2), I * (-omega / 2)])
         energies = sorted(energies_by_continuity(h0, h - h0))
         assert energies == pytest.approx(expected, abs=1e-9)
+
+
+def reference_energies_by_continuity(h0, hp, steps=16):
+    """The branch tracking of :func:`energies_by_continuity` with scipy's
+    assignment solver as the matching: the oracle of the fast matching."""
+    current = np.array([lam for lam, mult in standard_spectrum(h0) for _ in range(mult)])
+    velocity = np.zeros_like(current)
+    e0, ep = embed(h0), embed(hp)
+    for step in range(1, steps + 1):
+        candidates = np.linalg.eigvals(e0 + step / steps * ep)
+        cost = np.abs((current + velocity)[:, None] - candidates[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        new = np.empty_like(current)
+        new[rows] = candidates[cols]
+        velocity, current = new - current, new
+    return [float(v) for v in current.imag]
+
+
+def random_anti_hermitian(rng, n):
+    b = random_qmatrix(rng, n)
+    return b - dagger(b)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_matcher_agrees_with_scipy(rows):
+    rng = np.random.default_rng(rows)
+    for cols in range(max(rows, 2), 9):
+        match = quatstat.linalg._matcher(rows, cols)
+        for trial in range(25):
+            if trial % 2:
+                cost = rng.random((rows, cols))
+            else:  # small integers: many exact ties
+                cost = rng.integers(0, 3, size=(rows, cols)).astype(float)
+            got = match(cost)
+            want_rows, want = linear_sum_assignment(cost)
+            assert list(want_rows) == list(range(rows))
+            assert len(set(got)) == rows
+            assert cost[want_rows, got].sum() == cost[want_rows, want].sum()
+            if trial % 2:
+                assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_energies_by_continuity_matches_the_assignment_oracle(n, monkeypatch):
+    if n > quatstat.linalg._MAX_ENUMERATED_ROWS:
+        # the large path must not enumerate; it loads scipy's solver instead
+        def refuse(*args):
+            raise AssertionError("enumerated a matching above the bound")
+
+        monkeypatch.setattr(quatstat.linalg, "permutations", refuse)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        h = random_anti_hermitian(rng, n)
+        h0 = QMatrix.diag([h.entry(i, i) for i in range(n)])
+        got = energies_by_continuity(h0, h - h0)
+        assert got == reference_energies_by_continuity(h0, h - h0)
 
 
 # -- inverse and vectors -----------------------------------------------------

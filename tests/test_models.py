@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.special import xlogy as scipy_xlogy
 
 from quatstat import (
     ConstraintViolation,
@@ -43,6 +44,7 @@ from quatstat import (
     vec_inner,
     vec_scale_right,
 )
+from quatstat.models import xlogy
 
 GAS = TwoLevelGas(n_particles=10, e_plus=1.0, e_minus=-1.0)
 
@@ -79,6 +81,23 @@ def test_log_multiplicity_matches_binomial_for_integers():
 
 
 # -- entropy --------------------------------------------------------------------
+
+
+def test_xlogy_is_scipys_bit_for_bit():
+    tiny = 5e-324  # the smallest subnormal
+    edges = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, tiny, -tiny,
+             2.2250738585072014e-308 / 3, 0.5, 2.0, 1e308]
+    rng = np.random.default_rng(20261018)
+    xs = rng.standard_normal(100_000) * 10.0 ** rng.integers(-320, 300, 100_000)
+    ys = rng.standard_normal(100_000) * 10.0 ** rng.integers(-320, 300, 100_000)
+    pairs = [(x, y) for x in edges for y in edges] + list(zip(xs.tolist(), ys.tolist()))
+    for x, y in pairs:
+        got, want = xlogy(x, y), float(scipy_xlogy(x, y))
+        if math.isnan(want):
+            assert math.isnan(got), (x, y)
+        else:
+            # the packed bytes tell -0.0 from 0.0
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, y)
 
 
 def test_entropy_midpoint_and_edges():
