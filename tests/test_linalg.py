@@ -317,11 +317,6 @@ def reference_energies_by_continuity(h0, hp, steps=16):
     return [float(v) for v in current.imag]
 
 
-def random_anti_hermitian(rng, n):
-    b = random_qmatrix(rng, n)
-    return b - dagger(b)
-
-
 @pytest.mark.parametrize("rows", [1, 2, 3, 4])
 def test_matcher_agrees_with_scipy(rows):
     rng = np.random.default_rng(rows)
@@ -351,7 +346,8 @@ def test_energies_by_continuity_matches_the_assignment_oracle(n, monkeypatch):
         monkeypatch.setattr(quatstat.linalg, "permutations", refuse)
     rng = np.random.default_rng(40 + n)
     for _ in range(5):
-        h = random_anti_hermitian(rng, n)
+        b = random_qmatrix(rng, n)
+        h = b - dagger(b)  # anti-Hermitian, so the tracked energies are real
         h0 = QMatrix.diag([h.entry(i, i) for i in range(n)])
         got = energies_by_continuity(h0, h - h0)
         assert got == reference_energies_by_continuity(h0, h - h0)
