@@ -15,7 +15,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -49,6 +50,7 @@ from .models import (
 from .quaternion import Quaternion
 from .thermo import (
     MIN_DYSON_STEPS,
+    DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
     ToyModelParams,
@@ -277,15 +279,18 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
 # ---------------------------------------------------------------------------
 
 
+_RECORD_FIELDS = [f.name for f in fields(DiscrepancyRecord)]
+_record_values = attrgetter(*_RECORD_FIELDS)
 #: One record of ``discrepancies.json``, laid out as ``json.dumps(..., indent=2)`` does.
-_RECORD = ('  {{\n    "quantity": {},\n    "printed_value": {},\n'
-           '    "derived_value": {},\n    "beta": {}\n  }}')
+_RECORD = "  {{\n" + ",\n".join(
+    f"    {json.dumps(name)}: {{}}" for name in _RECORD_FIELDS
+) + "\n  }}"
 
 
-def _json_number(value: float) -> str:
+def _json_scalar(value) -> str:
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    return json.dumps(value)  # NaN, Infinity, -Infinity
+    return json.dumps(value)  # strings, NaN, Infinity, -Infinity
 
 
 def _discrepancy_log(records: list) -> str:
@@ -293,11 +298,8 @@ def _discrepancy_log(records: list) -> str:
     template :data:`_RECORD`; the pure-Python indent encoder is twice as slow."""
     if not records:
         return "[]\n"
-    quoted = {q: json.dumps(q) for q in {r.quantity for r in records}}
     return "[\n" + ",\n".join(
-        _RECORD.format(quoted[r.quantity], _json_number(r.printed_value),
-                       _json_number(r.derived_value), _json_number(r.beta))
-        for r in records
+        _RECORD.format(*map(_json_scalar, _record_values(r))) for r in records
     ) + "\n]\n"
 
 

@@ -631,14 +631,13 @@ def pressure(
     n_particles: int = 1,
     rederived: bool = False,
     log: list[DiscrepancyRecord] | None = None,
-    diff_tol: float = 1e-8,
 ) -> float:
     """Pressure ``-dA/dV`` at fixed beta, by Richardson-extrapolated
     central differences of the free energy.
 
     When ``log`` is given, the display-form pressure is evaluated as well,
-    and the pair is appended to the log when :func:`discrepancy` at
-    ``diff_tol`` makes it a record.
+    and the pair is appended to the log when :func:`discrepancy` at the
+    closed-form default tolerance ``1e-8`` makes it a record.
     """
     h = vm.h
     if vm.domain is not None:
@@ -662,7 +661,7 @@ def pressure(
     result = -derivative
     if log is not None:
         record = discrepancy(
-            "P", lambda: printed_pressure(vm, beta, volume, n_particles), result, beta, diff_tol
+            "P", lambda: printed_pressure(vm, beta, volume, n_particles), result, beta, 1e-8
         )
         if record is not None:
             log.append(record)

@@ -644,17 +644,18 @@ def test_pressure_domain_and_display_log():
     value = pressure(vm, 1.3, 2.0, n_particles=2, log=log)
     assert log == []
     assert printed_pressure(vm, 1.3, 2.0, 2) == pytest.approx(value, rel=1e-6)
-    # at zero tolerance the same pair is a record
-    assert pressure(vm, 1.3, 2.0, n_particles=2, log=log, diff_tol=0.0) == value
+    # a coarse step moves the display form's derivatives about 5e-6 away: a record
+    coarse = two_level_volume_model(h=1e-2)
+    value = pressure(coarse, 1.3, 2.0, n_particles=2, log=log)
     assert [(r.quantity, r.derived_value, r.beta) for r in log] == [("P", value, 1.3)]
-    assert log[0].printed_value == printed_pressure(vm, 1.3, 2.0, 2)
+    assert log[0].printed_value == printed_pressure(coarse, 1.3, 2.0, 2)
     # a display form that cannot be evaluated gives no record, not an error
     degenerate = VolumeModel(aE=lambda vol: 0.8 / vol, bE=lambda vol: 0.8 / vol,
                              kappa=lambda vol: 0.0, h=1e-4)
     with pytest.raises(DegenerateLevels):
         printed_pressure(degenerate, 1.3, 2.0)
     log = []
-    pressure(degenerate, 1.3, 2.0, log=log, diff_tol=0.0)
+    pressure(degenerate, 1.3, 2.0, log=log)
     assert log == []
 
 
