@@ -159,7 +159,9 @@ def _load_matrix(path: str) -> tuple[QMatrix, MetricOperator]:
         h = QMatrix.from_json_dict(data["matrix"])
     except (KeyError, TypeError, ValueError, QuatstatError) as exc:
         raise click.UsageError(f"malformed matrix object: {exc}") from exc
-    spec = data.get("metric", {"x": 1.0, "y": 1.0})
+    if "metric" not in data:
+        return h, MetricOperator.identity(h.n)
+    spec = data["metric"]
     try:
         x, y = float(spec["x"]), float(spec["y"])
         z_re, z_im = spec.get("z", [0.0, 0.0])
@@ -259,7 +261,9 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
             keys = ("e_plus", "e_minus") if model == "custom" else ("omega", "v")
             values = {key: float(data[key]) for key in keys}
             values["x"] = float(data.get("x", 1.0))
-            n = int(data.get("n_particles", n))
+            n = data.get("n_particles", n)
+            if type(n) is not int:  # JSON true is an int to Python, 3.0 a float
+                raise ValueError(f"n_particles must be a JSON integer, got {n!r}")
         if model == "spin":
             spin = SpinModelParams(omega=values["omega"], v=values["v"], x=values["x"])
             return spin_negative_temperature(spin, n)
@@ -281,25 +285,25 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
 
 _RECORD_FIELDS = [f.name for f in fields(DiscrepancyRecord)]
 _record_values = attrgetter(*_RECORD_FIELDS)
-#: One record of ``discrepancies.json``, laid out as ``json.dumps(..., indent=2)`` does.
-_RECORD = "  {{\n" + ",\n".join(
-    f"    {json.dumps(name)}: {{}}" for name in _RECORD_FIELDS
-) + "\n  }}"
 
 
 def _json_scalar(value) -> str:
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    return json.dumps(value)  # strings, NaN, Infinity, -Infinity
+    return json.dumps(value)  # strings, ints, NaN, Infinity, -Infinity
 
 
-def _discrepancy_log(records: list) -> str:
-    """``json.dumps([vars(r) for r in records], indent=2) + "\\n"``, from the
-    template :data:`_RECORD`; the pure-Python indent encoder is twice as slow."""
-    if not records:
+def _json_table(names: list[str], rows: list[tuple]) -> str:
+    """The rows as a JSON list of objects named by ``names``, laid out as
+    ``json.dumps`` does with an indent of 2, plus a newline. It fills one
+    template per row: the pure-Python indent encoder is twice as slow."""
+    if not rows:
         return "[]\n"
+    row_template = "  {{\n" + ",\n".join(
+        f"    {json.dumps(name)}: {{}}" for name in names
+    ) + "\n  }}"
     return "[\n" + ",\n".join(
-        _RECORD.format(*map(_json_scalar, _record_values(r))) for r in records
+        row_template.format(*map(_json_scalar, row)) for row in rows
     ) + "\n]\n"
 
 
@@ -311,13 +315,13 @@ def _emit(cfg: SimpleNamespace, header: list[str], rows: list[tuple], records=No
     is a configuration error with no output.
     """
     if cfg.output == "json":
-        table = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        table = _json_table(header, rows)
     else:
         lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
         table = "\n".join([",".join(header), *lines]) + "\n"
     writes = [(cfg.out_path, table, f"{len(rows)} rows")] if cfg.out_path else []
     if records is not None:
-        log = _discrepancy_log(records)
+        log = _json_table(_RECORD_FIELDS, [_record_values(r) for r in records])
         writes.append((cfg.discrepancies_path, log, f"{len(records)} discrepancy records"))
     targets = [Path(path).resolve() for path, _, _ in writes]
     if len(set(targets)) < len(targets):
@@ -363,7 +367,10 @@ def run_thermo(cfg: SimpleNamespace) -> int:
         )
 
     try:
-        reports = [one(beta) for beta in betas]
+        # the spectral Z1 = exp(ln Z1) is inf past the float range; A, S, U
+        # and Cv come from ln Z1 and stay finite, so the overflow is no news
+        with np.errstate(over="ignore"):
+            reports = [one(beta) for beta in betas]
     except UnphysicalZ as exc:
         click.echo(f"unphysical branch: {exc}", err=True)
         return 3
@@ -415,7 +422,7 @@ def run_compare(cfg: SimpleNamespace) -> int:
     slope_line = None
     if fro_norm(hp) > 0.0:
         try:
-            slope = dyson_convergence_slope(h0, hp, t=1.0, steps=cfg.dyson_steps)
+            slope = dyson_convergence_slope(h0, hp, steps=cfg.dyson_steps)
         except (QuadratureUnconverged, NotNormal) as exc:
             click.echo(f"oracle self-check failed: order slope: {exc}", err=True)
             return 1
@@ -591,13 +598,13 @@ def cli():
 
 
 _MODEL = ("model", "params", "omega", "v", "x", "phi")
-_OUTPUT = ("output", "out", "tolerance")
+_OUTPUT = ("output", "out")
 _ALL_MODELS = {"type": click.Choice(["toy", "spin", "qubit", "file"])}
 
 
 @cli.command(params=_options(
     *_MODEL, "beta", "log", "n_particles", "k", "rederived", "discrepancies", *_OUTPUT,
-    model=_ALL_MODELS, beta={"default": "0.1:5:50"},
+    "tolerance", model=_ALL_MODELS, beta={"default": "0.1:5:50"},
 ))
 def thermo(**params):
     """Thermodynamic sweep: beta,Z1,A,S,U,Cv per grid point."""
@@ -606,7 +613,8 @@ def thermo(**params):
 
 @cli.command(params=_options(
     *_MODEL, "beta", "log", "n_particles", "k", "steps", "discrepancies", *_OUTPUT,
-    model={"type": click.Choice(["toy", "spin", "qubit"])}, beta={"default": "0.1:2:20"},
+    "tolerance", model={"type": click.Choice(["toy", "spin", "qubit"])},
+    beta={"default": "0.1:2:20"},
 ))
 def compare(**params):
     """Partition-function paths side by side, plus a discrepancy log.
@@ -626,7 +634,7 @@ def compare(**params):
 ))
 def negtemp(**params):
     """Entropy and temperature across the two-level energy band."""
-    sys.exit(run_negtemp(_config(params)))
+    sys.exit(run_negtemp(SimpleNamespace(**params)))
 
 
 @cli.command(params=_options(
@@ -641,7 +649,7 @@ def validate(**params):
 @cli.command(params=_options(*_MODEL, *_OUTPUT, model=_ALL_MODELS))
 def spectrum(**params):
     """Energy levels and multiplicities of the resolved model."""
-    sys.exit(run_spectrum(_config(params)))
+    sys.exit(run_spectrum(SimpleNamespace(**params)))
 
 
 def main():

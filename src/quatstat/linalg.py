@@ -162,7 +162,7 @@ def embed(m: QMatrix | np.ndarray) -> np.ndarray:
     return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
 
 
-def unembed(x: np.ndarray, tol: float = 1e-10) -> QMatrix:
+def unembed(x: np.ndarray) -> QMatrix:
     """Invert :func:`embed`; raises :class:`NotSymplectic` off the subalgebra."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2:
@@ -172,9 +172,9 @@ def unembed(x: np.ndarray, tol: float = 1e-10) -> QMatrix:
     c, d = x[n:, :n], x[n:, n:]
     scale = max(1.0, np.abs(x).max())
     residual = max(np.abs(c + b.conj()).max(), np.abs(d - a.conj()).max())
-    if residual > tol * scale:
+    if residual > 1e-10 * scale:
         raise NotSymplectic(
-            f"block symmetry residual {residual:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"block symmetry residual {residual:.3e} exceeds 1.0e-10 * {scale:.3e}"
         )
     return QMatrix.from_complex(a, b)
 
@@ -239,9 +239,7 @@ def _normality_residual(m: QMatrix) -> float:
     return fro_norm(mat_mul(m, md) - mat_mul(md, m))
 
 
-def standard_spectrum(
-    m: QMatrix, tol: float = 1e-8, normal_tol: float = 1e-10
-) -> list[tuple[complex, int]]:
+def standard_spectrum(m: QMatrix) -> list[tuple[complex, int]]:
     """Right-eigenvalue classes of a normal quaternionic matrix.
 
     The eigenvalues of the complex embedding occur in conjugate pairs; each
@@ -250,11 +248,11 @@ def standard_spectrum(
     Raises :class:`NotNormal` when ``M M^dag - M^dag M`` is too large.
     """
     scale = fro_norm(m)
-    if _normality_residual(m) > normal_tol * max(scale**2, 1e-30):
+    if _normality_residual(m) > 1e-10 * max(scale**2, 1e-30):
         raise NotNormal("matrix is not normal within tolerance")
     eig = np.linalg.eigvals(embed(m))
     reps = eig.real + 1j * np.abs(eig.imag)
-    cluster_tol = tol * max(1.0, np.abs(eig).max())
+    cluster_tol = 1e-8 * max(1.0, np.abs(eig).max())
     # greedy 2-d clustering against running class centroids; adjacency in a
     # lexicographic sort is unreliable when rounding noise splits a class
     centroids: list[complex] = []
@@ -303,12 +301,13 @@ def _matcher(rows: int, cols: int) -> Callable[[np.ndarray], np.ndarray]:
     return lambda cost: table[cost[row_index, table].sum(axis=1).argmin()]
 
 
-def energies_by_continuity(h0: QMatrix, hp: QMatrix, steps: int = 16) -> list[float]:
+def energies_by_continuity(h0: QMatrix, hp: QMatrix) -> list[float]:
     """Signed energies of ``H0 + Hp`` tracked from the unperturbed spectrum.
 
     Starts from the standard representatives ``i*E`` of ``H0`` and follows
     each eigenvalue branch of ``chi(H0 + tau*Hp)`` as ``tau`` walks from 0
-    to 1, matching branches by nearest distance to a linear prediction.
+    to 1 in 16 steps, matching branches by nearest distance to a linear
+    prediction.
     This keeps the sign of an energy that crosses zero, which the standard
     representative alone would fold back to positive.
     """
@@ -320,8 +319,8 @@ def energies_by_continuity(h0: QMatrix, hp: QMatrix, steps: int = 16) -> list[fl
     velocity = np.zeros_like(current)
     e0, ep = embed(h0), embed(hp)
     match = _matcher(len(current), len(e0))
-    for step in range(1, steps + 1):
-        tau = step / steps
+    for step in range(1, 17):
+        tau = step / 16
         candidates = np.linalg.eigvals(e0 + tau * ep)
         predicted = current + velocity
         new = candidates[match(np.abs(predicted[:, None] - candidates[None, :]))]

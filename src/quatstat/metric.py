@@ -26,8 +26,8 @@ from .linalg import QMatrix, dagger, embed, fro_norm, inverse, mat_mul, re_trace
 DEFAULT_REL_TOL = 1e-10
 
 
-def _is_complex_matrix(m: QMatrix, tol: float = DEFAULT_REL_TOL) -> bool:
-    return float(np.abs(m.comp[..., 2:]).max()) <= tol * max(1.0, fro_norm(m))
+def _is_complex_matrix(m: QMatrix) -> bool:
+    return float(np.abs(m.comp[..., 2:]).max()) <= DEFAULT_REL_TOL * max(1.0, fro_norm(m))
 
 
 @dataclass(frozen=True)
@@ -56,25 +56,20 @@ class MetricOperator:
         return cls(eta=eye, theta=eye, positive=True)
 
     @classmethod
-    def from_matrix(
-        cls,
-        eta: QMatrix,
-        require_positive: bool = True,
-        tol: float = DEFAULT_REL_TOL,
-    ) -> "MetricOperator":
+    def from_matrix(cls, eta: QMatrix, require_positive: bool = True) -> "MetricOperator":
         """Wrap an explicit Hermitian metric, verifying its invariants.
 
         With ``require_positive=False`` an invertible indefinite Hermitian
         metric is accepted (pseudo- but not quasi-classification); no
         square-root factor is available in that case.
         """
-        if not _is_complex_matrix(eta, tol):
+        if not _is_complex_matrix(eta):
             raise ConstraintViolation("metric must be complex (zero j, k parts)")
         scale = max(1.0, fro_norm(eta))
-        if fro_norm(eta - dagger(eta)) > tol * scale:
+        if fro_norm(eta - dagger(eta)) > DEFAULT_REL_TOL * scale:
             raise ConstraintViolation("metric must be Hermitian")
         eigenvalues = np.linalg.eigvalsh(embed(eta))
-        if np.abs(eigenvalues).min() <= tol * scale:
+        if np.abs(eigenvalues).min() <= DEFAULT_REL_TOL * scale:
             raise NotPositive("metric is numerically singular")
         positive = bool(eigenvalues.min() > 0.0)
         if require_positive and not positive:
@@ -90,7 +85,7 @@ class MetricOperator:
         return cls(eta=eta, theta=theta, positive=positive)
 
 
-def build_metric(x: float, y: float, z: complex, tol: float = 1e-12) -> MetricOperator:
+def build_metric(x: float, y: float, z: complex) -> MetricOperator:
     """General 2-dimensional positive metric from its factor parameters.
 
     Builds ``theta = [[x, z], [conj(z), y]]`` and ``eta = theta^2``, i.e.
@@ -100,7 +95,7 @@ def build_metric(x: float, y: float, z: complex, tol: float = 1e-12) -> MetricOp
     x, y, z = float(x), float(y), complex(z)
     det = x * y - abs(z) ** 2
     scale = max(1.0, x * x, y * y, abs(z) ** 2)
-    if abs(det) <= tol * scale:
+    if abs(det) <= 1e-12 * scale:
         raise SingularTheta(f"x*y - |z|^2 = {det:.3e} is numerically zero")
     theta = QMatrix.from_complex(np.array([[x, z], [np.conj(z), y]]))
     eta = mat_mul(theta, theta)
@@ -164,9 +159,7 @@ def classification_report(h: QMatrix, m: MetricOperator, tol: float = DEFAULT_RE
     }
 
 
-def generalized_density(
-    rho: QMatrix, m: MetricOperator, tol: float = DEFAULT_REL_TOL
-) -> QMatrix:
+def generalized_density(rho: QMatrix, m: MetricOperator) -> QMatrix:
     """Generalized density matrix ``rho * eta``.
 
     Requires ``rho`` Hermitian positive definite; the result is
@@ -174,10 +167,10 @@ def generalized_density(
     """
     _check_dimension(rho, m)
     scale = max(1.0, fro_norm(rho))
-    if fro_norm(rho - dagger(rho)) > tol * scale:
+    if fro_norm(rho - dagger(rho)) > DEFAULT_REL_TOL * scale:
         raise NotDensity("density matrix must be Hermitian")
     eigenvalues = np.linalg.eigvalsh(embed(rho))
-    if eigenvalues.min() <= -tol * scale:
+    if eigenvalues.min() <= -DEFAULT_REL_TOL * scale:
         raise NotDensity(f"density matrix has negative eigenvalue {eigenvalues.min():.6g}")
     return mat_mul(rho, m.eta)
 

@@ -146,18 +146,18 @@ def qconj(q: Quaternion) -> Quaternion:
     return Quaternion(q.q0, -q.q1, -q.q2, -q.q3)
 
 
-def qinv(q: Quaternion, eps: float = DEFAULT_TOL) -> Quaternion:
+def qinv(q: Quaternion) -> Quaternion:
     """Multiplicative inverse ``conj(q) / |q|^2``.
 
-    Raises ``ZeroDivisionError`` when ``|q|`` falls below ``eps``.
+    Raises ``ZeroDivisionError`` when ``|q|`` falls below :data:`DEFAULT_TOL`.
     """
     n = abs(q)
-    if n < eps:
-        raise ZeroDivisionError(f"quaternion norm {n} below epsilon {eps}")
+    if n < DEFAULT_TOL:
+        raise ZeroDivisionError(f"quaternion norm {n} below epsilon {DEFAULT_TOL}")
     s = 1.0 / (n * n)
     return qconj(q) * s
 
 
-def is_imaginary(q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    """True when the real component vanishes within ``tol``."""
-    return abs(q.q0) <= tol
+def is_imaginary(q: Quaternion) -> bool:
+    """True when the real component vanishes within :data:`DEFAULT_TOL`."""
+    return abs(q.q0) <= DEFAULT_TOL

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import quatstat
 from quatstat import DiscrepancyRecord, SpectralEnsemble, thermo_spectral
-from quatstat.cli import _discrepancy_log, cli
+from quatstat.cli import _RECORD_FIELDS, _json_table, _record_values, cli
 
 SPIN_FILE = {
     "matrix": {
@@ -22,6 +22,18 @@ SPIN_FILE = {
         ],
     },
     "metric": {"x": 1, "y": 1, "z": [0, 0]},
+}
+
+#: ``diag(i, -i, 2i)`` with no metric object: energies 1, 1 and 2.
+DIAG_3 = {
+    "matrix": {
+        "n": 3,
+        "entries": [
+            [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 2, 0, 0]],
+        ],
+    },
 }
 
 TOY_DECOUPLED = {
@@ -384,7 +396,14 @@ def test_discrepancy_log_template_is_jsons_indent_2():
         values, values[3:] + values[:3], values[5:] + values[:5])]
     for chosen in ([], records[:1], records):
         want = json.dumps([vars(r) for r in chosen], indent=2) + "\n"
-        assert _discrepancy_log(chosen) == want
+        assert _json_table(_RECORD_FIELDS, [_record_values(r) for r in chosen]) == want
+    # --output json tables: the cells the runners emit, strings and ints included
+    header = ["beta", "multiplicity", "T", "Z1"]
+    rows = [(np.float64(v), i, "infinite", v) for i, v in enumerate(values)]
+    rows.append((-0.0, -3, 'q"\\', np.float64(-math.inf)))
+    for chosen in ([], rows[:1], rows):
+        want = json.dumps([dict(zip(header, row)) for row in chosen], indent=2) + "\n"
+        assert _json_table(header, chosen) == want
 
 
 def test_params_file_error_names_the_file(runner, tmp_path):
@@ -498,6 +517,13 @@ def test_negtemp_params_file(runner, tmp_path):
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "negtemp params rejected" in result.stderr
+        # only a JSON integer is a particle count: nothing is truncated
+        for n_particles in (2.7, 3.0, True, "3"):
+            with open("float_n.json", "w") as handle:
+                json.dump({"e_plus": 1, "e_minus": 0, "n_particles": n_particles}, handle)
+            result = runner.invoke(cli, ["negtemp", "--params", "float_n.json"])
+            assert result.exit_code == 2, n_particles
+            assert "negtemp params rejected: n_particles" in result.stderr
 
 
 def test_negtemp_custom_and_errors(runner, tmp_path):
@@ -646,6 +672,69 @@ def test_spectrum_signed_energies_from_file(runner, tmp_path):
         _, rows = parse_csv(result.stdout)
         energies = sorted(float(r[0]) for r in rows)
         assert energies == pytest.approx([-0.5, 2.5], abs=1e-9)
+
+
+def test_file_model_without_a_metric_takes_any_n(runner, tmp_path):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("diag3.json").write_text(json.dumps(DIAG_3))
+        result = runner.invoke(cli, ["spectrum", "--model", "file", "--params", "diag3.json"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.stdout)
+        assert sorted(float(r[0]) for r in rows) == pytest.approx([1.0, 1.0, 2.0], abs=1e-12)
+        result = runner.invoke(cli, ["validate", "--params", "diag3.json"])
+        assert result.exit_code == 0, result.output
+        assert "pseudo-anti-hermitian: yes" in result.output
+        # a metric object describes a 2x2 metric, which a 3x3 matrix does not fit
+        with_metric = {**DIAG_3, "metric": {"x": 1, "y": 1}}
+        Path("diag3_metric.json").write_text(json.dumps(with_metric))
+        for argv in (["spectrum", "--model", "file"], ["validate"]):
+            result = runner.invoke(cli, [*argv, "--params", "diag3_metric.json"])
+            assert result.exit_code == 2, result.output
+            assert "matrix is 3-dim but metric is 2-dim" in result.stderr
+
+
+def test_validate_default_metric_is_the_unit_metric(runner, tmp_path):
+    matrix = {"n": 2, "entries": [
+        [[0.1, 1, 0.3, 0], [0.2, 0, 0.5, 0.1]],
+        [[0, 0.4, 0.5, 0], [0, -1, 0, 0.7]],
+    ]}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("bare.json").write_text(json.dumps({"matrix": matrix}))
+        Path("unit.json").write_text(json.dumps({"matrix": matrix, "metric": {"x": 1, "y": 1}}))
+        bare = runner.invoke(cli, ["validate", "--params", "bare.json"])
+        unit = runner.invoke(cli, ["validate", "--params", "unit.json"])
+        assert bare.exit_code == unit.exit_code == 0
+        assert bare.output == unit.output
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--model", "qubit"], ["negtemp", "--points", "3"]])
+def test_tolerance_only_where_a_comparison_reads_it(runner, tmp_path, argv):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        plain = runner.invoke(cli, argv, env={"QUATSTAT_TOL": None})
+        bad_env = runner.invoke(cli, argv, env={"QUATSTAT_TOL": "abc"})
+        assert plain.exit_code == bad_env.exit_code == 0, bad_env.output
+        assert bad_env.stdout == plain.stdout
+        result = runner.invoke(cli, [*argv, "--tolerance", "1e-3"])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
+
+
+def test_spectral_z1_overflow_prints_inf_without_a_warning(tmp_path, cli_env):
+    # a negative level: Z1 passes the float range at beta = 1500
+    strong = json.loads(json.dumps(SPIN_FILE))
+    strong["matrix"]["entries"][0][1] = [0, 0, 1.5, 0]
+    strong["matrix"]["entries"][1][0] = [0, 0, 1.5, 0]
+    (tmp_path / "strong.json").write_text(json.dumps(strong))
+    # a subprocess, since pytest would capture the warning of an in-process run
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatstat.cli", "thermo", "--model", "file",
+         "--params", "strong.json", "--beta", "1500:1600:2"],
+        cwd=tmp_path, env=cli_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    _, rows = parse_csv(proc.stdout)
+    assert [row[1] for row in rows] == ["inf", "inf"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[2:])
 
 
 def test_cli_subprocess_imports_the_package_under_test(tmp_path, cli_env):

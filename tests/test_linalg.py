@@ -301,14 +301,14 @@ def test_energies_by_continuity_signed_branch():
         assert energies == pytest.approx(expected, abs=1e-9)
 
 
-def reference_energies_by_continuity(h0, hp, steps=16):
+def reference_energies_by_continuity(h0, hp):
     """The branch tracking of :func:`energies_by_continuity` with scipy's
     assignment solver as the matching: the oracle of the fast matching."""
     current = np.array([lam for lam, mult in standard_spectrum(h0) for _ in range(mult)])
     velocity = np.zeros_like(current)
     e0, ep = embed(h0), embed(hp)
-    for step in range(1, steps + 1):
-        candidates = np.linalg.eigvals(e0 + step / steps * ep)
+    for step in range(1, 17):
+        candidates = np.linalg.eigvals(e0 + step / 16 * ep)
         cost = np.abs((current + velocity)[:, None] - candidates[None, :])
         rows, cols = linear_sum_assignment(cost)
         new = np.empty_like(current)

@@ -177,7 +177,7 @@ def test_dyson_quadrature_convergence_guard():
     h0 = QMatrix.diag([I * 40.0, I * (-40.0)])
     hp = QMatrix.from_rows([[Quaternion(), I], [I, Quaternion()]])
     with pytest.raises(QuadratureUnconverged):
-        dyson_second_order(h0, hp, 1.0, steps=16, tol=1e-12)
+        dyson_second_order(h0, hp, 1.0, steps=16)
 
 
 def test_dyson_spin_small_v_trace():
@@ -197,7 +197,7 @@ def test_dyson_error_is_third_order():
     toy = spin_toy()
     h = build_toy_hamiltonian(toy)
     h0 = QMatrix.diag([toy.a, toy.b])
-    slope = dyson_convergence_slope(h0, h - h0, t=1.0, steps=128)
+    slope = dyson_convergence_slope(h0, h - h0, steps=128)
     assert slope == pytest.approx(3.0, abs=0.2)
 
 
@@ -209,7 +209,7 @@ def test_dyson_error_is_third_order_generic_toy():
     toy = ToyModelParams(a=a, b=b, c=c, alpha=1.7, gamma=0.6)
     h = build_toy_hamiltonian(toy)
     h0 = QMatrix.diag([a, b])
-    slope = dyson_convergence_slope(h0, h - h0, t=1.0, steps=128)
+    slope = dyson_convergence_slope(h0, h - h0, steps=128)
     assert slope == pytest.approx(3.0, abs=0.2)
 
 
