@@ -153,7 +153,11 @@ def _quaternion_field(data: dict, key: str) -> Quaternion:
 
 
 def _load_matrix(path: str) -> tuple[QMatrix, MetricOperator]:
-    """The matrix and metric objects of a params file (``file`` model, ``validate``)."""
+    """The matrix and metric objects of a params file (``file`` model, ``validate``).
+
+    The metric object describes a 2x2 metric; without one, the metric is the
+    identity of the matrix's size.
+    """
     data = _load_json(path)
     try:
         h = QMatrix.from_json_dict(data["matrix"])
@@ -248,7 +252,7 @@ def _resolve_model(cfg: SimpleNamespace) -> ModelBundle:
 def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
     """The two-level gas of ``negtemp``. A params file replaces the model and
     level flags with ``e_plus``/``e_minus`` or ``omega``/``v`` (and ``x``),
-    and may set ``n_particles``."""
+    and may set ``n_particles``, which must be a JSON integer."""
     model, values, n = cfg.model, vars(cfg), cfg.n_particles
     try:
         if cfg.params_path:
