@@ -307,9 +307,8 @@ def energies_by_continuity(h0: QMatrix, hp: QMatrix) -> list[float]:
     Starts from the standard representatives ``i*E`` of ``H0`` and follows
     each eigenvalue branch of ``chi(H0 + tau*Hp)`` as ``tau`` walks from 0
     to 1 in 16 steps, matching branches by nearest distance to a linear
-    prediction.
-    This keeps the sign of an energy that crosses zero, which the standard
-    representative alone would fold back to positive.
+    prediction. This keeps the sign of an energy that crosses zero, which
+    the standard representative alone would fold back to positive.
     """
     h0._check_same_dim(hp)
     refs: list[complex] = []
