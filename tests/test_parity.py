@@ -79,6 +79,9 @@ COMMANDS = {
                       "--beta", "0.05:40:20", "--log"],
     "thermo-toy-slice-json": ["thermo", "--model", "toy", "--params", "slice.json",
                               "--beta", "0.5:4:9", "--output", "json"],
+    "thermo-toy-slice-rederived-k": ["thermo", "--model", "toy", "--params", "slice.json",
+                                     "--rederived", "--beta", "0.5:4:9",
+                                     "--n-particles", "3", "--k", "1.3"],
     "thermo-qubit-json": ["thermo", "--model", "qubit", "--phi", "0.4",
                           "--beta", "0.1:40:15", "--log", "--output", "json"],
     "thermo-file": ["thermo", "--model", "file", "--params", "strong_file.json",
@@ -92,6 +95,8 @@ COMMANDS = {
                               "--steps", "128"],
     "compare-spin-weak-16": ["compare", *SPIN_WEAK, "--beta", "0.05:0.8:9",
                              "--steps", "16"],
+    "compare-spin-weak-k": ["compare", *SPIN_WEAK, "--beta", "0.5:8:9",
+                            "--n-particles", "3", "--k", "1.3"],
     "compare-toy-jk-400-json": ["compare", "--model", "toy", "--params", "toy_jk.json",
                                 "--beta", "0.1:10:13", "--steps", "400",
                                 "--output", "json"],
