@@ -449,10 +449,10 @@ def run_compare(cfg: SimpleNamespace) -> int:
         found = [discrepancy("Z1", lambda: z1_p, z1_r, beta, tol)]
         for rederived, quantity in ((True, "S"), (False, "Cv")):
             try:
-                report = thermo_closed_form(sl, beta, n, k, rederived, diff_tol=tol)
+                report = thermo_closed_form(sl, beta, n, k, rederived, tol, (quantity,))
             except QuatstatError:
                 continue
-            found += [r for r in report.discrepancies if r.quantity == quantity]
+            found += report.discrepancies
         if cfg.model == "spin":
             omega, v = cfg.omega, cfg.v
             checks = (

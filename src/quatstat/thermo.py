@@ -479,6 +479,15 @@ def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> fl
     return z1
 
 
+#: Slice display forms over ``(slice, beta, n, k)`` by quantity, in log order.
+#: Each looks its ``printed_*`` function up when called, so a rebound one runs.
+SLICE_FORMS = {
+    "U": lambda p, beta, n, k: printed_internal_energy(p, beta, n),
+    "S": lambda p, beta, n, k: printed_entropy(p, beta, n, k),
+    "Cv": lambda p, beta, n, k: printed_specific_heat(p, beta, n, k),
+}
+
+
 def thermo_closed_form(
     p: EnergySliceParams,
     beta: float,
@@ -486,15 +495,16 @@ def thermo_closed_form(
     k: float = 1.0,
     rederived: bool = False,
     diff_tol: float = 1e-8,
+    quantities: Sequence[str] = tuple(SLICE_FORMS),
 ) -> ThermoReport:
     """Slice thermodynamics generated from ``Z1`` by analytic differentiation.
 
     ``A = -(N/beta) ln Z1``; ``U``, ``S`` and ``Cv`` come from the first two
     beta derivatives of the chosen ``Z1`` branch, so every report satisfies
     ``A = U - T S`` and ``Cv = (1/N) dU/dT`` by construction. The display
-    forms of ``U``, ``S`` and ``Cv`` are evaluated alongside and logged into
-    ``report.discrepancies`` wherever :func:`discrepancy` finds them apart
-    from the derivation chain at ``diff_tol``.
+    forms of :data:`SLICE_FORMS` named in ``quantities`` are logged, in that
+    order, into ``report.discrepancies`` wherever :func:`discrepancy` finds
+    them apart from the derivation chain at ``diff_tol``.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive on the thermodynamic branch")
@@ -507,15 +517,13 @@ def thermo_closed_form(
     u = -n * z1p / z1
     s = n * k * math.log(z1) + k * beta * u
     cv = k * beta * beta * (z1pp * z1 - z1p * z1p) / (z1 * z1)
-    found = [
-        discrepancy("U", lambda: printed_internal_energy(p, beta, n), u, beta, diff_tol),
-        discrepancy("S", lambda: printed_entropy(p, beta, n, k), s, beta, diff_tol),
-        discrepancy("Cv", lambda: printed_specific_heat(p, beta, n, k), cv, beta, diff_tol),
-    ]
-    return ThermoReport(
-        beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv,
-        discrepancies=[record for record in found if record is not None],
-    )
+    report = ThermoReport(beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv)
+    for quantity in quantities:
+        printed = functools.partial(SLICE_FORMS[quantity], p, beta, n, k)
+        record = discrepancy(quantity, printed, getattr(report, quantity), beta, diff_tol)
+        if record is not None:
+            report.discrepancies.append(record)
+    return report
 
 
 def discrepancy(
@@ -622,14 +630,12 @@ def pressure(
     volume: float,
     n_particles: int = 1,
     rederived: bool = False,
-    log: list[DiscrepancyRecord] | None = None,
 ) -> float:
     """Pressure ``-dA/dV`` at fixed beta, by Richardson-extrapolated
     central differences of the free energy.
 
-    When ``log`` is given, the display-form pressure is evaluated as well,
-    and the pair is appended to the log when :func:`discrepancy` at the
-    closed-form default tolerance ``1e-8`` makes it a record.
+    Its display form is :func:`printed_pressure`; a caller that logs the
+    pair passes both to :func:`discrepancy`.
     """
     h = vm.h
     if vm.domain is not None:
@@ -650,14 +656,7 @@ def pressure(
 
     coarse, fine = central(h), central(h / 2.0)
     derivative = (4.0 * fine - coarse) / 3.0
-    result = -derivative
-    if log is not None:
-        record = discrepancy(
-            "P", lambda: printed_pressure(vm, beta, volume, n_particles), result, beta, 1e-8
-        )
-        if record is not None:
-            log.append(record)
-    return result
+    return -derivative
 
 
 # ---------------------------------------------------------------------------

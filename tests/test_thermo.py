@@ -504,6 +504,26 @@ def test_printed_forms_against_derivation_chain():
     )
 
 
+def test_closed_form_checks_the_named_display_forms(monkeypatch):
+    # a subset of SLICE_FORMS logs the full check's records for its
+    # quantities, in the order named; the forms look their printed_*
+    # function up when called, so a rebound one is the one that runs
+    sl = EnergySliceParams(aE=1.0, bE=-1.0, kappa=-0.25)
+    full = thermo_closed_form(sl, 0.5, 3, 1.3, rederived=True)
+    assert [d.quantity for d in full.discrepancies] == list(thermo_module.SLICE_FORMS)
+    by_quantity = {d.quantity: d for d in full.discrepancies}
+    for quantities in (("Cv", "U"), ("S",), ()):
+        report = thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, quantities)
+        assert report.discrepancies == [by_quantity[q] for q in quantities]
+        assert (report.Z1, report.A, report.S, report.U, report.Cv) == (
+            full.Z1, full.A, full.S, full.U, full.Cv)
+    calls = []
+    monkeypatch.setattr(thermo_module, "printed_entropy",
+                        lambda *args: calls.append(args) or full.S)
+    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, ("S",)).discrepancies == []
+    assert calls == [(sl, 0.5, 3, 1.3)]
+
+
 def test_printed_forms_reject_degenerate_levels():
     sl = EnergySliceParams(aE=0.5, bE=0.5, kappa=0.1)
     with pytest.raises(DegenerateLevels):
@@ -635,28 +655,32 @@ def test_pressure_richardson_step_halving():
     assert abs(p2 - p1) < 1e-8 * max(1.0, abs(p2))
 
 
+def pressure_record(vm, beta, volume, n=1):
+    """The pressure and its display-form record under the closed-form tolerance."""
+    value = pressure(vm, beta, volume, n_particles=n)
+    record = discrepancy("P", lambda: printed_pressure(vm, beta, volume, n), value, beta, 1e-8)
+    return value, record
+
+
 def test_pressure_domain_and_display_log():
     vm = two_level_volume_model()
     with pytest.raises(DomainError):
         pressure(vm, 1.0, 0.5)
     # the display form lands about 1e-10 from the derivation: below the tolerance
-    log = []
-    value = pressure(vm, 1.3, 2.0, n_particles=2, log=log)
-    assert log == []
+    value, record = pressure_record(vm, 1.3, 2.0, n=2)
+    assert record is None
     assert printed_pressure(vm, 1.3, 2.0, 2) == pytest.approx(value, rel=1e-6)
     # a coarse step moves the display form's derivatives about 5e-6 away: a record
     coarse = two_level_volume_model(h=1e-2)
-    value = pressure(coarse, 1.3, 2.0, n_particles=2, log=log)
-    assert [(r.quantity, r.derived_value, r.beta) for r in log] == [("P", value, 1.3)]
-    assert log[0].printed_value == printed_pressure(coarse, 1.3, 2.0, 2)
+    value, record = pressure_record(coarse, 1.3, 2.0, n=2)
+    assert (record.quantity, record.derived_value, record.beta) == ("P", value, 1.3)
+    assert record.printed_value == printed_pressure(coarse, 1.3, 2.0, 2)
     # a display form that cannot be evaluated gives no record, not an error
     degenerate = VolumeModel(aE=lambda vol: 0.8 / vol, bE=lambda vol: 0.8 / vol,
                              kappa=lambda vol: 0.0, h=1e-4)
     with pytest.raises(DegenerateLevels):
         printed_pressure(degenerate, 1.3, 2.0)
-    log = []
-    pressure(degenerate, 1.3, 2.0, log=log)
-    assert log == []
+    assert pressure_record(degenerate, 1.3, 2.0)[1] is None
 
 
 # -- spectral path ---------------------------------------------------------------
