@@ -18,6 +18,7 @@ right, so the right-eigenvalue relation reads ``M v = v * lam``.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -218,18 +219,58 @@ def inverse(m: QMatrix) -> QMatrix:
     return unembed(np.linalg.inv(embed(m)))
 
 
+#: Coefficients ``b_0 .. b_13`` of the degree-13 Pade approximant to ``exp``
+#: and the 1-norm up to which it alone is accurate to double precision
+#: (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3). They are
+#: divided by ``b_0``, so that ``V`` starts at the identity and ``exp(0)``
+#: comes out as the exact identity.
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+))
+_THETA_13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp(A)`` of a finite complex matrix by scaling and squaring.
+
+    ``A`` is scaled by ``2**-s`` into the 1-norm ball of radius
+    :data:`_THETA_13`, the degree-13 Pade approximant ``(V - U)^-1 (V + U)``
+    is evaluated from ``A^2``, ``A^4`` and ``A^6`` as Higham writes it, and
+    the result is squared ``s`` times.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def mat_exp(m: QMatrix, t: float = 1.0) -> QMatrix:
     """Matrix exponential ``exp(M*t)``.
 
-    Computed as ``unembed(expm(chi(M)*t))``; the complex exponential uses
-    scaling-and-squaring with a Pade kernel. Raises ``OverflowError`` when
-    the result leaves the representable range.
+    Computed as ``unembed(_expm(chi(M)*t))``: numpy scaling and squaring
+    with the degree-13 Pade approximant. It shares nothing with the
+    eigendecomposition of :func:`quatstat.thermo.formal_trace`, so it stays
+    that path's oracle. Raises ``OverflowError`` when ``chi(M)*t`` or the
+    result leaves the representable range.
     """
-    import scipy.linalg  # on use, so that importing quatstat loads no scipy
-
     with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm(embed(m) * float(t))
-    if not np.all(np.isfinite(e)):
+        a = embed(m) * float(t)
+        e = _expm(a) if np.isfinite(a).all() else a
+    if not np.isfinite(e).all():
         raise OverflowError("matrix exponential overflowed the floating range")
     return unembed(e)
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 import quatstat.linalg
@@ -178,8 +181,26 @@ def test_re_trace_matches_embedding_trace():
 
 
 def test_mat_exp_zero_matrix():
-    e = mat_exp(QMatrix.zeros(2), 1.7)
-    assert fro_norm(e - QMatrix.identity(2)) < 1e-15
+    # the zero matrix, and any matrix at t = 0, give the exact identity
+    rng = np.random.default_rng(3)
+    assert np.array_equal(embed(mat_exp(QMatrix.zeros(2), 1.7)), np.eye(4))
+    assert np.array_equal(embed(mat_exp(random_qmatrix(rng, 3), 0.0)), np.eye(6))
+
+
+@pytest.mark.parametrize("kind", ["anti-hermitian", "general"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mat_exp_matches_scipy_expm(n, kind):
+    # scipy is the test-only oracle; 1-norms of chi(M) up to 50 force up to
+    # four squarings past the Pade radius 5.37
+    rng = np.random.default_rng(100 + n)
+    for norm in np.geomspace(1e-6, 50.0, 12):
+        m = random_qmatrix(rng, n)
+        if kind == "anti-hermitian":
+            m = 0.5 * (m - dagger(m))
+        t = norm / np.abs(embed(m)).sum(axis=0).max()
+        want = expm(embed(m) * t)
+        got = embed(mat_exp(m, t))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), norm
 
 
 def test_mat_exp_complex_diagonal():
@@ -241,6 +262,17 @@ def test_mat_exp_overflow():
     m = QMatrix.diag([Quaternion(1000.0), Quaternion(1000.0)])
     with pytest.raises(OverflowError):
         mat_exp(m, 1.0)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e308, float("inf"), float("nan")])
+def test_mat_exp_overflow_warns_nothing(t):
+    # exp(1000) overflows; from t = 1e308 on, chi(M)*t itself is not finite.
+    # Either way the error is an OverflowError, with no numpy warning first.
+    m = QMatrix.diag([Quaternion(1000.0), Quaternion(1000.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            mat_exp(m, t)
 
 
 # -- spectra -----------------------------------------------------------------
