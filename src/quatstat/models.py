@@ -99,11 +99,11 @@ def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
 def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
     by analytic continuation."""
-    from scipy.special import gammaln  # on use: math.lgamma differs in the last bits
-
     n_plus, n_minus = occupation_numbers(g, energy)
-    return float(
-        gammaln(g.n_particles + 1.0) - gammaln(n_plus + 1.0) - gammaln(n_minus + 1.0)
+    return (
+        math.lgamma(g.n_particles + 1.0)
+        - math.lgamma(n_plus + 1.0)
+        - math.lgamma(n_minus + 1.0)
     )
 
 
@@ -312,16 +312,14 @@ def printed_spin_log_multiplicity(
     inside its argument; both arguments below are the manifestly positive
     populations, which is the same number.
     """
-    from scipy.special import gammaln  # on use: math.lgamma differs in the last bits
-
     n_minus = -(energy - n_particles * (omega / 2.0 + v)) / (2.0 * v)
     n_plus = (energy - n_particles * (omega / 2.0 - v)) / (2.0 * v)
     if n_plus < -1e-12 or n_minus < -1e-12:
         raise EnergyOutOfRange(f"E = {energy} outside the spin gas band")
-    return float(
-        gammaln(n_particles + 1.0)
-        - gammaln(max(n_minus, 0.0) + 1.0)
-        - gammaln(max(n_plus, 0.0) + 1.0)
+    return (
+        math.lgamma(n_particles + 1.0)
+        - math.lgamma(max(n_minus, 0.0) + 1.0)
+        - math.lgamma(max(n_plus, 0.0) + 1.0)
     )
 
 

@@ -80,6 +80,26 @@ def test_log_multiplicity_matches_binomial_for_integers():
         assert log_multiplicity(gas, energy) == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [10, 100, 1000, 10**6])
+def test_lgamma_multiplicities_stay_near_scipys_gammaln(n):
+    # math.lgamma and scipy's gammaln differ in the last bits; bound the gap
+    # by 8 ulp of ln N!, the largest of the three terms
+    bound = 8 * math.ulp(math.lgamma(n + 1.0))
+    gas = TwoLevelGas(n_particles=n, e_plus=1.0, e_minus=-1.0)
+    for energy in np.linspace(gas.e_min, gas.e_max, 2001).tolist():
+        n_plus, n_minus = occupation_numbers(gas, energy)
+        want = gammaln(n + 1.0) - gammaln(n_plus + 1.0) - gammaln(n_minus + 1.0)
+        assert abs(log_multiplicity(gas, energy) - want) <= bound, energy
+    omega, v = 2.0, 0.5
+    for energy in np.linspace(n * (omega / 2 - v), n * (omega / 2 + v), 2001).tolist():
+        n_minus = -(energy - n * (omega / 2 + v)) / (2 * v)
+        n_plus = (energy - n * (omega / 2 - v)) / (2 * v)
+        want = (gammaln(n + 1.0) - gammaln(max(n_minus, 0.0) + 1.0)
+                - gammaln(max(n_plus, 0.0) + 1.0))
+        got = printed_spin_log_multiplicity(omega, v, energy, n)
+        assert abs(got - want) <= bound, energy
+
+
 # -- entropy --------------------------------------------------------------------
 
 
