@@ -67,6 +67,10 @@ from .thermo import (
 )
 
 DEFAULT_TOLERANCE = 1e-8
+#: Relative bound of compare's mat_exp spot checks. It checks the fast trace
+#: columns against an oracle, not a display form, so ``--tolerance`` does not
+#: set it; the largest gap seen is about 3e-13.
+SPOT_CHECK_TOL = 1e-10
 
 
 @dataclass
@@ -414,12 +418,11 @@ def run_compare(cfg: SimpleNamespace) -> int:
         ("Z1_dyson", z_dyson[-1], re_trace(u_dyson)),
     )
     for name, value, oracle in spot_checks:
-        # the rule records no NaN, so a non-finite gap fails here on its own
-        off = discrepancy(name, lambda: value, oracle, beta, tol)
-        if off is not None or not math.isfinite(value - oracle):
+        # written so that a NaN gap fails too
+        if not abs(value - oracle) <= SPOT_CHECK_TOL * max(1.0, abs(oracle)):
             click.echo(
                 f"oracle self-check failed: {name} = {_fmt(value)} at beta = "
-                f"{_fmt(beta)}, mat_exp gives {_fmt(oracle)} (tol {tol:.1e})",
+                f"{_fmt(beta)}, mat_exp gives {_fmt(oracle)} (tol {SPOT_CHECK_TOL:.1e})",
                 err=True,
             )
             return 1

@@ -284,8 +284,19 @@ def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monke
         assert "oracle self-check failed: Z_formal" in result.stderr
         assert result.stdout == ""
         assert not Path("discrepancies.json").exists()
-        # a looser tolerance lets the same offset through
-        assert runner.invoke(cli, args + ["--tolerance", "1e-5"]).exit_code == 0
+        # the spot checks have their own bound: --tolerance does not loosen it
+        result = runner.invoke(cli, args + ["--tolerance", "1e-5"])
+        assert result.exit_code == 1
+        assert "(tol 1.0e-10)" in result.stderr
+
+
+def test_compare_spot_checks_pass_at_tolerance_zero(runner, tmp_path):
+    # --tolerance 0 records every rounding gap in the log, but the mat_exp
+    # spot checks keep their own bound; this command failed them on a gap of 4e-16
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["compare", "--beta", "0.1:20:40", "--tolerance", "0"])
+        assert result.exit_code == 0, result.stderr
+        assert "oracle self-check failed" not in result.stderr
 
 
 def test_compare_order_slope_fails_before_any_output(runner, tmp_path, monkeypatch):
@@ -783,6 +794,8 @@ def scipy_probe(tmp_path, cli_env, argv):
         ["spectrum", "--model", "qubit"],
         ["spectrum", "--model", "file", "--params", "spin.json"],
         ["validate", "--params", "spin.json"],
+        ["compare", "--beta", "0.1:5:20"],
+        ["negtemp", "--points", "5"],
     ],
     ids=lambda argv: " ".join(argv) or "import",
 )
@@ -790,7 +803,12 @@ def test_import_and_scipy_free_commands_load_no_scipy(tmp_path, cli_env, argv):
     assert scipy_probe(tmp_path, cli_env, argv) == {"code": 0 if argv else None, "scipy": []}
 
 
-def test_negtemp_loads_scipy_on_use(tmp_path, cli_env):
-    # the probe does see scipy: negtemp's exact multiplicity uses gammaln
-    report = scipy_probe(tmp_path, cli_env, ["negtemp", "--points", "5"])
-    assert report["code"] == 0 and "scipy.special" in report["scipy"]
+def test_scipy_probe_sees_the_branch_matcher_above_n_4(tmp_path, cli_env):
+    # the probe does see scipy: energies_by_continuity matches the branches of
+    # an n >= 5 file model with scipy.optimize
+    levels = [1.0, -2.0, 3.0, -4.0, 5.0]
+    entries = [[[0, e if i == j else 0, 0, 0] for j in range(5)] for i, e in enumerate(levels)]
+    (tmp_path / "five.json").write_text(json.dumps({"matrix": {"n": 5, "entries": entries}}))
+    report = scipy_probe(tmp_path, cli_env, ["thermo", "--model", "file", "--params",
+                                             "five.json", "--beta", "0.1:5:3"])
+    assert report["code"] == 0 and "scipy.optimize" in report["scipy"]
