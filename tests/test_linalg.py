@@ -271,7 +271,7 @@ def test_mat_exp_overflow_warns_nothing(t):
     m = QMatrix.diag([Quaternion(1000.0), Quaternion(1000.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="overflowed the floating range"):
             mat_exp(m, t)
 
 
