@@ -49,6 +49,15 @@ def xlogy(x: float, y: float) -> float:
     return x * -math.inf if y == 0 else math.nan
 
 
+def lgamma(x: float) -> float:
+    """``math.lgamma``, but ``inf`` where the result passes the float range
+    (``x`` above about 2.6e305), as ``scipy.special.gammaln`` gives."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class TwoLevelGas:
     """``N`` distinguishable particles on two strictly ordered levels."""
@@ -101,9 +110,9 @@ def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     by analytic continuation."""
     n_plus, n_minus = occupation_numbers(g, energy)
     return (
-        math.lgamma(g.n_particles + 1.0)
-        - math.lgamma(n_plus + 1.0)
-        - math.lgamma(n_minus + 1.0)
+        lgamma(g.n_particles + 1.0)
+        - lgamma(n_plus + 1.0)
+        - lgamma(n_minus + 1.0)
     )
 
 
@@ -317,9 +326,9 @@ def printed_spin_log_multiplicity(
     if n_plus < -1e-12 or n_minus < -1e-12:
         raise EnergyOutOfRange(f"E = {energy} outside the spin gas band")
     return (
-        math.lgamma(n_particles + 1.0)
-        - math.lgamma(max(n_minus, 0.0) + 1.0)
-        - math.lgamma(max(n_plus, 0.0) + 1.0)
+        lgamma(n_particles + 1.0)
+        - lgamma(max(n_minus, 0.0) + 1.0)
+        - lgamma(max(n_plus, 0.0) + 1.0)
     )
 
 

@@ -502,6 +502,17 @@ def test_negtemp_table(runner, tmp_path):
         assert all(t > 0 for t in below) and all(t < 0 for t in above)
 
 
+def test_negtemp_past_the_lgamma_range_prints_nan(runner, tmp_path):
+    # ln N! passes the float range near N = 2.6e305: S_exact is inf - inf,
+    # printed as nan, not a traceback from math.lgamma
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["negtemp", "--n-particles", str(10**306),
+                                     "--points", "3"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.stdout)
+        assert [row[2] for row in rows] == ["nan", "nan", "nan"]
+
+
 def test_negtemp_params_file(runner, tmp_path):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         with open("gas.json", "w") as handle:

@@ -44,7 +44,7 @@ from quatstat import (
     vec_inner,
     vec_scale_right,
 )
-from quatstat.models import xlogy
+from quatstat.models import lgamma, xlogy
 
 GAS = TwoLevelGas(n_particles=10, e_plus=1.0, e_minus=-1.0)
 
@@ -98,6 +98,14 @@ def test_lgamma_multiplicities_stay_near_scipys_gammaln(n):
                 - gammaln(max(n_plus, 0.0) + 1.0))
         got = printed_spin_log_multiplicity(omega, v, energy, n)
         assert abs(got - want) <= bound, energy
+
+
+def test_lgamma_past_the_float_range_is_gammalns_inf():
+    assert lgamma(3.5) == math.lgamma(3.5)
+    assert lgamma(1e306) == gammaln(1e306) == math.inf
+    huge = TwoLevelGas(n_particles=10**306, e_plus=1.0, e_minus=-1.0)
+    assert math.isnan(log_multiplicity(huge, huge.midpoint))
+    assert math.isnan(printed_spin_log_multiplicity(2.0, 0.5, 1e306, 10**306))
 
 
 # -- entropy --------------------------------------------------------------------
