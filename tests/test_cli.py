@@ -292,7 +292,7 @@ def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monke
 
 def test_compare_spot_checks_pass_at_tolerance_zero(runner, tmp_path):
     # --tolerance 0 records every rounding gap in the log, but the mat_exp
-    # spot checks keep their own bound; this command failed them on a gap of 4e-16
+    # spot checks keep their own bound, which gaps of about 4e-16 stay within
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(cli, ["compare", "--beta", "0.1:20:40", "--tolerance", "0"])
         assert result.exit_code == 0, result.stderr
