@@ -42,7 +42,7 @@ from .linalg import QMatrix, embed, fro_norm, mat_exp, mat_mul, unembed
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import Quaternion, is_imaginary, qconj, qmul
 
-#: Two slice energies closer than this trigger the analytic degenerate limit.
+#: Two slice energies closer than this have no display form (:class:`DegenerateLevels`).
 DEGENERACY_TOL = 1e-9
 
 #: Fewest quadrature intervals :func:`dyson_second_order` accepts.
@@ -93,8 +93,8 @@ class EnergySliceParams:
     ``aE`` and ``bE`` are real energy parameters and ``kappa`` the real
     effective coupling ``(alpha/gamma) c^2`` (real for complex ``c`` and for
     ``c`` in the j-line, where it equals ``-(alpha/gamma)|c|^2``). The
-    closed forms divide by ``aE - bE``; coincident energies are handled by
-    the analytic degenerate limit.
+    display forms divide by ``aE - bE`` and refuse coincident energies; the
+    derived forms take any pair, coincident energies included.
     """
 
     aE: float
@@ -433,33 +433,29 @@ def dyson_convergence_slope(h0: QMatrix, hp: QMatrix, steps: int = 256) -> float
 # ---------------------------------------------------------------------------
 
 
-def _slice_z1_derivatives(p: EnergySliceParams, beta: float, mu: float):
-    """Value and first two beta derivatives of the slice partition function.
+def _slice_kernel(p: EnergySliceParams, beta: float, rederived: bool):
+    """Shift ``m`` and ``P`` with its beta derivatives, ``Z1 = exp(-m beta) P``.
 
-    ``mu`` is the signed coupling entering ``Z1 = Ea + Eb + mu*beta*(Eb-Ea)/(aE-bE)``.
-    Near-coincident energies switch to the analytic limit
-    ``Z1 = exp(-m beta) (2 + mu beta^2)`` with ``m`` the mean energy.
+    With ``m = min(aE, bE)``, ``x = |aE - bE|`` and the signed coupling ``mu``
+    of :func:`z1_formula`, ``P = 1 + exp(-x beta) + mu beta F`` where
+    ``F = beta phi(x beta)``, ``phi(y) = -expm1(-y)/y`` and ``phi(0) = 1``, so
+    a subnormal ``x`` still gives ``F = beta``. Nothing cancels or overflows.
     """
-    a, b = p.aE, p.bE
-    delta = a - b
-    if abs(delta) < DEGENERACY_TOL:
-        m = 0.5 * (a + b)
-        em = math.exp(-m * beta)
-        poly = 2.0 + mu * beta * beta
-        z1 = em * poly
-        z1p = em * (-m * poly + 2.0 * mu * beta)
-        z1pp = em * (m * m * poly - 4.0 * m * mu * beta + 2.0 * mu)
-        return z1, z1p, z1pp
-    ea, eb = math.exp(-a * beta), math.exp(-b * beta)
-    g = mu / delta
-    z1 = ea + eb + g * beta * (eb - ea)
-    z1p = -a * ea - b * eb + g * ((eb - ea) + beta * (a * ea - b * eb))
-    z1pp = (
-        a * a * ea
-        + b * b * eb
-        + g * (2.0 * (a * ea - b * eb) + beta * (b * b * eb - a * a * ea))
-    )
-    return z1, z1p, z1pp
+    mu = p.kappa if rederived else -p.kappa
+    m, x = min(p.aE, p.bE), abs(p.aE - p.bE)
+    y = x * beta
+    e = math.exp(-y)
+    f = beta * (-math.expm1(-y) / y) if y else beta
+    bracket = 1.0 + e + mu * beta * f
+    return m, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
+
+
+def _shifted(m: float, beta: float, bracket: float) -> float:
+    """``exp(-m beta) * bracket``, or its signed infinity past the float range."""
+    try:
+        return math.exp(-m * beta) * bracket
+    except OverflowError:
+        return math.copysign(math.inf, bracket)
 
 
 def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> float:
@@ -474,9 +470,8 @@ def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> fl
     quaternionic coupling, where ``c*d = +kappa``. The two branches differ;
     comparisons between them belong in the discrepancy log.
     """
-    mu = p.kappa if rederived else -p.kappa
-    z1, _, _ = _slice_z1_derivatives(p, beta, mu)
-    return z1
+    m, bracket, _, _ = _slice_kernel(p, beta, rederived)
+    return _shifted(m, beta, bracket)
 
 
 #: Slice display forms over ``(slice, beta, n, k)`` by quantity, in log order.
@@ -509,14 +504,15 @@ def thermo_closed_form(
     if beta <= 0.0:
         raise ValueError("beta must be positive on the thermodynamic branch")
     n = int(n_particles)
-    mu = p.kappa if rederived else -p.kappa
-    z1, z1p, z1pp = _slice_z1_derivatives(p, beta, mu)
-    if not (z1 > 0.0):
+    m, bracket, d1, d2 = _slice_kernel(p, beta, rederived)
+    z1 = _shifted(m, beta, bracket)
+    if not (bracket > 0.0):
         raise UnphysicalZ(f"Z1 = {z1:.6g} is not positive at beta = {beta:.6g}")
-    a_free = -(n / beta) * math.log(z1)
-    u = -n * z1p / z1
-    s = n * k * math.log(z1) + k * beta * u
-    cv = k * beta * beta * (z1pp * z1 - z1p * z1p) / (z1 * z1)
+    log_p, ratio = math.log(bracket), d1 / bracket
+    a_free = -(n / beta) * (log_p - m * beta)
+    u = n * (m - ratio)
+    s = n * k * (log_p - beta * ratio)
+    cv = k * beta * beta * (d2 * bracket - d1 * d1) / (bracket * bracket)
     report = ThermoReport(beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv)
     for quantity in quantities:
         printed = functools.partial(SLICE_FORMS[quantity], p, beta, n, k)
@@ -533,15 +529,16 @@ def discrepancy(
 
     ``printed`` is evaluated here. A display form that fails with
     ``OverflowError`` or a :class:`QuatstatError` (an unphysical ``Z1``,
-    degenerate levels) gives no record. Otherwise the pair is recorded when
+    degenerate levels), or returns a value that is not finite, gives no
+    record. Otherwise the pair is recorded when
     ``|printed - derived| > tol * max(1, |derived|)``; a gap exactly at the
-    threshold, or a NaN on either side, is none.
+    threshold, or a NaN derived value, is none.
     """
     try:
         value = printed()
     except (OverflowError, QuatstatError):
         return None
-    if abs(value - derived) > tol * max(1.0, abs(derived)):
+    if math.isfinite(value) and abs(value - derived) > tol * max(1.0, abs(derived)):
         return DiscrepancyRecord(quantity, value, derived, beta)
     return None
 
@@ -646,10 +643,12 @@ def pressure(
             )
 
     def free_energy(vol: float) -> float:
-        z1 = z1_formula(vm.slice_at(vol), beta, rederived=rederived)
-        if not (z1 > 0.0):
+        p = vm.slice_at(vol)
+        m, bracket, _, _ = _slice_kernel(p, beta, rederived)
+        if not (bracket > 0.0):
+            z1 = _shifted(m, beta, bracket)
             raise UnphysicalZ(f"Z1 = {z1:.6g} is not positive at V = {vol:.6g}")
-        return -(n_particles / beta) * math.log(z1)
+        return -(n_particles / beta) * (math.log(bracket) - m * beta)
 
     def central(step: float) -> float:
         return (free_energy(volume + step) - free_energy(volume - step)) / (2.0 * step)

@@ -759,6 +759,53 @@ def test_spectral_z1_overflow_prints_inf_without_a_warning(tmp_path, cli_env):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[2:])
 
 
+def run_large_beta(tmp_path, cli_env, argv):
+    """Run ``argv`` in a subprocess, so that a numpy warning reaches stderr,
+    with two slice files at hand; return its CSV rows and discrepancy log."""
+    (tmp_path / "positive.json").write_text('{"aE": 1.0, "bE": 0.5, "kappa": -0.1}')
+    (tmp_path / "mixed.json").write_text('{"aE": 0.1, "bE": -1, "kappa": -0.2}')
+    proc = subprocess.run([sys.executable, "-m", "quatstat.cli", *argv],
+                          cwd=tmp_path, env=cli_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    log = tmp_path / "discrepancies.json"
+    records = json.loads(log.read_text()) if log.exists() else []
+    assert all(math.isfinite(r["printed_value"]) for r in records)
+    return parse_csv(proc.stdout)[1], records
+
+
+def test_slice_z1_overflow_prints_inf_with_finite_thermodynamics(tmp_path, cli_env):
+    # exp(-bE beta) passes the float range from beta = 710 on
+    rows, _ = run_large_beta(tmp_path, cli_env, ["thermo", "--beta", "750:760:2"])
+    assert [row[1] for row in rows] == ["inf", "inf"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[2:])
+
+
+def test_compare_past_the_slice_float_range(tmp_path, cli_env):
+    rows, _ = run_large_beta(tmp_path, cli_env, ["compare", "--beta", "700:800:3"])
+    assert [row[3:5] for row in rows[1:]] == [["inf", "-inf"]] * 2
+
+
+def test_positive_slice_specific_heat_at_large_beta(tmp_path, cli_env):
+    # Z1 squared underflows from beta ~ 710; with exp(-beta/2) below 1e-160,
+    # Cv = -(0.2 beta / (1 + 0.2 beta))^2, as 60-digit mpmath gives
+    rows, _ = run_large_beta(tmp_path, cli_env, ["thermo", "--model", "toy", "--params",
+                                                 "positive.json", "--beta", "700:800:3"])
+    assert [row[0] for row in rows] == ["700", "750", "800"]
+    for row in rows:
+        beta = float(row[0])
+        assert float(row[5]) == pytest.approx(-(0.2 * beta / (1 + 0.2 * beta)) ** 2, rel=1e-12)
+
+
+def test_slice_of_both_signs_logs_no_infinite_display_value(tmp_path, cli_env):
+    # the printed entropy reads ln Z1 = inf from beta = 750 on
+    rows, records = run_large_beta(tmp_path, cli_env, ["thermo", "--model", "toy",
+                                                       "--params", "mixed.json",
+                                                       "--beta", "700:800:3"])
+    assert [row[1] for row in rows[1:]] == ["inf", "inf"]
+    assert records
+
+
 def test_cli_subprocess_imports_the_package_under_test(tmp_path, cli_env):
     # The acceptance criteria run ``python -m quatstat.cli`` in tmp_path;
     # they prove nothing if the child imports some other quatstat.

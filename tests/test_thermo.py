@@ -434,6 +434,70 @@ def test_z1_degenerate_limit_is_continuous():
     assert z1_formula(limit, beta) == pytest.approx(expected, rel=1e-14)
 
 
+def exact_slice(p, beta, n, k, rederived, dps=60):
+    """``ln Z1``, ``U``, ``S`` and ``Cv`` of the slice from the linear form of
+    ``Z1`` (the analytic limit at ``aE = bE``) in ``dps``-digit mpmath, with
+    the bracket ``Z1 / (Ea + Eb)``; ``None`` in place of the four where
+    ``Z1 <= 0``."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(dps):
+        a, b, bt, k = mp.mpf(p.aE), mp.mpf(p.bE), mp.mpf(beta), mp.mpf(k)
+        mu = mp.mpf(p.kappa if rederived else -p.kappa)
+        ea, eb = mp.exp(-a * bt), mp.exp(-b * bt)
+        if a == b:
+            z = ea * (2 + mu * bt**2)
+            z1 = ea * (-a * (2 + mu * bt**2) + 2 * mu * bt)
+            z2 = ea * (a * a * (2 + mu * bt**2) - 4 * a * mu * bt + 2 * mu)
+        else:
+            g = mu / (a - b)
+            z = ea + eb + g * bt * (eb - ea)
+            z1 = -a * ea - b * eb + g * ((eb - ea) + bt * (a * ea - b * eb))
+            z2 = (a * a * ea + b * b * eb
+                  + g * (2 * (a * ea - b * eb) + bt * (b * b * eb - a * a * ea)))
+        bracket = float(z / (ea + eb))
+        if z <= 0:
+            return None, bracket
+        u = -n * z1 / z
+        values = (mp.log(z), u, n * k * mp.log(z) + k * bt * u,
+                  k * bt**2 * (z2 * z - z1 * z1) / z**2)
+        return tuple(float(v) for v in values), bracket
+
+
+@pytest.mark.parametrize("rederived", [False, True], ids=["printed", "rederived"])
+@pytest.mark.parametrize("kappa", [-0.2, 0.2])
+def test_slice_kernel_matches_mpmath(kappa, rederived):
+    # one kernel for every gap: no digits lost near degeneracy, nothing
+    # overflows at large beta, and Z1 <= 0 exactly where the exact Z1 is
+    n, k = 3, 1.3
+    deltas = [0.0, *(10.0**-e for e in range(12, 2, -1)), 0.3, 2.0]
+    betas = [10.0 ** (e / 2) for e in range(-6, 9)]
+    for delta in deltas:
+        sl = EnergySliceParams(aE=0.5 + delta, bE=0.5, kappa=kappa)
+        for beta in betas:
+            exact, bracket = exact_slice(sl, beta, n, k, rederived)
+            if abs(bracket) < 1e-6:
+                continue  # within 1e-6 of the root of Z1: ill-conditioned
+            if exact is None:
+                with pytest.raises(UnphysicalZ):
+                    thermo_closed_form(sl, beta, n, k, rederived, quantities=())
+                continue
+            r = thermo_closed_form(sl, beta, n, k, rederived, quantities=())
+            got = (-r.A * beta / n, r.U, r.S, r.Cv)
+            for name, value, want in zip(("ln Z1", "U", "S", "Cv"), got, exact):
+                assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (
+                    name, delta, beta, value, want)
+
+
+def test_slice_kernel_subnormal_gap():
+    # a gap of one subnormal ulp is the coincident pair to every digit
+    sl = EnergySliceParams(aE=3e-308, bE=math.nextafter(3e-308, 1.0), kappa=0.2)
+    for beta in (0.5, 1.5, 40.0):
+        exact, _ = exact_slice(sl, beta, 3, 1.3, True, dps=400)
+        r = thermo_closed_form(sl, beta, 3, 1.3, True, quantities=())
+        got = (-r.A * beta / 3, r.U, r.S, r.Cv)
+        assert got == pytest.approx(exact, rel=1e-14, abs=1e-14)
+
+
 def test_slice_matches_numerical_time_ordered_integral():
     # commuting complex parameters: the closed form must reproduce the
     # quadrature of this module's own perturbation integral in both
@@ -551,6 +615,9 @@ def test_discrepancy_threshold_is_strict():
 def test_discrepancy_nan_is_no_record():
     assert discrepancy("Cv", lambda: math.nan, 1.0, 1.0, 1e-8) is None
     assert discrepancy("Cv", lambda: 1.0, math.nan, 1.0, 1e-8) is None
+    # nor is a display value past the float range
+    assert discrepancy("S", lambda: math.inf, 1.0, 1.0, 1e-8) is None
+    assert discrepancy("S", lambda: -math.inf, 1.0, 1.0, 1e-8) is None
 
 
 @pytest.mark.parametrize(
@@ -641,10 +708,12 @@ def test_pressure_volume_independent_is_zero():
 
 
 def test_pressure_matches_analytic_two_level():
-    c0, beta, vol, n = 0.8, 1.3, 2.0, 7
+    # at beta = 2000, exp(c0 beta / vol) is past the float range
+    c0, vol, n = 0.8, 2.0, 7
     vm = two_level_volume_model(c0)
-    expected = -(n * c0 / vol**2) * math.tanh(c0 * beta / vol)
-    assert pressure(vm, beta, vol, n_particles=n) == pytest.approx(expected, rel=1e-6)
+    for beta in (1.3, 2000.0):
+        expected = -(n * c0 / vol**2) * math.tanh(c0 * beta / vol)
+        assert pressure(vm, beta, vol, n_particles=n) == pytest.approx(expected, rel=1e-6)
 
 
 def test_pressure_richardson_step_halving():
