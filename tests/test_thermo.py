@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -439,7 +440,7 @@ def exact_slice(p, beta, n, k, rederived, dps=60):
     ``Z1`` (the analytic limit at ``aE = bE``) in ``dps``-digit mpmath, with
     the bracket ``Z1 / (Ea + Eb)``; ``None`` in place of the four where
     ``Z1 <= 0``."""
-    mp = pytest.importorskip("mpmath").mp
+    mp = mpmath.mp
     with mp.workdps(dps):
         a, b, bt, k = mp.mpf(p.aE), mp.mpf(p.bE), mp.mpf(beta), mp.mpf(k)
         mu = mp.mpf(p.kappa if rederived else -p.kappa)
