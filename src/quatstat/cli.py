@@ -167,6 +167,10 @@ def _load_matrix(path: str) -> tuple[QMatrix, MetricOperator]:
         h = QMatrix.from_json_dict(data["matrix"])
     except (KeyError, TypeError, ValueError, QuatstatError) as exc:
         raise click.UsageError(f"malformed matrix object: {exc}") from exc
+    with np.errstate(over="ignore"):
+        if not math.isfinite(fro_norm(h)):
+            raise click.UsageError("matrix entries too large: the squared Frobenius "
+                                   "norm overflows the float range")
     if "metric" not in data:
         return h, MetricOperator.identity(h.n)
     spec = data["metric"]

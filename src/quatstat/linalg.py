@@ -19,8 +19,7 @@ right, so the right-eigenvalue relation reads ``M v = v * lam``.
 from __future__ import annotations
 
 import math
-from itertools import permutations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -319,60 +318,105 @@ def standard_spectrum(m: QMatrix) -> list[tuple[complex, int]]:
     return out
 
 
-#: Above this many rows a matching is not found by enumeration: an
-#: ``n``-level model has ``P(2n, n)`` injective assignments, 1680 at ``n = 4``.
-_MAX_ENUMERATED_ROWS = 4
+def _assign(cost: Sequence[Sequence[float]]) -> list[int]:
+    """Column of each row in a least-total-cost matching of a square cost.
 
-
-def _matcher(rows: int, cols: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Minimum-cost matching of ``rows`` branches to ``cols >= rows`` candidates.
-
-    The returned function maps a ``(rows, cols)`` cost matrix to the column
-    of each row, no column used twice, with the least total cost. Up to
-    :data:`_MAX_ENUMERATED_ROWS` rows it is exact over every injective
-    assignment, the first in lexicographic order winning a tie; above that
-    it is scipy's ``linear_sum_assignment``, imported only then.
+    The Hungarian method with dual potentials: each row in turn enters along
+    one shortest augmenting path (Jonker & Volgenant, Computing 38, 1987).
+    Raises :class:`ConstraintViolation` on a NaN or infinite cost, on which
+    the path search would never pick a column.
     """
-    if rows > _MAX_ENUMERATED_ROWS:
-        from scipy.optimize import linear_sum_assignment
+    if not all(math.isfinite(c) for row in cost for c in row):
+        raise ConstraintViolation("branch matching cost is not finite")
+    n = len(cost)
+    # 1-based columns; column 0 holds the row being inserted
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    owner = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    cols = [0] * n
+    for j in range(1, n + 1):
+        cols[owner[j] - 1] = j - 1
+    return cols
 
-        return lambda cost: linear_sum_assignment(cost)[1]
-    table = np.array(list(permutations(range(cols), rows)), dtype=np.intp)
-    row_index = np.arange(rows)
-    return lambda cost: table[cost[row_index, table].sum(axis=1).argmin()]
+
+def _class_order(z: complex) -> tuple[float, float]:
+    return abs(z.imag), z.real
+
+
+def _nearer(target: complex, up: complex, lo: complex) -> tuple[float, complex]:
+    """Distance to, and value of, the member of a class nearer ``target``."""
+    to_up, to_lo = abs(target - up), abs(target - lo)
+    return (to_up, up) if to_up <= to_lo else (to_lo, lo)
 
 
 def energies_by_continuity(h0: QMatrix, hp: QMatrix) -> list[float]:
     """Signed energies of ``H0 + Hp`` tracked from the unperturbed spectrum.
 
     Starts from the standard representatives ``i*E`` of ``H0`` and follows
-    each eigenvalue branch of ``chi(H0 + tau*Hp)`` as ``tau`` walks from 0
-    to 1 in 16 steps, matching branches by nearest distance to a linear
-    prediction. This keeps the sign of an energy that crosses zero, which
-    the standard representative alone would fold back to positive.
+    the ``n`` branches through the eigenvalues of ``chi(H0 + tau*Hp)`` as
+    ``tau`` walks from 0 to 1 in 16 steps. At each step the ``2n``
+    eigenvalues split into conjugate classes: the ``n`` with the smallest
+    imaginary parts (stable order) form the lower half, each half is ordered
+    by ``(|imag|, real)``, and the k-th members of the two halves make class
+    k. Every branch takes one class, matched by least total distance to its
+    linear prediction, and within it the member nearer that prediction (the
+    upper one on a tie), so no two branches share a class. This keeps the
+    sign of an energy that crosses zero, which the standard representative
+    alone would fold back to positive.
     """
     h0._check_same_dim(hp)
-    refs: list[complex] = []
+    current: list[complex] = []
     for lam, mult in standard_spectrum(h0):
-        refs.extend([lam] * mult)
-    current = np.array(refs, dtype=complex)
-    velocity = np.zeros_like(current)
+        current.extend([lam] * mult)
+    n = len(current)
+    velocity = [0j] * n
     e0, ep = embed(h0), embed(hp)
-    match = _matcher(len(current), len(e0))
     for step in range(1, 17):
         tau = step / 16
-        candidates = np.linalg.eigvals(e0 + tau * ep)
-        predicted = current + velocity
-        new = candidates[match(np.abs(predicted[:, None] - candidates[None, :]))]
-        velocity = new - current
+        eig = sorted(np.linalg.eigvals(e0 + tau * ep).tolist(), key=lambda z: z.imag)
+        classes = list(zip(sorted(eig[n:], key=_class_order),
+                           sorted(eig[:n], key=_class_order)))
+        near = [[_nearer(now + move, up, lo) for up, lo in classes]
+                for now, move in zip(current, velocity)]
+        cost = [[distance for distance, _ in row] for row in near]
+        new = [row[k][1] for row, k in zip(near, _assign(cost))]
+        velocity = [z - now for z, now in zip(new, current)]
         current = new
-    scale = max(1.0, np.abs(current).max())
-    if np.abs(current.real).max() > 1e-8 * scale:
+    scale = max(1.0, max(abs(z) for z in current))
+    if max(abs(z.real) for z in current) > 1e-8 * scale:
         raise ConstraintViolation(
             "tracked eigenvalues are not purely imaginary; "
             "energy assignment requires an anti-Hermitian total matrix"
         )
-    return [float(v) for v in current.imag]
+    return [z.imag for z in current]
 
 
 # -- vectors ----------------------------------------------------------------

@@ -696,6 +696,50 @@ def test_spectrum_signed_energies_from_file(runner, tmp_path):
         assert energies == pytest.approx([-0.5, 2.5], abs=1e-9)
 
 
+def test_spectrum_gives_each_conjugate_class_one_level(runner, tmp_path):
+    # chi(H) has the classes 1.942... and 2.171...; one level crosses zero
+    # before tau = 1/16, so either sign of it is a valid answer, but two
+    # branches on +iE and -iE of one class are not
+    toy = {"a": [0, -0.11491090553883937, 0, 0], "b": [0, 0.11491090553883937, 0, 0],
+           "c": [0, 0, 1.3701693113623268, 1.03625303462038],
+           "alpha": 0.8072517723252874, "gamma": 0.5630625551857802}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("toy.json").write_text(json.dumps(toy))
+        result = runner.invoke(cli, ["spectrum", "--model", "toy", "--params", "toy.json"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.stdout)
+        levels = sorted(abs(float(r[0])) for r in rows)
+        assert levels == pytest.approx([1.9420419862203946, 2.1718637972980739], rel=1e-12)
+
+
+def scaled_spin_file(scale):
+    """:data:`SPIN_FILE`'s matrix times ``scale``, with no metric object."""
+    entries = [[[scale * v for v in cell] for cell in row]
+               for row in SPIN_FILE["matrix"]["entries"]]
+    return {"matrix": {"n": 2, "entries": entries}}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e160, 2), (1e308, 2)])
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "--model", "file"], ["thermo", "--model", "file"], ["validate"]],
+    ids=" ".join,
+)
+def test_matrix_past_the_frobenius_range_is_a_configuration_error(runner, tmp_path, argv,
+                                                                   scale, code):
+    # from entries near 1e154 on, the squared Frobenius norm that every matrix
+    # check needs overflows; below that the commands run as they did
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("huge.json").write_text(json.dumps(scaled_spin_file(scale)))
+        result = runner.invoke(cli, [*argv, "--params", "huge.json"])
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        if code:
+            assert "squared Frobenius norm overflows" in result.stderr
+            assert result.stdout == ""
+            assert os.listdir() == ["huge.json"]
+
+
 def test_file_model_without_a_metric_takes_any_n(runner, tmp_path):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         Path("diag3.json").write_text(json.dumps(DIAG_3))
@@ -834,8 +878,16 @@ sys.stderr.write("\\n" + json.dumps({"code": code, "scipy": loaded}))
 """
 
 
+#: ``diag(i, -2i, 3i, -4i, 5i)``: a five-level ``file`` model.
+FIVE_LEVELS = {"matrix": {"n": 5, "entries": [
+    [[0, e if i == j else 0, 0, 0] for j in range(5)]
+    for i, e in enumerate([1.0, -2.0, 3.0, -4.0, 5.0])
+]}}
+
+
 def scipy_probe(tmp_path, cli_env, argv):
     (tmp_path / "spin.json").write_text(json.dumps(SPIN_FILE))
+    (tmp_path / "five.json").write_text(json.dumps(FIVE_LEVELS))
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
                           cwd=tmp_path, env=cli_env, capture_output=True, text=True)
     return json.loads(proc.stderr.splitlines()[-1])
@@ -848,6 +900,7 @@ def scipy_probe(tmp_path, cli_env, argv):
         ["thermo", "--beta", "0.1:5:20"],
         ["thermo", "--model", "qubit", "--beta", "0.1:5:20"],
         ["thermo", "--model", "file", "--params", "spin.json", "--beta", "0.1:5:20"],
+        ["thermo", "--model", "file", "--params", "five.json", "--beta", "0.1:5:3"],
         ["spectrum"],
         ["spectrum", "--model", "qubit"],
         ["spectrum", "--model", "file", "--params", "spin.json"],
@@ -861,12 +914,12 @@ def test_import_and_scipy_free_commands_load_no_scipy(tmp_path, cli_env, argv):
     assert scipy_probe(tmp_path, cli_env, argv) == {"code": 0 if argv else None, "scipy": []}
 
 
-def test_scipy_probe_sees_the_branch_matcher_above_n_4(tmp_path, cli_env):
-    # the probe does see scipy: energies_by_continuity matches the branches of
-    # an n >= 5 file model with scipy.optimize
-    levels = [1.0, -2.0, 3.0, -4.0, 5.0]
-    entries = [[[0, e if i == j else 0, 0, 0] for j in range(5)] for i, e in enumerate(levels)]
-    (tmp_path / "five.json").write_text(json.dumps({"matrix": {"n": 5, "entries": entries}}))
-    report = scipy_probe(tmp_path, cli_env, ["thermo", "--model", "file", "--params",
-                                             "five.json", "--beta", "0.1:5:3"])
+def test_scipy_probe_sees_a_scipy_import(tmp_path, cli_env):
+    # the probe does see scipy: a sitecustomize module on the child's path
+    # loads scipy.optimize before the command runs
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text("import scipy.optimize\n")
+    env = {**cli_env, "PYTHONPATH": os.pathsep.join([str(site), cli_env["PYTHONPATH"]])}
+    report = scipy_probe(tmp_path, env, ["spectrum"])
     assert report["code"] == 0 and "scipy.optimize" in report["scipy"]

@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 import quatstat.linalg
 from quatstat import (
+    ConstraintViolation,
     DimensionMismatch,
     I,
     J,
@@ -16,6 +17,8 @@ from quatstat import (
     ONE,
     QMatrix,
     Quaternion,
+    ToyModelParams,
+    build_toy_hamiltonian,
     dagger,
     embed,
     energies_by_continuity,
@@ -349,33 +352,32 @@ def reference_energies_by_continuity(h0, hp):
     return [float(v) for v in current.imag]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 4])
-def test_matcher_agrees_with_scipy(rows):
-    rng = np.random.default_rng(rows)
-    for cols in range(max(rows, 2), 9):
-        match = quatstat.linalg._matcher(rows, cols)
-        for trial in range(25):
-            if trial % 2:
-                cost = rng.random((rows, cols))
-            else:  # small integers: many exact ties
-                cost = rng.integers(0, 3, size=(rows, cols)).astype(float)
-            got = match(cost)
-            want_rows, want = linear_sum_assignment(cost)
-            assert list(want_rows) == list(range(rows))
-            assert len(set(got)) == rows
-            assert cost[want_rows, got].sum() == cost[want_rows, want].sum()
-            if trial % 2:
-                assert list(got) == list(want)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matcher_agrees_with_scipy(n):
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        if trial % 2:
+            cost = rng.random((n, n))
+        else:  # small integers: many exact ties
+            cost = rng.integers(0, 3, size=(n, n)).astype(float)
+        got = quatstat.linalg._assign(cost.tolist())
+        rows, want = linear_sum_assignment(cost)
+        assert sorted(got) == list(range(n))
+        assert cost[rows, got].sum() == cost[rows, want].sum()
+        if trial % 2:
+            assert got == list(want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_energies_by_continuity_matches_the_assignment_oracle(n, monkeypatch):
-    if n > quatstat.linalg._MAX_ENUMERATED_ROWS:
-        # the large path must not enumerate; it loads scipy's solver instead
-        def refuse(*args):
-            raise AssertionError("enumerated a matching above the bound")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matcher_refuses_a_non_finite_cost(bad):
+    cost = [[1.0, 2.0, 0.5], [0.0, 3.0, 1.0], [2.0, 1.0, 4.0]]
+    cost[1][2] = bad
+    with pytest.raises(ConstraintViolation, match="not finite"):
+        quatstat.linalg._assign(cost)
 
-        monkeypatch.setattr(quatstat.linalg, "permutations", refuse)
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_energies_by_continuity_matches_the_assignment_oracle(n):
     rng = np.random.default_rng(40 + n)
     for _ in range(5):
         b = random_qmatrix(rng, n)
@@ -383,6 +385,24 @@ def test_energies_by_continuity_matches_the_assignment_oracle(n, monkeypatch):
         h0 = QMatrix.diag([h.entry(i, i) for i in range(n)])
         got = energies_by_continuity(h0, h - h0)
         assert got == reference_energies_by_continuity(h0, h - h0)
+
+
+def test_near_degenerate_toy_levels_are_the_classes_of_the_total_matrix():
+    # levels p, q near zero and a strong coupling c on the j-k plane: the
+    # branches cross close to zero, where matching single eigenvalues let two
+    # branches take +iE and -iE of one class and lose the other class
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        p, q = rng.uniform(-0.3, 0.3, size=2)
+        theta, size = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 3.0)
+        toy = ToyModelParams(a=Quaternion(0.0, p, 0.0, 0.0), b=Quaternion(0.0, q, 0.0, 0.0),
+                             c=Quaternion(0.0, 0.0, size * np.cos(theta), size * np.sin(theta)),
+                             alpha=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.5, 2.0))
+        h = build_toy_hamiltonian(toy)
+        h0 = QMatrix.diag([toy.a, toy.b])
+        levels = sorted(abs(e) for e in energies_by_continuity(h0, h - h0))
+        classes = np.sort(np.abs(np.linalg.eigvals(embed(h)).imag))[::2]
+        assert levels == pytest.approx(classes, rel=1e-9, abs=1e-12)
 
 
 # -- inverse and vectors -----------------------------------------------------
