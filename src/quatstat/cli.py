@@ -31,7 +31,7 @@ from .errors import (
     UnphysicalZ,
 )
 from .linalg import QMatrix, energies_by_continuity, fro_norm, mat_mul, re_trace
-from .metric import MetricOperator, build_metric, classification_report
+from .metric import DEFAULT_REL_TOL, MetricOperator, build_metric, classification_report
 from .models import (
     QubitModelParams,
     SpinModelParams,
@@ -654,7 +654,7 @@ def negtemp(**params):
 ))
 def validate(**params):
     """Classify a matrix against a metric: adjoint-symmetry verdicts."""
-    sys.exit(run_validate(_config(params, default_tolerance=1e-10)))
+    sys.exit(run_validate(_config(params, default_tolerance=DEFAULT_REL_TOL)))
 
 
 @cli.command(params=_options(*_MODEL, *_OUTPUT, model=_ALL_MODELS))

@@ -293,27 +293,26 @@ def standard_spectrum(m: QMatrix) -> list[tuple[complex, int]]:
     eig = np.linalg.eigvals(embed(m))
     reps = eig.real + 1j * np.abs(eig.imag)
     cluster_tol = 1e-8 * max(1.0, np.abs(eig).max())
-    # greedy 2-d clustering against running class centroids; adjacency in a
-    # lexicographic sort is unreliable when rounding noise splits a class
-    centroids: list[complex] = []
-    counts: list[int] = []
-    for point in reps:
-        for idx, center in enumerate(centroids):
-            if abs(point - center) <= cluster_tol:
-                centroids[idx] = (center * counts[idx] + point) / (counts[idx] + 1)
-                counts[idx] += 1
-                break
-        else:
-            centroids.append(point)
-            counts.append(1)
+    # single linkage: a point joins, and merges, every group with a member
+    # within cluster_tol, so the groups do not depend on the eigenvalue order
+    # and the two nearly coincident members of a class always meet
+    groups: list[list[complex]] = []
+    for point in reps.tolist():
+        joined, apart = [point], []
+        for group in groups:
+            if any(abs(point - member) <= cluster_tol for member in group):
+                joined += group
+            else:
+                apart.append(group)
+        groups = apart + [joined]
     out = []
-    for center, count in zip(centroids, counts):
-        if count % 2:
+    for group in groups:
+        if len(group) % 2:
             raise NotNormal(
                 "eigenvalues failed to pair into conjugate classes; "
                 "matrix may be too close to a clustering boundary"
             )
-        out.append((complex(center.real, center.imag), count // 2))
+        out.append((sum(group) / len(group), len(group) // 2))
     out.sort(key=lambda item: (item[0].real, item[0].imag))
     return out
 

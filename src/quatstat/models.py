@@ -218,27 +218,21 @@ def build_spin_model(
 ) -> tuple[QMatrix, MetricOperator, SpectralEnsemble]:
     """Hamiltonian, metric ``diag(x^2, 1)`` and energy ensemble of the spin model.
 
-    Energies ``omega/2 +- v`` are assigned by continuity from the
-    unperturbed doublet, so the lower branch keeps its sign when
-    ``v > omega/2``. Construction certifies quasi-anti-Hermiticity and the
-    right-eigenvalue relation for the closed-form eigenvectors.
+    The energies are the closed form ``omega/2 +- v``; the lower one is
+    negative when ``|v| > omega/2``. Construction certifies each by the relation
+    ``H psi = psi * iE`` for its closed-form eigenvector, which does not
+    depend on ``v``, so each signed level is continuous in ``v``.
     """
     toy = spin_toy_params(p)
     h = build_toy_hamiltonian(toy)
     metric = build_metric(abs(p.x), 1.0, 0.0)
-    h0 = QMatrix.diag([toy.a, toy.b])
-    energies = energies_by_continuity(h0, h - h0)
     expected = [p.omega / 2.0 + p.v, p.omega / 2.0 - p.v]
-    if max(abs(e - x) for e, x in zip(sorted(energies), sorted(expected))) > 1e-8:
-        raise ConstraintViolation(
-            f"tracked energies {sorted(energies)} disagree with {sorted(expected)}"
-        )
     psi_plus, psi_minus, _, _ = spin_eigenvectors(p)
     for psi, energy in ((psi_plus, expected[0]), (psi_minus, expected[1])):
         left = mat_vec(h, psi)
         right = vec_scale_right(psi, I * energy)
         residual = max(abs(a - b) for a, b in zip(left, right))
-        if residual > 1e-10:
+        if residual > 1e-10 * max(1.0, fro_norm(h)):
             raise ConstraintViolation(
                 f"eigenvector residual {residual:.3e} exceeds tolerance"
             )

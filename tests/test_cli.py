@@ -712,6 +712,43 @@ def test_spectrum_gives_each_conjugate_class_one_level(runner, tmp_path):
         assert levels == pytest.approx([1.9420419862203946, 2.1718637972980739], rel=1e-12)
 
 
+@pytest.mark.parametrize("omega, v, levels", [("0.25", "4", ["-3.875,1", "4.125,1"]),
+                                              ("3e8", "1e8", ["50000000,1", "250000000,1"])])
+def test_spin_model_takes_a_potential_far_above_the_splitting(runner, tmp_path, omega, v,
+                                                              levels):
+    spin = ["--model", "spin", "--omega", omega, "--v", v]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["spectrum", *spin])
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.stderr
+        assert result.stdout.splitlines()[1:] == levels
+        argvs = [["thermo", *spin, "--beta", "0.5:2:4"]]
+        if omega == "0.25":
+            # at beta*|H| near 1e8 compare's fixed spot-check bound is below rounding
+            argvs.append(["compare", *spin, "--beta", "0.1:1:3"])
+        for argv in argvs:
+            result = runner.invoke(cli, argv)
+            assert result.exit_code == 0, result.output
+            assert "Traceback" not in result.stderr
+
+
+def test_file_model_groups_near_degenerate_levels(runner, tmp_path):
+    # validate calls this matrix quasi-anti-Hermitian; its three levels lie
+    # within 1.4e-8 (relative) of each other
+    levels = [0.7627842800821074, 0.7627842905937856, 0.7627842879348886]
+    entries = [[[0, level, 0, 0] if i == j else [0, 0, 0, 0] for j in range(3)]
+               for i, level in enumerate(levels)]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("diag.json").write_text(json.dumps({"matrix": {"n": 3, "entries": entries}}))
+        result = runner.invoke(cli, ["validate", "--params", "diag.json"])
+        assert "quasi-anti-hermitian: yes" in result.stdout
+        result = runner.invoke(cli, ["spectrum", "--model", "file", "--params", "diag.json"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.stdout)
+        assert sorted(float(r[0]) for r in rows) == pytest.approx(sorted(levels),
+                                                                  rel=1e-15)
+
+
 def scaled_spin_file(scale):
     """:data:`SPIN_FILE`'s matrix times ``scale``, with no metric object."""
     entries = [[[scale * v for v in cell] for cell in row]
@@ -738,6 +775,16 @@ def test_matrix_past_the_frobenius_range_is_a_configuration_error(runner, tmp_pa
             assert "squared Frobenius norm overflows" in result.stderr
             assert result.stdout == ""
             assert os.listdir() == ["huge.json"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_residual_does_not_overflow_below_the_size_bound(runner, tmp_path):
+    # eta H eta^-1 - H^dag is 2H here, whose squared norm passes the float range
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("big.json").write_text(json.dumps(scaled_spin_file(5e153)))
+        result = runner.invoke(cli, ["validate", "--params", "big.json"])
+        assert result.exit_code == 0, result.output
+        assert "pseudo-hermitian: no (residual 2.000000e+00)" in result.stdout
 
 
 def test_file_model_without_a_metric_takes_any_n(runner, tmp_path):

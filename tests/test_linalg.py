@@ -306,6 +306,40 @@ def test_standard_spectrum_rejects_non_normal():
         standard_spectrum(m)
 
 
+def near_degenerate_diagonals(seed, count):
+    """Diagonal anti-Hermitian matrices, n = 2..6, whose levels lie within
+    about 1e-8 (relative) of each other; every other entry is on the i-axis,
+    the rest point along random imaginary directions."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        levels = rng.uniform(0.1, 2.0) * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0, n))
+        entries = []
+        for i, level in enumerate(levels):
+            axis = np.array([1.0, 0.0, 0.0]) if i % 2 == 0 else rng.normal(size=3)
+            entries.append(Quaternion(0.0, *(level * axis / np.linalg.norm(axis))))
+        yield QMatrix.diag(entries)
+
+
+def test_standard_spectrum_pairs_near_degenerate_classes():
+    for m in near_degenerate_diagonals(31, 500):
+        assert sum(mult for _, mult in standard_spectrum(m)) == m.n
+
+
+def test_standard_spectrum_does_not_depend_on_the_eigenvalue_order(monkeypatch):
+    rng = np.random.default_rng(32)
+    matrices = [*near_degenerate_diagonals(33, 200),
+                *(b - dagger(b) for b in (random_qmatrix(rng, n) for n in (2, 3, 4)))]
+    forward = [standard_spectrum(m) for m in matrices]
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(quatstat.linalg.np.linalg, "eigvals", lambda a: eigvals(a)[::-1])
+    for m, want in zip(matrices, forward):
+        got = standard_spectrum(m)
+        assert [mult for _, mult in got] == [mult for _, mult in want]
+        for (value, _), (expected, _) in zip(got, want):
+            assert abs(value - expected) <= 1e-15 * abs(expected)
+
+
 def test_embedding_eigenvalues_pair_under_conjugation():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -221,6 +221,16 @@ def test_build_spin_model_unperturbed_limit():
     assert abs(h.entry(0, 1)) < 1e-11 and abs(h.entry(1, 0)) < 1e-11
 
 
+def test_build_spin_model_levels_are_the_closed_form_for_strong_potentials():
+    # v far above omega/2: the lower level omega/2 - v is negative
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        omega = rng.uniform(0.1, 3.0)
+        v, x = omega * rng.uniform(8.0, 100.0), rng.uniform(0.5, 2.0)
+        _, _, ensemble = build_spin_model(SpinModelParams(omega=omega, v=v, x=x))
+        assert ensemble.levels == ((omega / 2 - v, 1), (omega / 2 + v, 1))
+
+
 def test_spin_eigenvector_relation_with_rescaling():
     p = SpinModelParams(omega=2.0, v=0.5, x=2.0)
     h, _, _ = build_spin_model(p)
