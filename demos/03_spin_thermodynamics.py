@@ -48,7 +48,7 @@ for beta in np.linspace(0.25, 2.5, 10):
     z_formal = re_trace(bloch_propagator(h, beta))
     z_printed = z1_formula(sl, beta)
     z_rederived = z1_formula(sl, beta, rederived=True)
-    ui = dyson_second_order(h0, hp, beta, steps=128)
+    ui = dyson_second_order(h0, hp, beta)
     z_dyson = re_trace(mat_mul(bloch_propagator(h0, beta), ui))
     print(f"{beta:5.2f} {z_sp:11.6f} {z_formal:11.6f} {z_printed:11.6f} "
           f"{z_rederived:13.6f} {z_dyson:11.6f}")
@@ -56,7 +56,7 @@ for beta in np.linspace(0.25, 2.5, 10):
 print()
 print("observations:")
 print(" * Z_formal oscillates (cos * cos) while Z_spectral decays (cosh),")
-print("   and the second-order quadrature tracks the formal path to O(v^3);")
+print("   and the second-order Dyson term tracks the formal path to O(v^3);")
 print(" * the printed and rederived slice forms differ in the sign of the")
 print("   coupling term, the reproducible sign-branch finding.")
 

@@ -24,7 +24,6 @@ from .errors import (
     NotNormal,
     NotPositive,
     NotSymplectic,
-    QuadratureUnconverged,
     QuatstatError,
     SingularTheta,
     UnphysicalZ,
@@ -105,6 +104,7 @@ from .thermo import (
     discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
+    dyson_trace,
     energy_variance,
     formal_trace,
     log_z_spectral,
@@ -118,6 +118,7 @@ from .thermo import (
     thermo_closed_form,
     thermo_spectral,
     toy_metric,
+    van_loan_trace,
     z1_formula,
     z_spectral,
 )

@@ -47,10 +47,6 @@ class UnphysicalZ(QuatstatError):
     """Partition function is non-positive at the requested temperature."""
 
 
-class QuadratureUnconverged(QuatstatError):
-    """Doubling the quadrature step changed the result beyond tolerance."""
-
-
 class EnergyOutOfRange(QuatstatError):
     """Total energy lies outside the reachable band of the two-level gas."""
 

@@ -232,18 +232,21 @@ _THETA_13 = 5.371920351148152
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """``exp(A)`` of a finite complex matrix by scaling and squaring.
+    """``exp(A)`` of a finite complex matrix, or of each in a stack, by scaling
+    and squaring.
 
-    ``A`` is scaled by ``2**-s`` into the 1-norm ball of radius
-    :data:`_THETA_13`, the degree-13 Pade approximant ``(V - U)^-1 (V + U)``
-    is evaluated from ``A^2``, ``A^4`` and ``A^6`` as Higham writes it, and
-    the result is squared ``s`` times.
+    Each ``A`` of the ``(..., n, n)`` stack is scaled by its own ``2**-s``
+    into the 1-norm ball of radius :data:`_THETA_13`, the degree-13 Pade
+    approximant ``(V - U)^-1 (V + U)`` is evaluated from ``A^2``, ``A^4`` and
+    ``A^6`` as Higham writes it, and the result is squared ``s`` times.
     """
-    norm = np.abs(a).sum(axis=0).max()
-    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    a = a / 2.0**s
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    # s = ceil(log2(norm / theta)), exactly: frexp gives m * 2**e, 0.5 <= m < 1
+    mant, expo = np.frexp(norm / _THETA_13)
+    s = np.where(norm > _THETA_13, expo - (mant == 0.5), 0)
+    a = a / np.ldexp(1.0, s)[..., None, None]
     b = _PADE13
-    ident = np.eye(len(a))
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -252,8 +255,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for done in range(s.max(initial=0)):
+        more = s > done
+        r[more] = r[more] @ r[more]
     return r
 
 

@@ -33,25 +33,16 @@ from .errors import (
     DegenerateLevels,
     DomainError,
     NotNormal,
-    QuadratureUnconverged,
     QuatstatError,
     UnphysicalZ,
     ZeroMeanEnergy,
 )
-from .linalg import QMatrix, embed, fro_norm, mat_exp, mat_mul, unembed
+from .linalg import QMatrix, _expm, embed, fro_norm, mat_exp, mat_mul, unembed
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import Quaternion, is_imaginary, qconj, qmul
 
 #: Two slice energies closer than this have no display form (:class:`DegenerateLevels`).
 DEGENERACY_TOL = 1e-9
-
-#: Fewest quadrature intervals :func:`dyson_second_order` accepts.
-MIN_DYSON_STEPS = 16
-
-#: Inverse temperatures integrated together by :func:`dyson_second_order`.
-#: Each sample array of a chunk holds ``8 * (2 n)^2 * (2 steps + 1)`` complex
-#: values for an n x n model, about 0.5 MB at n = 2 and the CLI's 128 steps.
-_DYSON_CHUNK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -248,46 +239,35 @@ def _eigenbasis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, v, vinv
 
 
-def formal_trace(
-    h: QMatrix,
-    t: float | Sequence[float],
-    right: QMatrix | Sequence[QMatrix] | None = None,
-) -> float | np.ndarray:
-    """``Re Tr(exp(-H t) R_t)`` from one diagonalisation of ``chi(H)``.
+def _phase_trace(ts: np.ndarray, w: np.ndarray, diagonals=1.0) -> np.ndarray:
+    """``1/2 Re sum_a exp(-t w_a) X_aa`` for each ``t``; ``diagonals[k]`` holds
+    the diagonal of ``X`` at ``ts[k]``, and ``X = 1`` without it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 0.5 * (np.exp(-np.multiply.outer(ts, w)) * diagonals).sum(axis=-1).real
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("matrix exponential overflowed the floating range")
+    return values
 
-    With ``chi(H) = V diag(w) V^-1`` the trace is
-    ``1/2 Re sum_a exp(-t w_a) (V^-1 chi(R_t) V)_aa``. Without ``right``,
-    ``R = 1`` and the result is the formal partition function
-    ``Re Tr exp(-t H)``; for a quasi-anti-Hermitian ``H``, whose ``w`` are
-    ``+-i E_r``, that is the cosine sum ``sum_r cos(t E_r)``.
 
-    ``t`` is a number, with ``right`` one matrix, or a 1-D sequence, with
-    ``right`` one matrix per entry; a float or an array is returned.
-    :func:`mat_exp` is the oracle. Raises :class:`NotNormal` when ``chi(H)``
-    cannot be diagonalised reliably and ``OverflowError`` when the result
-    leaves the floating range.
-    """
-    scalar = np.ndim(t) == 0
+def _times(t: float | Sequence[float]) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError("t must be a number or a 1-D sequence")
-    w, v, vinv = _eigenbasis(embed(h))
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-np.multiply.outer(ts, w))
-        if right is None:
-            sums = phases.sum(axis=-1)
-        else:
-            rights = [right] if scalar else list(right)
-            if len(rights) != len(ts):
-                raise ValueError(f"expected {len(ts)} right factors, got {len(rights)}")
-            for r in rights:
-                h._check_same_dim(r)
-            chi = embed(np.stack([r.comp for r in rights]))
-            sums = (phases * np.einsum("ab,kbc,ca->ka", vinv, chi, v)).sum(axis=-1)
-        values = 0.5 * sums.real
-    if not np.all(np.isfinite(values)):
-        raise OverflowError("matrix exponential overflowed the floating range")
-    return float(values[0]) if scalar else values
+    return ts
+
+
+def formal_trace(h: QMatrix, t: float | Sequence[float]) -> float | np.ndarray:
+    """Formal partition function ``Re Tr exp(-H t)`` from one diagonalisation.
+
+    With ``chi(H) = V diag(w) V^-1`` the trace is ``1/2 Re sum_a exp(-t w_a)``;
+    for a quasi-anti-Hermitian ``H``, whose ``w`` are ``+-i E_r``, that is the
+    cosine sum ``sum_r cos(t E_r)``. ``t`` is a number or a 1-D sequence; a
+    float or an array is returned. :func:`mat_exp` is the oracle. Raises
+    :class:`NotNormal` when ``chi(H)`` cannot be diagonalised reliably and
+    ``OverflowError`` when the result leaves the floating range.
+    """
+    values = _phase_trace(_times(t), _eigenbasis(embed(h))[0])
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def _check_diagonal(m: QMatrix):
@@ -297,132 +277,115 @@ def _check_diagonal(m: QMatrix):
         raise ConstraintViolation("reference matrix must be diagonal")
 
 
-def _simpson_parts(y: np.ndarray) -> np.ndarray:
-    """Twelve times the Simpson integral over each interval of the last axis.
+def _interaction_terms(h0: QMatrix, hp: QMatrix, ts: np.ndarray):
+    """``-int H_I + int int H_I H_I`` at each ``t``, in the eigenbasis of ``chi(H0)``.
 
-    Samples are at unit spacing. Even intervals use the forward rule
-    ``(5, 8, -1)`` on their own node and the next two; odd intervals and the
-    last one use the backward rule ``(-1, 8, 5)`` on the node before, their
-    own and the next. This is scipy's ``cumulative_simpson`` for equal
-    intervals.
+    Returns ``w``, ``V``, ``V^-1`` and the terms. With ``chi(H0) = V diag(w)
+    V^-1``, gaps ``g_ab = w_a - w_b`` and ``B = V^-1 chi(Hp) V``, the
+    interaction-picture generator is ``exp(g_ab s) B_ab`` and both integrals
+    are closed forms:
+
+    * first order, ``t phi1(t g_ab) B_ab`` with ``phi1(z) = expm1(z)/z``;
+    * second order, ``t^2 sum_c B_ac B_cb exp[0, t g_ac, t g_ab]``, a divided
+      difference of ``exp`` on three nodes. It is the ``(0, 2)`` entry of
+      ``exp([[0, 1, 0], [0, x, 1], [0, 0, y]])`` (Opitz, ZAMM 44, 1964), which
+      stays accurate where nodes coincide or nearly do, and is evaluated only
+      for the triples with ``B_ac B_cb != 0``.
     """
-    f0, f1, f2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
-    parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,), dtype=y.dtype)
-    parts[..., :-1:2] = 5.0 * f0 + 8.0 * f1 - f2
-    parts[..., 1::2] = 8.0 * f1 + 5.0 * f2 - f0
-    parts[..., -1] = 8.0 * y[..., -2] + 5.0 * y[..., -1] - y[..., -3]
-    return parts
-
-
-def _cumulative_simpson(y: np.ndarray, h) -> np.ndarray:
-    """Integral of ``y`` along the last axis from the first node to every node.
-
-    The last axis holds at least three samples at uniform spacing ``h``,
-    which broadcasts against ``y`` without its last axis.
-    """
-    out = np.zeros_like(y)
-    np.cumsum(_simpson_parts(y), axis=-1, out=out[..., 1:])
-    out *= (np.asarray(h) / 12.0)[..., None]
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _simpson_weights(nodes: int) -> np.ndarray:
-    """Twelve times the weights that give the last value of the cumulative rule.
-
-    These are the composite Simpson weights; for an odd number of intervals
-    the last one takes the backward rule, as scipy's ``simpson`` does.
-    """
-    weights = _simpson_parts(np.eye(nodes)).sum(axis=-1)
-    weights.flags.writeable = False
-    return weights
-
-
-def _dyson_terms(phases: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``-int H_I + int int H_I H_I`` in the eigenbasis of the reference.
-
-    ``phases[k, :, :, m]`` is ``exp((w_a - w_b) s_m)`` on the uniform grid of
-    spacing ``h[k]``, so ``phases * b`` samples the interaction-picture
-    generator. The outer integral of ``H_I(s) first(s)`` is one matrix
-    product per ``k``, summing over the inner index and the nodes at once.
-    """
-    chunk, dim, _, nodes = phases.shape
-    h = h[:, None, None]
-    h_int = phases * b[:, :, None]
-    first = _cumulative_simpson(h_int, h)
-    weighted = (h_int * _simpson_weights(nodes)).reshape(chunk, dim, dim * nodes)
-    stacked = first.transpose(0, 1, 3, 2).reshape(chunk, dim * nodes, dim)
-    second = (weighted @ stacked) * (h / 12.0)
-    return second - first[..., -1]
+    h0._check_same_dim(hp)
+    _check_diagonal(h0)
+    w, v, vinv = _eigenbasis(embed(h0))
+    b = vinv @ embed(hp) @ v
+    z = np.multiply.outer(ts, np.subtract.outer(w, w))
+    with np.errstate(invalid="ignore"):
+        phi1 = np.expm1(z) / z
+    phi1[z == 0.0] = 1.0
+    terms = -ts[:, None, None] * phi1 * b
+    a, c, e = np.nonzero(b[:, :, None] * b)
+    nodes = np.zeros(z.shape[:1] + a.shape + (3, 3), dtype=complex)
+    nodes[..., 0, 1] = nodes[..., 1, 2] = 1.0
+    nodes[..., 1, 1], nodes[..., 2, 2] = z[:, a, c], z[:, a, e]
+    second = (ts * ts)[:, None] * (b[a, c] * b[c, e]) * _expm(nodes)[..., 0, 2]
+    np.add.at(terms, (slice(None), a, e), second)
+    return w, v, vinv, terms
 
 
 def dyson_second_order(
-    h0: QMatrix, hp: QMatrix, t: float | Sequence[float], steps: int = 256
+    h0: QMatrix, hp: QMatrix, t: float | Sequence[float]
 ) -> QMatrix | list[QMatrix]:
     """Interaction-picture propagator truncated at second order.
 
-    Returns ``U_I(t) ~ 1 - int H_I + int int H_I H_I`` with
+    Returns ``U_I(t) = 1 - int H_I + int int H_I H_I`` with
     ``H_I(s) = U0(s)^-1 Hp U0(s)`` and ``U0(s) = exp(-H0 s)``; the full
-    propagator is ``U0(t) U_I(t)``. The time-ordered double integral is
-    evaluated by composite Simpson quadrature in the eigenbasis of the
-    complex embedding of ``H0``; the result is recomputed with twice the
-    steps and :class:`QuadratureUnconverged` is raised when the two differ
-    by more than ``1e-9`` relative to the result.
-
-    ``t`` may be a 1-D sequence, for which a list with one propagator per
-    entry is returned. ``H0`` is diagonalised once for the whole sequence,
-    and the checks run per entry in order, so the first entry that fails
-    raises.
+    propagator is ``U0(t) U_I(t)``. Both time-ordered integrals are exact,
+    from their closed forms in the eigenbasis of the complex embedding of the
+    diagonal ``H0`` (:func:`_interaction_terms`); :func:`van_loan_trace` is the
+    oracle. ``t`` may be a 1-D sequence, for which a list with one propagator
+    per entry is returned, and ``H0`` is diagonalised once for all of them.
     """
-    h0._check_same_dim(hp)
-    if steps < MIN_DYSON_STEPS:
-        raise ValueError(f"steps must be at least {MIN_DYSON_STEPS}")
-    _check_diagonal(h0)
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.ndim != 1:
-        raise ValueError("t must be a number or a 1-D sequence")
-    w, v, vinv = _eigenbasis(embed(h0))
-    # interaction-picture generator in the eigenbasis: exp((w_a - w_b) s) b_ab
-    b = vinv @ embed(hp) @ v
-    gaps = np.subtract.outer(w, w)
-    u = np.linspace(0.0, 1.0, 2 * steps + 1)
-    results = []
-    for lo in range(0, len(ts), _DYSON_CHUNK):
-        chunk = ts[lo:lo + _DYSON_CHUNK]
-        h = chunk / (2 * steps)
-        phases = np.exp(gaps[:, :, None] * np.multiply.outer(chunk, u)[:, None, None])
-        terms = np.stack(
-            [_dyson_terms(phases, b, h), _dyson_terms(phases[..., ::2], b, 2.0 * h)]
-        )
-        for fine, coarse in zip(*(np.eye(len(w)) + v @ terms @ vinv)):
-            drift = np.abs(fine - coarse).max()
-            if drift > 1e-9 * max(1.0, np.abs(fine).max()):
-                raise QuadratureUnconverged(
-                    f"step doubling moved the result by {drift:.3e} (tol 1.0e-09)"
-                )
-            results.append(unembed(fine))
-    return results[0] if scalar else results
+    ts = _times(t)
+    _, v, vinv, terms = _interaction_terms(h0, hp, ts)
+    ident = np.eye(len(v))
+    results = [unembed(ident + v @ term @ vinv) for term in terms]
+    return results[0] if np.ndim(t) == 0 else results
 
 
-def dyson_convergence_slope(h0: QMatrix, hp: QMatrix, steps: int = 256) -> float:
+def dyson_trace(
+    h0: QMatrix, hp: QMatrix, t: float | Sequence[float]
+) -> float | np.ndarray:
+    """``Re Tr U0(t) U_I(t)``, the second-order partition function, per ``t``.
+
+    It sums ``1/2 Re sum_a exp(-t w_a) (1 + T_aa)`` over the terms ``T`` of
+    :func:`dyson_second_order` in the eigenbasis of ``chi(H0)``, so no
+    propagator leaves that basis. Raises ``OverflowError`` when the result
+    leaves the floating range.
+    """
+    ts = _times(t)
+    w, _, _, terms = _interaction_terms(h0, hp, ts)
+    values = _phase_trace(ts, w, 1.0 + np.diagonal(terms, axis1=1, axis2=2))
+    return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def van_loan_trace(h0: QMatrix, hp: QMatrix, t: float) -> float:
+    """``Re Tr U0(t) U_I(t)`` from Van Loan's block exponential.
+
+    With ``A = -chi(H0)`` and ``P = -chi(Hp)``, the top block row of
+    ``exp(t [[A, P, 0], [0, A, P], [0, 0, A]])`` holds ``U0(t)`` and ``U0(t)``
+    times the first- and second-order Dyson terms (C. F. Van Loan, IEEE TAC
+    23(3), 1978). It shares no code with :func:`_interaction_terms`, whose oracle it
+    is. A result past the floating range is returned as it comes out, not
+    raised.
+    """
+    a, p = -embed(h0), -embed(hp)
+    zero = np.zeros_like(a)
+    block = float(t) * np.block([[a, p, zero], [zero, a, p], [zero, zero, a]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _expm(block) if np.isfinite(block).all() else block
+    d = len(a)
+    return float(0.5 * np.trace(e[:d, :d] + e[:d, d:2 * d] + e[:d, 2 * d:]).real)
+
+
+def dyson_convergence_slope(h0: QMatrix, hp: QMatrix) -> float:
     """Order of the truncation error against the exact propagator.
 
-    Rescales the perturbation so that ``|Hp|`` runs over ``1e-1``, ``1e-2``
-    and ``1e-3``, measures ``|U0 U_I - exp(-(H0+Hp) t)|`` at ``t = 1`` and
-    returns the log-log slope. A value near 3 certifies the second-order
-    truncation.
+    Rescales the perturbation so that ``t |Hp|`` runs over ``1e-1``, ``1e-2``
+    and ``1e-3``, measures ``|U0 U_I - exp(-(H0+Hp) t)|`` and returns the
+    log-log slope. A value near 3 certifies the second-order truncation.
+    ``t = 1`` unless ``|H0|`` exceeds ``1e3``; then ``t |H0| = 1e3``, which
+    keeps the rounding of the exponentials, about ``eps t |H0|``, far below
+    the smallest truncation error, about ``1e-10``.
     """
     base = fro_norm(hp)
     if base == 0.0:
         raise ConstraintViolation("perturbation must be nonzero for the order study")
-    u0 = bloch_propagator(h0, 1.0)
+    t = 1.0 / max(1.0, fro_norm(h0) / 1e3)
+    u0 = bloch_propagator(h0, t)
     scales = (1e-1, 1e-2, 1e-3)
     errors = []
     for scale in scales:
-        hps = hp * (scale / base)
-        ui = dyson_second_order(h0, hps, 1.0, steps=steps)
-        exact = bloch_propagator(h0 + hps, 1.0)
+        hps = hp * (scale / (base * t))
+        ui = dyson_second_order(h0, hps, t)
+        exact = bloch_propagator(h0 + hps, t)
         errors.append(fro_norm(mat_mul(u0, ui) - exact))
     slope, _ = np.polyfit(np.log(np.array(scales)), np.log(np.array(errors)), 1)
     return float(slope)

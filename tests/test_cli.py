@@ -239,23 +239,54 @@ def test_compare_tolerance_env_silences_findings(runner, tmp_path):
         assert json.loads(open("discrepancies.json").read()) == []
 
 
-def test_compare_unconverged_quadrature_is_self_check_failure(runner, tmp_path):
-    stiff_toy = {
-        "a": [0, 40.0, 0, 0],
-        "b": [0, -40.0, 0, 0],
-        "c": [0, 0.3, 0, 0],
-        "alpha": 1.0,
-        "gamma": 1.0,
-    }
+#: Toy params files whose ``Z1_dyson`` column is checked against scipy's Van
+#: Loan exponential, with the beta grid of each.
+VAN_LOAN_TOYS = {
+    # a real coupling, whose interaction-picture perturbation is not constant
+    "real-c": ({"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0.3, 0, 0, 0],
+                "alpha": 1, "gamma": 1}, "0.1:2:5"),
+    "toy-jk": ({"a": [0, 0.9, 0, 0], "b": [0, -0.4, 0, 0], "c": [0, 0, 0.4, 0.3],
+                "alpha": 1.5, "gamma": 0.8}, "0.1:10:13"),
+    # beta times the gap reaches 240
+    "stiff": ({"a": [0, 40.0, 0, 0], "b": [0, -40.0, 0, 0], "c": [0, 0.3, 0, 0],
+               "alpha": 1.0, "gamma": 1.0}, "2:3:2"),
+    # H0 = 0: every gap is zero
+    "zero-h0": ({"a": [0, 0, 0, 0], "b": [0, 0, 0, 0], "c": [0, 0.3, -0.4, 0.1],
+                 "alpha": 1.3, "gamma": 0.7}, "0.1:5:9"),
+}
+
+
+def van_loan_z1(toy: dict, betas) -> np.ndarray:
+    """``Re Tr U0 U_I`` to second order by scipy's ``expm`` of Van Loan's block."""
+    from scipy.linalg import expm
+
+    from quatstat import QMatrix, Quaternion, ToyModelParams, build_toy_hamiltonian, embed
+
+    params = ToyModelParams(*(Quaternion.from_list(toy[k]) for k in "abc"),
+                            alpha=toy["alpha"], gamma=toy["gamma"])
+    h = build_toy_hamiltonian(params)
+    h0 = QMatrix.diag([params.a, params.b])
+    a, p = -embed(h0), -embed(h - h0)
+    z, d = np.zeros_like(a), len(a)
+    block = np.block([[a, p, z], [z, a, p], [z, z, a]])
+    tops = [expm(beta * block)[:d] for beta in betas]
+    return np.array([0.5 * np.trace(t[:, :d] + t[:, d:2 * d] + t[:, 2 * d:]).real
+                     for t in tops])
+
+
+@pytest.mark.parametrize("name", sorted(VAN_LOAN_TOYS))
+def test_compare_dyson_column_matches_van_loan(runner, tmp_path, name):
+    toy, beta = VAN_LOAN_TOYS[name]
     with runner.isolated_filesystem(temp_dir=tmp_path):
-        with open("toy.json", "w") as handle:
-            json.dump(stiff_toy, handle)
-        result = runner.invoke(
-            cli, ["compare", "--model", "toy", "--params", "toy.json",
-                  "--beta", "2:3:2", "--steps", "16"]
-        )
-        assert result.exit_code == 1
-        assert "self-check" in result.output
+        Path("toy.json").write_text(json.dumps(toy))
+        result = runner.invoke(cli, ["compare", "--model", "toy", "--params", "toy.json",
+                                     "--beta", beta])
+        assert result.exit_code == 0, result.stderr
+        _, rows = parse_csv(result.stdout)
+    betas = [float(r[0]) for r in rows]
+    got = np.array([float(r[5]) for r in rows])
+    want = van_loan_z1(toy, betas)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("steps", ["8", "15"])
@@ -271,8 +302,8 @@ def test_compare_too_few_steps_is_usage_error(runner, tmp_path, steps):
 def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monkeypatch):
     import quatstat.cli as cli_module
 
-    def off_by_1e6(h, t, right=None):
-        return quatstat.formal_trace(h, t, right) + 1e-6
+    def off_by_1e6(h, t):
+        return quatstat.formal_trace(h, t) + 1e-6
 
     args = ["compare", "--model", "spin", "--beta", "0.2:2:8"]
     with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -319,17 +350,32 @@ def test_compare_order_slope_fails_before_any_output(runner, tmp_path, monkeypat
         assert not Path("discrepancies.json").exists()
 
 
-def test_compare_unconverged_order_slope_is_self_check_failure(runner, tmp_path):
-    stiff_toy = {"a": [0, 40.0, 0, 0], "b": [0, -40.0, 0, 0], "c": [0, 0.3, 0, 0],
-                 "alpha": 1.0, "gamma": 1.0}
+@pytest.mark.parametrize("column, oracle", [("Z_formal", "mat_exp"),
+                                           ("Z1_dyson", "Van Loan")])
+def test_compare_spot_check_fails_before_any_output(runner, tmp_path, monkeypatch,
+                                                    column, oracle):
+    # a column off by 1e-9 relative at ordinary scale fails its oracle check
+    import quatstat.cli as cli_module
+
+    name = {"Z_formal": "formal_trace", "Z1_dyson": "dyson_trace"}[column]
+    fast = getattr(quatstat, name)
+    monkeypatch.setattr(cli_module, name, lambda *args: fast(*args) * (1.0 + 1e-9))
     with runner.isolated_filesystem(temp_dir=tmp_path):
-        Path("toy.json").write_text(json.dumps(stiff_toy))
-        # the sweep's small betas converge; the slope's quadrature at t = 1 does not
-        result = runner.invoke(cli, ["compare", "--model", "toy", "--params", "toy.json",
-                                     "--beta", "0.001:0.002:2", "--steps", "16"])
+        result = runner.invoke(cli, ["compare", "--model", "spin", "--beta", "0.2:2:8"])
         assert result.exit_code == 1
-        assert result.stderr.startswith("oracle self-check failed: order slope: step doubling")
+        assert result.stderr.startswith(f"oracle self-check failed: {column} = ")
+        assert f"{oracle} gives" in result.stderr
         assert result.stdout == "" and not Path("discrepancies.json").exists()
+
+
+def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
+    # at beta |H| near 2.5e8 the trace columns and their oracles round apart by
+    # about 7e-8, which a fixed 1e-10 bound refused
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["compare", "--model", "spin", "--omega", "3e8",
+                                     "--v", "1e8", "--beta", "0.1:1:3"])
+        assert result.exit_code == 0, result.stderr
+        assert "oracle self-check failed" not in result.stderr
 
 
 # -- configuration errors --------------------------------------------------------

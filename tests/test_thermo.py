@@ -6,7 +6,6 @@ import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy.integrate import cumulative_simpson, simpson
 from scipy.linalg import expm
 
 from quatstat import (
@@ -20,7 +19,6 @@ from quatstat import (
     K,
     NotNormal,
     QMatrix,
-    QuadratureUnconverged,
     Quaternion,
     QubitModelParams,
     SpectralEnsemble,
@@ -34,6 +32,7 @@ from quatstat import (
     discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
+    dyson_trace,
     embed,
     energy_variance,
     formal_trace,
@@ -51,13 +50,13 @@ from quatstat import (
     thermo_closed_form,
     thermo_spectral,
     toy_metric,
+    van_loan_trace,
     z1_formula,
     z_spectral,
 )
 from quatstat import thermo as thermo_module
 from quatstat.cli import cli
 from quatstat.metric import is_quasi_anti_hermitian
-from quatstat.thermo import _cumulative_simpson, _simpson_weights
 
 OMEGA, V, X = 2.0, 0.5, 1.0
 
@@ -160,25 +159,17 @@ def test_bloch_spin_trace_oracle():
 
 def test_dyson_zero_perturbation():
     h0 = QMatrix.diag([I, -1.0 * I])
-    ui = dyson_second_order(h0, QMatrix.zeros(2), 1.3, steps=32)
+    ui = dyson_second_order(h0, QMatrix.zeros(2), 1.3)
     assert fro_norm(ui - QMatrix.identity(2)) < 1e-12
 
 
-def test_dyson_requires_diagonal_reference_and_min_steps():
+def test_dyson_requires_diagonal_reference():
     h = build_toy_hamiltonian(spin_toy())
     h0 = QMatrix.diag([I, -1.0 * I])
     with pytest.raises(ConstraintViolation):
         dyson_second_order(h, h - h0, 1.0)
-    with pytest.raises(ValueError):
-        dyson_second_order(h0, h - h0, 1.0, steps=8)
-
-
-def test_dyson_quadrature_convergence_guard():
-    # a stiff reference with very coarse steps must fail the doubling check
-    h0 = QMatrix.diag([I * 40.0, I * (-40.0)])
-    hp = QMatrix.from_rows([[Quaternion(), I], [I, Quaternion()]])
-    with pytest.raises(QuadratureUnconverged):
-        dyson_second_order(h0, hp, 1.0, steps=16)
+    with pytest.raises(ConstraintViolation):
+        dyson_trace(h, h - h0, 1.0)
 
 
 def test_dyson_spin_small_v_trace():
@@ -188,7 +179,7 @@ def test_dyson_spin_small_v_trace():
         toy = spin_toy(omega=omega, v=v)
         h = build_toy_hamiltonian(toy)
         h0 = QMatrix.diag([toy.a, toy.b])
-        ui = dyson_second_order(h0, h - h0, beta, steps=64)
+        ui = dyson_second_order(h0, h - h0, beta)
         got = re_trace(mat_mul(bloch_propagator(h0, beta), ui))
         expected = 2 * math.cos(omega * beta / 2) * (1 - v * v * beta * beta / 2)
         assert abs(got - expected) < 1e-8 + 10 * v**3
@@ -198,7 +189,7 @@ def test_dyson_error_is_third_order():
     toy = spin_toy()
     h = build_toy_hamiltonian(toy)
     h0 = QMatrix.diag([toy.a, toy.b])
-    slope = dyson_convergence_slope(h0, h - h0, steps=128)
+    slope = dyson_convergence_slope(h0, h - h0)
     assert slope == pytest.approx(3.0, abs=0.2)
 
 
@@ -210,7 +201,7 @@ def test_dyson_error_is_third_order_generic_toy():
     toy = ToyModelParams(a=a, b=b, c=c, alpha=1.7, gamma=0.6)
     h = build_toy_hamiltonian(toy)
     h0 = QMatrix.diag([a, b])
-    slope = dyson_convergence_slope(h0, h - h0, steps=128)
+    slope = dyson_convergence_slope(h0, h - h0)
     assert slope == pytest.approx(3.0, abs=0.2)
 
 
@@ -239,21 +230,42 @@ def van_loan_terms(h0, hp, t):
     return e[:n, :n], e[:n, n:2 * n], e[:n, 2 * n:]
 
 
-@pytest.mark.parametrize("intervals", [16, 17, 33, 128])
-def test_simpson_helpers_match_scipy(intervals):
-    # scipy's rules are the oracle; the module integrates without scipy
-    rng = np.random.default_rng(intervals)
-    y = rng.normal(size=(2, 3, intervals + 1)) + 1j * rng.normal(size=(2, 3, intervals + 1))
-    h = 1.7 / intervals
-    want = cumulative_simpson(y.real, dx=h, initial=0.0) + 1j * cumulative_simpson(
-        y.imag, dx=h, initial=0.0
-    )
-    got = _cumulative_simpson(y, h)
-    assert np.abs(got - want).max() < 1e-13
-    total = y @ _simpson_weights(intervals + 1) * (h / 12.0)
-    want_total = simpson(y.real, dx=h) + 1j * simpson(y.imag, dx=h)
-    assert np.abs(total - want_total).max() < 1e-13
-    assert np.abs(total - got[..., -1]).max() < 1e-13
+def random_split(n, gap, rng):
+    """Diagonal quaternionic ``H0`` whose first two entries are ``gap`` apart,
+    and a dense random quaternionic ``Hp`` of norm about 1."""
+    diag = [Quaternion(0.0, *rng.normal(size=3)) for _ in range(n)]
+    diag[1] = diag[0] + Quaternion(0.0, *rng.normal(size=3)) * gap
+    hp = QMatrix(rng.normal(size=(n, n, 4)) / n)
+    return QMatrix.diag(diag), hp
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("gap", [1.0, 1e-9, 1e-12, 0.0])
+def test_dyson_kernel_matches_van_loan(n, gap):
+    # near-coincident levels, where a naive divided difference cancels, and
+    # dense couplings in every quaternion direction
+    h0, hp = random_split(n, gap, np.random.default_rng(n))
+    ts = [0.3, 1.7, 6.0]
+    grid = dyson_second_order(h0, hp, ts)
+    traces = dyson_trace(h0, hp, ts)
+    for t, ui, z in zip(ts, grid, traces):
+        u0, first, second = van_loan_terms(h0, hp, t)
+        want = u0 + first + second
+        got = embed(mat_mul(bloch_propagator(h0, t), ui))
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        want_z = 0.5 * np.trace(want).real
+        assert abs(z - want_z) <= 1e-13 * max(1.0, abs(want_z))
+        assert van_loan_trace(h0, hp, t) == pytest.approx(want_z, rel=1e-13, abs=1e-13)
+
+
+def test_dyson_stiff_reference_matches_van_loan():
+    # gaps of 80 over t up to 10: the nodes of the divided differences reach 800
+    h0 = QMatrix.diag([I * 40.0, I * (-40.0)])
+    hp = QMatrix.from_rows([[Quaternion(), I], [I, Quaternion()]])
+    for t in (1.0, 3.0, 10.0):
+        u0, first, second = van_loan_terms(h0, hp, t)
+        got = embed(mat_mul(bloch_propagator(h0, t), dyson_second_order(h0, hp, t)))
+        assert np.abs(got - (u0 + first + second)).max() <= 1e-13 * max(1.0, t * t)
 
 
 def test_dyson_grid_matches_scalar_calls():
@@ -269,7 +281,7 @@ def test_dyson_grid_matches_scalar_calls():
 
 
 def test_dyson_at_zero_time_is_the_exact_identity():
-    # the general quadrature path, with no branch on t == 0
+    # the general path, with no branch on t == 0
     ts = [0.0, 0.5, -0.0]
     for h0, hp in (generic_split(), (QMatrix.diag([I, I * -1.0]), QMatrix.zeros(2))):
         grid = dyson_second_order(h0, hp, ts)
@@ -288,31 +300,15 @@ def test_dyson_terms_match_van_loan(t):
     )
     first, second = (plus - minus) / 2.0, (plus + minus) / 2.0 - np.eye(4)
     u0, want_first, want_second = van_loan_terms(h0, hp, t)
-    assert np.abs(u0 @ first - want_first).max() < 1e-9
-    assert np.abs(u0 @ second - want_second).max() < 1e-9
+    assert np.abs(u0 @ first - want_first).max() < 1e-13
+    assert np.abs(u0 @ second - want_second).max() < 1e-13
     # the spin model as well, where the reference is the paper's qubit splitting
     toy = spin_toy()
     h0 = QMatrix.diag([toy.a, toy.b])
     hp = build_toy_hamiltonian(toy) - h0
     u0, e1, e2 = van_loan_terms(h0, hp, t)
     got = embed(mat_mul(bloch_propagator(h0, t), dyson_second_order(h0, hp, t)))
-    assert np.abs(got - (u0 + e1 + e2)).max() < 1e-9
-
-
-def test_dyson_grid_raises_at_first_failing_entry():
-    h0 = QMatrix.diag([I * 40.0, I * (-40.0)])
-    hp = QMatrix.from_rows([[Quaternion(), I], [I, Quaternion()]])
-    dyson_second_order(h0, hp, [0.01, 0.0], steps=16)
-    messages = {}
-    for t in (0.05, 0.02):
-        with pytest.raises(QuadratureUnconverged) as scalar:
-            dyson_second_order(h0, hp, t, steps=16)
-        messages[t] = str(scalar.value)
-    assert messages[0.05] != messages[0.02]
-    # grid order decides, not the size of the drift or of t
-    with pytest.raises(QuadratureUnconverged) as grid:
-        dyson_second_order(h0, hp, [0.01, 0.0, 0.05, 0.02], steps=16)
-    assert str(grid.value) == messages[0.05]
+    assert np.abs(got - (u0 + e1 + e2)).max() < 1e-13
 
 
 def test_dyson_zero_time_entries_are_the_identity():
@@ -347,9 +343,9 @@ def test_formal_trace_matches_mat_exp(name):
     h = TRACE_MODELS[name]()
     h0 = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
     ts = np.concatenate([[0.0], np.linspace(0.05, 40.0, 200)])
-    uis = dyson_second_order(h0, h - h0, ts, steps=512)
+    uis = dyson_second_order(h0, h - h0, ts)
     z_formal = formal_trace(h, ts)
-    z_dyson = formal_trace(h0, ts, uis)
+    z_dyson = dyson_trace(h0, h - h0, ts)
     assert z_formal.shape == z_dyson.shape == ts.shape
     assert z_formal[0] == z_dyson[0] == h.n
     for t, zf, zd, ui in zip(ts, z_formal, z_dyson, uis):
@@ -358,11 +354,12 @@ def test_formal_trace_matches_mat_exp(name):
         assert abs(zf - want_formal) <= 1e-12 * max(1.0, abs(want_formal))
         assert abs(zd - want_dyson) <= 1e-12 * max(1.0, abs(want_dyson))
     t = 1.3
-    ui = dyson_second_order(h0, h - h0, t, steps=256)
+    ui = dyson_second_order(h0, h - h0, t)
     scalar = formal_trace(h, t)
     assert isinstance(scalar, float)
     assert scalar == pytest.approx(re_trace(bloch_propagator(h, t)), rel=1e-12, abs=1e-12)
-    scalar = formal_trace(h0, t, ui)
+    scalar = dyson_trace(h0, h - h0, t)
+    assert isinstance(scalar, float)
     want = re_trace(mat_mul(bloch_propagator(h0, t), ui))
     assert scalar == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -383,8 +380,6 @@ def test_formal_trace_rejects_defective_and_mismatched_input():
     with pytest.raises(NotNormal):
         formal_trace(jordan, [0.5, 1.0])
     h = build_toy_hamiltonian(spin_toy())
-    with pytest.raises(ValueError):
-        formal_trace(h, [0.5, 1.0], [QMatrix.identity(2)])
     with pytest.raises(ValueError):
         formal_trace(h, [[0.5, 1.0]])
 
@@ -501,7 +496,7 @@ def test_slice_kernel_subnormal_gap():
 
 def test_slice_matches_numerical_time_ordered_integral():
     # commuting complex parameters: the closed form must reproduce the
-    # quadrature of this module's own perturbation integral in both
+    # second-order term of this module's own perturbation integral in both
     # coupling-sign conventions
     aE, bE, kappa, beta = 0.7, -0.4, -0.02, 1.1
     sl = EnergySliceParams(aE, bE, kappa)
@@ -510,7 +505,7 @@ def test_slice_matches_numerical_time_ordered_integral():
     for rederived in (True, False):
         d = (kappa if rederived else -kappa) / c
         hp = QMatrix.from_complex(np.array([[0, c], [d, 0]]))
-        ui = dyson_second_order(h0, hp, beta, steps=128)
+        ui = dyson_second_order(h0, hp, beta)
         z_numeric = re_trace(mat_mul(bloch_propagator(h0, beta), ui))
         z_closed = z1_formula(sl, beta, rederived=rederived)
         assert abs(z_numeric - z_closed) < 1e-8 + 10 * abs(c) ** 3
