@@ -104,8 +104,8 @@ COMMANDS = {
                                  "toy_spin.json", "--beta", "0.05:4:11", "--log"],
     "compare-qubit-128": ["compare", "--model", "qubit", "--phi", "0.7",
                           "--beta", "0.2:40:11"],
-    "compare-stiff-16-unconverged": ["compare", "--model", "toy", "--params",
-                                     "stiff.json", "--beta", "2:3:2", "--steps", "16"],
+    "compare-stiff-16": ["compare", "--model", "toy", "--params", "stiff.json",
+                         "--beta", "2:3:2", "--steps", "16"],
     "negtemp-spin": ["negtemp", *SPIN_WEAK, "--n-particles", "10", "--points", "21"],
     "negtemp-custom-json": ["negtemp", "--model", "custom", "--e-plus", "1",
                             "--e-minus", "-1", "--n-particles", "4",
