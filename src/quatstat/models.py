@@ -18,14 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstraintViolation, EnergyOutOfRange, InfiniteTemperature, UnphysicalZ
-from .linalg import (
-    QMatrix,
-    dagger,
-    energies_by_continuity,
-    fro_norm,
-    mat_vec,
-    vec_scale_right,
-)
+from .linalg import QMatrix, dagger, fro_norm, mat_vec, vec_scale_right
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import I, J, Quaternion
 from .thermo import SpectralEnsemble, ToyModelParams, build_toy_hamiltonian
@@ -251,8 +244,8 @@ def spin_negative_temperature(p: SpinModelParams, n_particles: int = 1) -> TwoLe
 
 
 def qubit_negative_temperature(n_particles: int = 1) -> TwoLevelGas:
-    """Two-level gas with the reduced two-qubit levels exactly ``2`` and ``0``;
-    :func:`build_qubit_model` tracks the upper one to a few ulps above 2."""
+    """Two-level gas with the reduced two-qubit levels ``2`` and ``0`` of
+    :func:`build_qubit_model`."""
     return TwoLevelGas(n_particles=n_particles, e_plus=2.0, e_minus=0.0)
 
 
@@ -368,9 +361,12 @@ def build_qubit_model(
 ) -> tuple[QMatrix, MetricOperator, SpectralEnsemble]:
     """Hamiltonian ``diag(-2 j e^{-i phi}, 0)``, identity metric, energies ``{2, 0}``.
 
-    The nonzero entry is a purely imaginary quaternion of norm 2 for every
-    phase, so the spectrum is phase independent and the matrix is exactly
-    anti-Hermitian.
+    The nonzero entry ``q`` is a purely imaginary quaternion of norm 2 for
+    every phase, so the spectrum is phase independent and the matrix is
+    exactly anti-Hermitian. The energies are the closed form, certified as
+    the spin levels are, by ``H psi = psi * iE`` for ``psi = (u, 0)`` with
+    ``E = 2``, where the unit quaternion ``u = (1 + i x q/2)/sqrt(2)`` turns
+    ``i`` into ``q/2``, and for ``psi = (0, 1)`` with ``E = 0``.
     """
     entry = Quaternion(0.0, 0.0, -2.0 * math.cos(p.phi), -2.0 * math.sin(p.phi))
     h = QMatrix.diag([entry, Quaternion()])
@@ -380,6 +376,14 @@ def build_qubit_model(
     metric = MetricOperator.identity(2)
     if not is_quasi_anti_hermitian(h, metric):
         raise ConstraintViolation("qubit Hamiltonian failed certification")
-    energies = energies_by_continuity(h, QMatrix.zeros(2))
-    ensemble = SpectralEnsemble(tuple((e, 1) for e in energies))
+    s = 1.0 / math.sqrt(2.0)
+    u = Quaternion(s, 0.0, s * math.sin(p.phi), -s * math.cos(p.phi))
+    for psi, energy in (((u, Quaternion()), 2.0), ((Quaternion(), Quaternion(1.0)), 0.0)):
+        residual = max(abs(a - b) for a, b in zip(mat_vec(h, psi),
+                                                  vec_scale_right(psi, I * energy)))
+        if residual > 1e-10 * max(1.0, fro_norm(h)):
+            raise ConstraintViolation(
+                f"eigenvector residual {residual:.3e} exceeds tolerance"
+            )
+    ensemble = SpectralEnsemble(((2.0, 1), (0.0, 1)))
     return h, metric, ensemble

@@ -33,6 +33,7 @@ from quatstat import (
     printed_spin_inverse_temperature,
     printed_spin_log_multiplicity,
     qinv,
+    qubit_negative_temperature,
     qmul,
     spin_eigenvectors,
     spin_entropy_per_particle,
@@ -313,6 +314,17 @@ def test_qubit_model_phase_independent_spectrum():
         energies = sorted(e for e, _ in ensemble.levels)
         assert energies == pytest.approx([0.0, 2.0], abs=1e-10)
         assert fro_norm(h + dagger(h)) <= 1e-12
+
+
+def test_qubit_levels_are_the_closed_form():
+    # exactly the levels of the qubit gas at every phase, and each is the
+    # standard eigenvalue class of the Hamiltonian
+    gas = qubit_negative_temperature()
+    for phi in (0.0, 0.4, 0.7, 2.5, -1.3):
+        h, _, ensemble = build_qubit_model(QubitModelParams(phi=phi))
+        assert ensemble.levels == ((gas.e_minus, 1), (gas.e_plus, 1))
+        classes = sorted((lam for lam, _ in standard_spectrum(h)), key=lambda z: z.imag)
+        assert classes == pytest.approx([0j, 2j], abs=1e-12)
 
 
 def test_qubit_anti_hermitian_under_any_diagonal_metric():
