@@ -98,15 +98,38 @@ def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
     return n_plus, g.n_particles - n_plus
 
 
+def _stirling_remainder(x: float) -> float:
+    """``ln x! - (x ln x - x + ln(2 pi x)/2)`` for ``x > 0``: the log-gamma
+    difference below 100, Stirling's series to ``x^-5`` from there on."""
+    if x < 100.0:
+        return math.lgamma(x + 1.0) - (x * math.log(x) - x + 0.5 * math.log(2.0 * math.pi * x))
+    inv2 = 1.0 / (x * x)
+    return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / x
+
+
 def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
-    by analytic continuation."""
+    by analytic continuation.
+
+    Where ``ln N!`` passes the float range (``N`` above about 2.5e305) it is
+    not formed: with ``N = N+ + N-`` the ``x ln x - x`` parts of Stirling's
+    formula cancel into ``-sum m ln(m/N)`` over the populations ``m``, which
+    stays below ``N``, and the remainders of the series are added.
+    """
     n_plus, n_minus = occupation_numbers(g, energy)
-    return (
-        lgamma(g.n_particles + 1.0)
-        - lgamma(n_plus + 1.0)
-        - lgamma(n_minus + 1.0)
-    )
+    total = lgamma(g.n_particles + 1.0)
+    if total < math.inf:
+        return total - lgamma(n_plus + 1.0) - lgamma(n_minus + 1.0)
+    n = float(g.n_particles)
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+    value = half_log_2pi + 0.5 * math.log(n) + _stirling_remainder(n)
+    for m, other in ((n_plus, n_minus), (n_minus, n_plus)):
+        if m > 0.0:
+            # ln(m/N) = log1p(-other/N) keeps its digits where m is near N
+            log_share = math.log(m / n) if m < other else math.log1p(-other / n)
+            value -= (m * log_share + half_log_2pi + 0.5 * math.log(m)
+                      + _stirling_remainder(m))
+    return value
 
 
 def entropy_stirling(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:

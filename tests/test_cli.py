@@ -368,6 +368,22 @@ def test_compare_spot_check_fails_before_any_output(runner, tmp_path, monkeypatc
         assert result.stdout == "" and not Path("discrepancies.json").exists()
 
 
+def test_compare_order_slope_error_is_self_check_failure(runner, tmp_path, monkeypatch):
+    # mat_exp refuses a result off its block symmetry, which large beta |H| can give
+    import quatstat.cli as cli_module
+
+    def refuse(h0, hp):
+        raise quatstat.NotSymplectic("block symmetry residual 5.6e-10")
+
+    monkeypatch.setattr(cli_module, "dyson_convergence_slope", refuse)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["compare", "--model", "spin", "--beta", "0.2:2:8"])
+        assert result.exit_code == 1
+        assert result.stderr == ("oracle self-check failed: order slope: "
+                                 "block symmetry residual 5.6e-10\n")
+        assert result.stdout == "" and not Path("discrepancies.json").exists()
+
+
 def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
     # at beta |H| near 2.5e8 the trace columns and their oracles round apart by
     # about 7e-8, which a fixed 1e-10 bound refused
@@ -548,15 +564,16 @@ def test_negtemp_table(runner, tmp_path):
         assert all(t > 0 for t in below) and all(t < 0 for t in above)
 
 
-def test_negtemp_past_the_lgamma_range_prints_nan(runner, tmp_path):
-    # ln N! passes the float range near N = 2.6e305: S_exact is inf - inf,
-    # printed as nan, not a traceback from math.lgamma
+def test_negtemp_past_the_lgamma_range_prints_finite_entropy(runner, tmp_path):
+    # ln N! passes the float range near N = 2.6e305; S_exact does not
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(cli, ["negtemp", "--n-particles", str(10**306),
                                      "--points", "3"])
         assert result.exit_code == 0, result.output
         _, rows = parse_csv(result.stdout)
-        assert [row[2] for row in rows] == ["nan", "nan", "nan"]
+        s_exact = [float(row[2]) for row in rows]
+        assert s_exact[0] == s_exact[2] == 0.0
+        assert s_exact[1] == pytest.approx(10**306 * math.log(2.0), rel=1e-12)
 
 
 def test_negtemp_params_file(runner, tmp_path):

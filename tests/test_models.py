@@ -104,9 +104,25 @@ def test_lgamma_multiplicities_stay_near_scipys_gammaln(n):
 def test_lgamma_past_the_float_range_is_gammalns_inf():
     assert lgamma(3.5) == math.lgamma(3.5)
     assert lgamma(1e306) == gammaln(1e306) == math.inf
-    huge = TwoLevelGas(n_particles=10**306, e_plus=1.0, e_minus=-1.0)
-    assert math.isnan(log_multiplicity(huge, huge.midpoint))
     assert math.isnan(printed_spin_log_multiplicity(2.0, 0.5, 1e306, 10**306))
+
+
+@pytest.mark.parametrize("n", [3 * 10**305, 10**306, 10**308])
+def test_log_multiplicity_where_ln_n_factorial_overflows(n):
+    import mpmath
+
+    gas = TwoLevelGas(n_particles=n, e_plus=1.5, e_minus=0.5)
+    assert lgamma(n + 1.0) == math.inf
+    for share in (0.0, 1e-12, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0):
+        energy = gas.e_min + share * (gas.e_max - gas.e_min)
+        n_plus, n_minus = occupation_numbers(gas, energy)
+        got = log_multiplicity(gas, energy)
+        assert math.isfinite(got)
+        with mpmath.workdps(60):
+            # the rounded populations sum to N within an ulp; their sum is N here
+            a, b = mpmath.mpf(n_plus), mpmath.mpf(n_minus)
+            want = mpmath.loggamma(a + b + 1) - mpmath.loggamma(a + 1) - mpmath.loggamma(b + 1)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), share
 
 
 # -- entropy --------------------------------------------------------------------
