@@ -102,7 +102,8 @@ def _stirling_remainder(x: float) -> float:
     """``ln x! - (x ln x - x + ln(2 pi x)/2)`` for ``x > 0``: the log-gamma
     difference below 100, Stirling's series to ``x^-5`` from there on."""
     if x < 100.0:
-        return math.lgamma(x + 1.0) - (x * math.log(x) - x + 0.5 * math.log(2.0 * math.pi * x))
+        stirling = x * math.log(x) - x + 0.5 * math.log(2.0 * math.pi * x)
+        return math.lgamma(x + 1.0) - stirling
     inv2 = 1.0 / (x * x)
     return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / x
 

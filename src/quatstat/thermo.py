@@ -352,9 +352,9 @@ def van_loan_trace(h0: QMatrix, hp: QMatrix, t: float) -> float:
     With ``A = -chi(H0)`` and ``P = -chi(Hp)``, the top block row of
     ``exp(t [[A, P, 0], [0, A, P], [0, 0, A]])`` holds ``U0(t)`` and ``U0(t)``
     times the first- and second-order Dyson terms (C. F. Van Loan, IEEE TAC
-    23(3), 1978). It shares no code with :func:`_interaction_terms`, whose oracle it
-    is. A result past the floating range is returned as it comes out, not
-    raised.
+    23(3), 1978). It shares no code with :func:`_interaction_terms`, whose
+    oracle it is. A block past the floating range gives a non-finite result,
+    not an exception.
     """
     a, p = -embed(h0), -embed(hp)
     zero = np.zeros_like(a)
