@@ -98,14 +98,8 @@ def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
     return n_plus, g.n_particles - n_plus
 
 
-def _stirling_remainder(x: float) -> float:
-    """``ln x! - (x ln x - x + ln(2 pi x)/2)`` for ``x > 0``: the log-gamma
-    difference below 100, Stirling's series to ``x^-5`` from there on."""
-    if x < 100.0:
-        stirling = x * math.log(x) - x + 0.5 * math.log(2.0 * math.pi * x)
-        return math.lgamma(x + 1.0) - stirling
-    inv2 = 1.0 / (x * x)
-    return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / x
+#: ``ln(2 pi) / 2``, the constant of Stirling's formula.
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
@@ -113,23 +107,28 @@ def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     by analytic continuation.
 
     Where ``ln N!`` passes the float range (``N`` above about 2.5e305) it is
-    not formed: with ``N = N+ + N-`` the ``x ln x - x`` parts of Stirling's
-    formula cancel into ``-sum m ln(m/N)`` over the populations ``m``, which
-    stays below ``N``, and the remainders of the series are added.
+    not formed. With ``N = N+ + N-``, Stirling's formula for ``ln N!`` splits
+    into one term per population ``m``, ``m ln N - m - ln m!``, which stays
+    below ``N``. A population under 100 takes ``ln m!`` from log-gamma; a
+    larger one is ``-m ln(m/N) - ln(2 pi m)/2`` less Stirling's series
+    ``1/(12 m) - 1/(360 m^3) + 1/(1260 m^5)``. ``ln(2 pi N)/2`` is added
+    once; the series term of ``N`` is below the last digit.
     """
     n_plus, n_minus = occupation_numbers(g, energy)
     total = lgamma(g.n_particles + 1.0)
     if total < math.inf:
         return total - lgamma(n_plus + 1.0) - lgamma(n_minus + 1.0)
     n = float(g.n_particles)
-    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
-    value = half_log_2pi + 0.5 * math.log(n) + _stirling_remainder(n)
+    value = _HALF_LOG_2PI + 0.5 * math.log(n)
     for m, other in ((n_plus, n_minus), (n_minus, n_plus)):
-        if m > 0.0:
-            # ln(m/N) = log1p(-other/N) keeps its digits where m is near N
-            log_share = math.log(m / n) if m < other else math.log1p(-other / n)
-            value -= (m * log_share + half_log_2pi + 0.5 * math.log(m)
-                      + _stirling_remainder(m))
+        if m < 100.0:
+            value += m * math.log(n) - m - math.lgamma(m + 1.0)
+            continue
+        # log1p(-other/N) keeps the digits of ln(m/N) where m is near N
+        log_share = math.log(m / n) if m < other else math.log1p(-other / n)
+        inv2 = 1.0 / (m * m)
+        series = (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / m
+        value -= m * log_share + _HALF_LOG_2PI + 0.5 * math.log(m) + series
     return value
 
 

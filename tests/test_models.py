@@ -111,18 +111,23 @@ def test_lgamma_past_the_float_range_is_gammalns_inf():
 def test_log_multiplicity_where_ln_n_factorial_overflows(n):
     import mpmath
 
-    gas = TwoLevelGas(n_particles=n, e_plus=1.5, e_minus=0.5)
     assert lgamma(n + 1.0) == math.inf
-    for share in (0.0, 1e-12, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0):
-        energy = gas.e_min + share * (gas.e_max - gas.e_min)
+    band = TwoLevelGas(n_particles=n, e_plus=1.5, e_minus=0.5)
+    shares = (0.0, 1e-12, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0)
+    # E- = 0 puts small and subnormal upper populations within reach
+    low = TwoLevelGas(n_particles=n, e_plus=1.0, e_minus=0.0)
+    cases = [(band, band.e_min + f * (band.e_max - band.e_min)) for f in shares] + [
+        (low, energy) for energy in (5e-324, 1e-300, 0.5, 1.0, 7.0, 99.5, 100.0, 1e3, 1e12)
+    ]
+    for gas, energy in cases:
         n_plus, n_minus = occupation_numbers(gas, energy)
         got = log_multiplicity(gas, energy)
         assert math.isfinite(got)
-        with mpmath.workdps(60):
+        with mpmath.workdps(400):
             # the rounded populations sum to N within an ulp; their sum is N here
             a, b = mpmath.mpf(n_plus), mpmath.mpf(n_minus)
             want = mpmath.loggamma(a + b + 1) - mpmath.loggamma(a + 1) - mpmath.loggamma(b + 1)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), share
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), energy
 
 
 # -- entropy --------------------------------------------------------------------
