@@ -388,8 +388,9 @@ def build_qubit_model(
     every phase, so the spectrum is phase independent and the matrix is
     exactly anti-Hermitian. The energies are the closed form, certified as
     the spin levels are, by ``H psi = psi * iE`` for ``psi = (u, 0)`` with
-    ``E = 2``, where the unit quaternion ``u = (1 + i x q/2)/sqrt(2)`` turns
-    ``i`` into ``q/2``, and for ``psi = (0, 1)`` with ``E = 0``.
+    ``E = 2``, where the unit quaternion ``u = (1 + (i x q)/2)/sqrt(2)``,
+    with ``x`` the cross product of vector parts, turns ``i`` into ``q/2``,
+    and for ``psi = (0, 1)`` with ``E = 0``.
     """
     entry = Quaternion(0.0, 0.0, -2.0 * math.cos(p.phi), -2.0 * math.sin(p.phi))
     h = QMatrix.diag([entry, Quaternion()])
