@@ -302,12 +302,28 @@ def _interaction_terms(h0: QMatrix, hp: QMatrix, ts: np.ndarray):
     phi1[z == 0.0] = 1.0
     terms = -ts[:, None, None] * phi1 * b
     a, c, e = np.nonzero(b[:, :, None] * b)
-    nodes = np.zeros(z.shape[:1] + a.shape + (3, 3), dtype=complex)
-    nodes[..., 0, 1] = nodes[..., 1, 2] = 1.0
-    nodes[..., 1, 1], nodes[..., 2, 2] = z[:, a, c], z[:, a, e]
-    second = (ts * ts)[:, None] * (b[a, c] * b[c, e]) * _expm(nodes)[..., 0, 2]
+    divided = _exp_divided_differences(z[:, a, c].ravel(), z[:, a, e].ravel())
+    second = (ts * ts)[:, None] * (b[a, c] * b[c, e]) * divided.reshape(len(ts), len(a))
     np.add.at(terms, (slice(None), a, e), second)
     return w, v, vinv, terms
+
+
+#: 3x3 exponentials per :func:`_expm` call in :func:`_exp_divided_differences`.
+#: Each of its ~15 temporaries then holds at most 144 KiB, whatever the grid.
+_NODE_BLOCK = 1024
+
+
+def _exp_divided_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``exp[0, x_k, y_k]``, the ``(0, 2)`` entry of ``exp([[0, 1, 0], [0, x_k, 1],
+    [0, 0, y_k]])``, for 1-D ``x`` and ``y``, in blocks of :data:`_NODE_BLOCK`."""
+    out = np.empty(x.shape, dtype=complex)
+    for lo in range(0, len(x), _NODE_BLOCK):
+        block = slice(lo, lo + _NODE_BLOCK)
+        nodes = np.zeros((len(x[block]), 3, 3), dtype=complex)
+        nodes[:, 0, 1] = nodes[:, 1, 2] = 1.0
+        nodes[:, 1, 1], nodes[:, 2, 2] = x[block], y[block]
+        out[block] = _expm(nodes)[:, 0, 2]
+    return out
 
 
 def dyson_second_order(
