@@ -571,9 +571,6 @@ _OPTIONS = {
     "k": _number("--k", 1.0, "Boltzmann constant."),
     "rederived": (("--rederived",), dict(
         is_flag=True, help="Use the re-derived coupling sign on the closed-form path.")),
-    "steps": (("--steps", "dyson_steps"), dict(
-        type=click.IntRange(min=16), default=128, show_default=True,
-        help="Accepted for compatibility; has no effect (the Dyson terms are exact).")),
     "discrepancies": (("--discrepancies", "discrepancies_path"), dict(
         type=click.Path(), default="discrepancies.json", show_default=True)),
     "output": (("--output",), dict(
@@ -633,7 +630,7 @@ def thermo(**params):
 
 
 @cli.command(params=_options(
-    *_MODEL, "beta", "log", "n_particles", "k", "steps", "discrepancies", *_OUTPUT,
+    *_MODEL, "beta", "log", "n_particles", "k", "discrepancies", *_OUTPUT,
     "tolerance", model={"type": click.Choice(["toy", "spin", "qubit"])},
     beta={"default": "0.1:2:20"},
 ))

@@ -289,12 +289,13 @@ def test_compare_dyson_column_matches_van_loan(runner, tmp_path, name):
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("steps", ["8", "15"])
+@pytest.mark.parametrize("steps", ["8", "15", "128"])
 def test_compare_too_few_steps_is_usage_error(runner, tmp_path, steps):
+    # compare has no quadrature, and so no --steps: every value is a usage error
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(cli, ["compare", "--model", "spin", "--steps", steps])
         assert result.exit_code == 2
-        assert "--steps" in result.output
+        assert "No such option '--steps'" in result.output
         assert isinstance(result.exception, SystemExit)
         assert not Path("discrepancies.json").exists()
 

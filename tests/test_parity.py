@@ -86,26 +86,20 @@ COMMANDS = {
                           "--beta", "0.1:40:15", "--log", "--output", "json"],
     "thermo-file": ["thermo", "--model", "file", "--params", "strong_file.json",
                     "--beta", "0.5:40:10", "--n-particles", "2"],
-    "compare-spin-weak-400": ["compare", *SPIN_WEAK, "--beta", "0.5:40:17",
-                              "--steps", "400"],
-    "compare-spin-strong-400-json": ["compare", *SPIN_STRONG, "--beta", "0.5:40:13",
-                                     "--steps", "400", "--output", "json",
-                                     "--n-particles", "4"],
-    "compare-spin-zero-128": ["compare", *SPIN_ZERO, "--beta", "0.1:8:17",
-                              "--steps", "128"],
-    "compare-spin-weak-16": ["compare", *SPIN_WEAK, "--beta", "0.05:0.8:9",
-                             "--steps", "16"],
+    "compare-spin-weak": ["compare", *SPIN_WEAK, "--beta", "0.5:40:17"],
+    "compare-spin-strong-json": ["compare", *SPIN_STRONG, "--beta", "0.5:40:13",
+                                 "--output", "json", "--n-particles", "4"],
+    "compare-spin-zero": ["compare", *SPIN_ZERO, "--beta", "0.1:8:17"],
+    "compare-spin-weak-small-beta": ["compare", *SPIN_WEAK, "--beta", "0.05:0.8:9"],
     "compare-spin-weak-k": ["compare", *SPIN_WEAK, "--beta", "0.5:8:9",
                             "--n-particles", "3", "--k", "1.3"],
-    "compare-toy-jk-400-json": ["compare", "--model", "toy", "--params", "toy_jk.json",
-                                "--beta", "0.1:10:13", "--steps", "400",
-                                "--output", "json"],
-    "compare-toy-spin-128-log": ["compare", "--model", "toy", "--params",
-                                 "toy_spin.json", "--beta", "0.05:4:11", "--log"],
-    "compare-qubit-128": ["compare", "--model", "qubit", "--phi", "0.7",
-                          "--beta", "0.2:40:11"],
-    "compare-stiff-16": ["compare", "--model", "toy", "--params", "stiff.json",
-                         "--beta", "2:3:2", "--steps", "16"],
+    "compare-toy-jk-json": ["compare", "--model", "toy", "--params", "toy_jk.json",
+                            "--beta", "0.1:10:13", "--output", "json"],
+    "compare-toy-spin-log": ["compare", "--model", "toy", "--params", "toy_spin.json",
+                             "--beta", "0.05:4:11", "--log"],
+    "compare-qubit": ["compare", "--model", "qubit", "--phi", "0.7", "--beta", "0.2:40:11"],
+    "compare-stiff": ["compare", "--model", "toy", "--params", "stiff.json",
+                      "--beta", "2:3:2"],
     "negtemp-spin": ["negtemp", *SPIN_WEAK, "--n-particles", "10", "--points", "21"],
     "negtemp-custom-json": ["negtemp", "--model", "custom", "--e-plus", "1",
                             "--e-minus", "-1", "--n-particles", "4",
@@ -210,7 +204,7 @@ def test_outputs_match_goldens(tmp_path):
 def test_comparison_rules_catch_drift(tmp_path):
     # the checker must notice a moved exact column, a trace column beyond its
     # tolerance and a changed discrepancy log, and accept a move within it
-    want = json.loads(GOLDENS.read_text())["compare-spin-weak-400"]
+    want = json.loads(GOLDENS.read_text())["compare-spin-weak"]
     header, rows = _table(want["stdout"])
     z_formal = header.index("Z_formal")
 
