@@ -268,12 +268,17 @@ def test_dyson_stiff_reference_matches_van_loan():
         assert np.abs(got - (u0 + first + second)).max() <= 1e-13 * max(1.0, t * t)
 
 
-def test_dyson_grid_matches_scalar_calls():
-    # more entries than one chunk, zeros and a negative time included
+def test_dyson_grid_matches_scalar_calls(monkeypatch):
+    # zeros and a negative time included; blocks of 7 divided differences
+    # straddle the entries and must give the bits of one unblocked call
     h0, hp = generic_split()
     ts = [0.3, 0.0, 1.1, -0.4, 0.9, 0.7, 0.05, 1.3, 0.6, 0.0, 0.4]
+    unblocked = dyson_second_order(h0, hp, ts)
+    monkeypatch.setattr(thermo_module, "_NODE_BLOCK", 7)
     grid = dyson_second_order(h0, hp, ts)
     assert isinstance(grid, list) and len(grid) == len(ts)
+    for ui, whole in zip(grid, unblocked):
+        np.testing.assert_array_equal(ui.comp, whole.comp)
     for t, ui in zip(ts, grid):
         single = dyson_second_order(h0, hp, t)
         assert isinstance(single, QMatrix)
