@@ -34,6 +34,7 @@ from .linalg import (
     dagger,
     embed,
     energies_by_continuity,
+    exp_re_trace,
     fro_norm,
     inverse,
     mat_exp,
@@ -96,11 +97,14 @@ from .thermo import (
     DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
+    ThermoGrid,
     ThermoReport,
     ToyModelParams,
     VolumeModel,
     bloch_propagator,
     build_toy_hamiltonian,
+    closed_form_grid,
+    discrepancies,
     discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
@@ -112,15 +116,19 @@ from .thermo import (
     pressure,
     printed_entropy,
     printed_internal_energy,
+    printed_grid,
     printed_pressure,
     printed_specific_heat,
+    printed_value,
     relative_rms,
+    spectral_grid,
     thermo_closed_form,
     thermo_spectral,
     toy_metric,
     van_loan_trace,
     z1_formula,
     z_spectral,
+    z_spectral_grid,
 )
 
 __version__ = "0.1.0"

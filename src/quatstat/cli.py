@@ -11,6 +11,7 @@ Exit codes: 0 success (findings included), 1 oracle self-check failure,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -23,8 +24,8 @@ from types import SimpleNamespace
 import click
 import numpy as np
 
-from .errors import InfiniteTemperature, QuatstatError, UnphysicalZ
-from .linalg import QMatrix, energies_by_continuity, fro_norm, re_trace
+from .errors import InfiniteTemperature, QuatstatError
+from .linalg import QMatrix, energies_by_continuity, exp_re_trace, fro_norm
 from .metric import DEFAULT_REL_TOL, MetricOperator, build_metric, classification_report
 from .models import (
     QubitModelParams,
@@ -47,17 +48,17 @@ from .thermo import (
     EnergySliceParams,
     SpectralEnsemble,
     ToyModelParams,
-    bloch_propagator,
     build_toy_hamiltonian,
-    discrepancy,
+    closed_form_grid,
+    discrepancies,
     dyson_convergence_slope,
     dyson_trace,
     formal_trace,
-    thermo_closed_form,
-    thermo_spectral,
+    printed_grid,
+    printed_value,
+    spectral_grid,
     van_loan_trace,
-    z1_formula,
-    z_spectral,
+    z_spectral_grid,
 )
 
 DEFAULT_TOLERANCE = 1e-8
@@ -107,6 +108,26 @@ class _FiniteFloat(click.types.FloatParamType):
 
 
 FINITE = _FiniteFloat()
+
+
+def _particle_count(n) -> int:
+    """``n``, if it is an integer within the float range: every formula takes
+    the particle count as a float."""
+    if type(n) is not int:  # JSON true is an int to Python, 3.0 a float
+        raise ValueError(f"n_particles must be a JSON integer, got {n!r}")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError("the particle count is past the float range (about 1.8e308)") from None
+    return n
+
+
+def _count_option(ctx, param, n: int) -> int:
+    """``--n-particles``: :func:`_particle_count`, refusing as a usage error."""
+    try:
+        return _particle_count(n)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
 
 
 def _range_option(ctx, param, spec: str | None) -> tuple[float, float, int] | None:
@@ -278,9 +299,7 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
             keys = ("e_plus", "e_minus") if model == "custom" else ("omega", "v")
             values = {key: float(data[key]) for key in keys}
             values["x"] = float(data.get("x", 1.0))
-            n = data.get("n_particles", n)
-            if type(n) is not int:  # JSON true is an int to Python, 3.0 a float
-                raise ValueError(f"n_particles must be a JSON integer, got {n!r}")
+            n = _particle_count(data.get("n_particles", n))
         if model == "spin":
             spin = SpinModelParams(omega=values["omega"], v=values["v"], x=values["x"])
             return spin_negative_temperature(spin, n)
@@ -312,16 +331,42 @@ def _json_scalar(value) -> str:
 
 def _json_table(names: list[str], rows: list[tuple]) -> str:
     """The rows as a JSON list of objects named by ``names``, laid out as
-    ``json.dumps`` does with an indent of 2, plus a newline. It fills one
-    template per row: the pure-Python indent encoder is twice as slow."""
-    if not rows:
-        return "[]\n"
-    row_template = "  {{\n" + ",\n".join(
-        f"    {json.dumps(name)}: {{}}" for name in names
-    ) + "\n  }}"
-    return "[\n" + ",\n".join(
-        row_template.format(*map(_json_scalar, row)) for row in rows
-    ) + "\n]\n"
+    ``json.dumps`` does with an indent of 2, plus a newline.
+
+    A row of finite Python floats fills one ``%r`` template, since their
+    ``repr`` is their JSON form; the pure-Python indent encoder is several
+    times slower. A leading ``str`` cell, a record's quantity, is encoded
+    once per distinct value, into a template of its own. Any other row takes
+    :func:`_json_scalar` per cell.
+    """
+    keys = [json.dumps(name).replace("%", "%%") for name in names]
+
+    @functools.cache
+    def template(placeholder: str, lead: str | None = None) -> str:
+        cells = [placeholder] * len(keys)
+        if lead is not None:
+            cells[0] = json.dumps(lead).replace("%", "%%")
+        return "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, cells)) + "\n  }"
+
+    def render(row: tuple) -> str:
+        lead = row[0] if type(row[0]) is str else None
+        rest = row if lead is None else row[1:]
+        if all(type(v) is float for v in rest) and math.isfinite(sum(rest)):
+            return template("%r", lead) % rest
+        return template("%s") % tuple(map(_json_scalar, row))
+
+    return "[\n" + ",\n".join(map(render, rows)) + "\n]\n" if rows else "[]\n"
+
+
+def _csv_table(header: list[str], rows: list[tuple]) -> str:
+    """The header and rows as CSV, numbers at 17 significant digits, each row
+    from one ``%.17g`` template unless it holds a string (negtemp's ``T``)."""
+    template = ",".join(["%.17g"] * len(header))
+    try:
+        lines = [template % row for row in rows]
+    except TypeError:
+        lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _emit(cfg: SimpleNamespace, header: list[str], rows: list[tuple], records=None):
@@ -331,11 +376,7 @@ def _emit(cfg: SimpleNamespace, header: list[str], rows: list[tuple], records=No
     path that cannot be written, or one that names the ``--params`` input,
     is a configuration error with no output.
     """
-    if cfg.output == "json":
-        table = _json_table(header, rows)
-    else:
-        lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
-        table = "\n".join([",".join(header), *lines]) + "\n"
+    table = (_json_table if cfg.output == "json" else _csv_table)(header, rows)
     writes = [(cfg.out_path, table, f"{len(rows)} rows")] if cfg.out_path else []
     if records is not None:
         log = _json_table(_RECORD_FIELDS, [_record_values(r) for r in records])
@@ -372,28 +413,19 @@ def run_thermo(cfg: SimpleNamespace) -> int:
     if betas[0] <= 0:
         raise click.UsageError("thermo sweeps require beta > 0")
 
-    spectral = cfg.model == "qubit" or cfg.model == "file"
-    ensemble = (replace(bundle.ensemble, n_particles=cfg.n_particles, k=cfg.k)
-                if spectral else None)
-
-    def one(beta: float):
-        if spectral:
-            return thermo_spectral(ensemble, beta)
-        return thermo_closed_form(
-            bundle.slice_params, beta, cfg.n_particles, cfg.k, cfg.rederived, cfg.tolerance
-        )
-
-    try:
+    if cfg.model == "qubit" or cfg.model == "file":
+        ensemble = replace(bundle.ensemble, n_particles=cfg.n_particles, k=cfg.k)
         # the spectral Z1 = exp(ln Z1) is inf past the float range; A, S, U
         # and Cv come from ln Z1 and stay finite, so the overflow is no news
         with np.errstate(over="ignore"):
-            reports = [one(beta) for beta in betas]
-    except UnphysicalZ as exc:
-        click.echo(f"unphysical branch: {exc}", err=True)
+            grid = spectral_grid(ensemble, betas)
+    else:
+        grid = closed_form_grid(bundle.slice_params, betas, cfg.n_particles, cfg.k,
+                                cfg.rederived, cfg.tolerance)
+    if grid.error is not None:
+        click.echo(f"unphysical branch: {grid.error}", err=True)
         return 3
-    rows = [(r.beta, r.Z1, r.A, r.S, r.U, r.Cv) for r in reports]
-    records = [rec for r in reports for rec in r.discrepancies]
-    _emit(cfg, ["beta", "Z1", "A", "S", "U", "Cv"], rows, records or None)
+    _emit(cfg, ["beta", "Z1", "A", "S", "U", "Cv"], grid.rows(), grid.discrepancies or None)
     return 0
 
 
@@ -419,8 +451,7 @@ def run_compare(cfg: SimpleNamespace) -> int:
         # both trace columns come from one eigenbasis each; an oracle that
         # shares no code with them checks each at the largest beta
         spot_checks = (
-            ("Z_formal", z_formal[-1], "mat_exp", re_trace(bloch_propagator(h, beta)),
-             1.0),
+            ("Z_formal", z_formal[-1], "mat_exp", exp_re_trace(-h, beta), 1.0),
             ("Z1_dyson", z_dyson[-1], "Van Loan", van_loan_trace(h0, hp, beta),
              (beta * fro_norm(hp)) ** 2),
         )
@@ -453,33 +484,29 @@ def run_compare(cfg: SimpleNamespace) -> int:
         if not ok:
             click.echo(slope_line, err=True)
             return 1
-    rows = [
-        (beta, z_spectral(ensemble, beta), zf, z1_formula(sl, beta, rederived=False),
-         z1_formula(sl, beta, rederived=True), zd)
-        for beta, zf, zd in zip(betas, z_formal, z_dyson)
-    ]
+    printed = closed_form_grid(sl, betas, n, k, False, quantities=())
+    rederived = closed_form_grid(sl, betas, n, k, True, quantities=())
+    with np.errstate(over="ignore"):  # a spectral Z past the float range is inf
+        z_spectral = z_spectral_grid(ensemble, betas)
+        s_two_level = spectral_grid(ensemble, betas).S
+    rows = list(zip(betas, z_spectral, z_formal.tolist(), printed.Z1, rederived.Z1,
+                    z_dyson.tolist()))
 
     # per beta the log lists Z1, S (rederived report), Cv (printed report),
-    # then the spin model's U and S_two_level: that order is part of the file
-    records = []
-    for beta, _, _, z1_p, z1_r, _ in rows:
-        found = [discrepancy("Z1", lambda: z1_p, z1_r, beta, tol)]
-        for rederived, quantity in ((True, "S"), (False, "Cv")):
-            try:
-                report = thermo_closed_form(sl, beta, n, k, rederived, tol, (quantity,))
-            except QuatstatError:
-                continue
-            found += report.discrepancies
-        if cfg.model == "spin":
-            omega, v = cfg.omega, cfg.v
-            checks = (
-                ("U", lambda: printed_spin_internal_energy(omega, v, beta, n),
-                 n * spin_mean_energy(omega, v, beta)),
-                ("S_two_level", lambda: printed_spin_entropy(omega, v, beta, n, k),
-                 thermo_spectral(ensemble, beta).S),
-            )
-            found += [discrepancy(q, printed, d, beta, tol) for q, printed, d in checks]
-        records += [r for r in found if r is not None]
+    # then the spin model's U and S_two_level: that order is part of the file;
+    # an unphysical report's NaN column gives no record
+    checks = [("Z1", printed.Z1, rederived.Z1),
+              ("S", printed_grid("S", sl, betas, n, k), rederived.S),
+              ("Cv", printed_grid("Cv", sl, betas, n, k), printed.Cv)]
+    if cfg.model == "spin":
+        omega, v = cfg.omega, cfg.v
+        u_printed = [printed_value(lambda: printed_spin_internal_energy(omega, v, beta, n))
+                     for beta in betas]
+        s_printed = [printed_value(lambda: printed_spin_entropy(omega, v, beta, n, k))
+                     for beta in betas]
+        checks += [("U", u_printed, [n * spin_mean_energy(omega, v, beta) for beta in betas]),
+                   ("S_two_level", s_printed, s_two_level)]
+    records = discrepancies(checks, betas, tol)
 
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
     _emit(cfg, header, rows, records)
@@ -567,7 +594,7 @@ _OPTIONS = {
         type=click.IntRange(min=1), default=51, show_default=True,
         help="Grid size when --grid is not given.")),
     "n_particles": (("--n-particles",), dict(
-        type=click.IntRange(min=1), default=1, show_default=True)),
+        type=click.IntRange(min=1), default=1, show_default=True, callback=_count_option)),
     "k": _number("--k", 1.0, "Boltzmann constant."),
     "rederived": (("--rederived",), dict(
         is_flag=True, help="Use the re-derived coupling sign on the closed-form path.")),

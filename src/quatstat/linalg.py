@@ -261,6 +261,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _embedded_exp(m: QMatrix, t: float) -> np.ndarray:
+    """``_expm(chi(M)*t)``; non-finite where ``chi(M)*t`` or the result
+    leaves the representable range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = embed(m) * float(t)
+        return _expm(a) if np.isfinite(a).all() else a
+
+
 def mat_exp(m: QMatrix, t: float = 1.0) -> QMatrix:
     """Matrix exponential ``exp(M*t)``.
 
@@ -270,12 +278,20 @@ def mat_exp(m: QMatrix, t: float = 1.0) -> QMatrix:
     that path's oracle. Raises ``OverflowError`` when ``chi(M)*t`` or the
     result leaves the representable range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = embed(m) * float(t)
-        e = _expm(a) if np.isfinite(a).all() else a
+    e = _embedded_exp(m, t)
     if not np.isfinite(e).all():
         raise OverflowError("matrix exponential overflowed the floating range")
     return unembed(e)
+
+
+def exp_re_trace(m: QMatrix, t: float = 1.0) -> float:
+    """``Re Tr exp(M*t)``, read as ``1/2 Re tr _expm(chi(M)*t)`` from the embedding.
+
+    The exponential is :func:`mat_exp`'s, but no :func:`unembed` follows, so
+    its block-symmetry bound, which does not grow with ``t |M|``, refuses
+    nothing. A result past the floating range is not finite.
+    """
+    return float(0.5 * np.trace(_embedded_exp(m, t)).real)
 
 
 def _normality_residual(m: QMatrix) -> float:

@@ -17,11 +17,13 @@ module's own time-ordered perturbation integral ("rederived"). The two
 differ in the sign of the coupling term; disagreements between printed and
 derived quantities are collected into a structured discrepancy log rather
 than being silently corrected.
+
+Both paths are evaluated over a whole beta grid at once (:func:`closed_form_grid`,
+:func:`spectral_grid`); the one-beta functions are one-point wrappers of them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -174,6 +176,35 @@ class ThermoReport:
     U: float
     Cv: float
     discrepancies: list[DiscrepancyRecord] = field(default_factory=list)
+
+
+@dataclass
+class ThermoGrid:
+    """The quantities of :class:`ThermoReport` over a beta grid, one list of
+    Python floats per column, with every beta's records in grid order.
+
+    Where ``Z1`` is not positive a row holds NaN in ``A``, ``S``, ``U`` and
+    ``Cv``, and ``error`` is the :class:`UnphysicalZ` of the first such beta.
+    """
+
+    beta: list[float]
+    Z1: list[float]
+    A: list[float]
+    S: list[float]
+    U: list[float]
+    Cv: list[float]
+    discrepancies: list[DiscrepancyRecord] = field(default_factory=list)
+    error: UnphysicalZ | None = None
+
+    def rows(self) -> list[tuple[float, ...]]:
+        """``(beta, Z1, A, S, U, Cv)`` per beta."""
+        return list(zip(self.beta, self.Z1, self.A, self.S, self.U, self.Cv))
+
+    def one_point(self) -> ThermoReport:
+        """The report of a one-beta grid; raises its error."""
+        if self.error is not None:
+            raise self.error
+        return ThermoReport(*self.rows()[0], self.discrepancies)
 
 
 @dataclass
@@ -408,12 +439,34 @@ def dyson_convergence_slope(h0: QMatrix, hp: QMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms on the commuting-scalar slice
+# Closed forms on the commuting-scalar slice, over a beta grid
 # ---------------------------------------------------------------------------
 
 
-def _slice_kernel(p: EnergySliceParams, beta: float, rederived: bool):
-    """Shift ``m`` and ``P`` with its beta derivatives, ``Z1 = exp(-m beta) P``.
+def _math_each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """``fn`` of each element, one Python call each; NaN where it raises (an
+    ``exp`` or ``pow`` past the float range, the ``log`` of a non-positive).
+
+    numpy's ``exp``, ``expm1`` and ``log`` differ from ``math``'s in the last
+    bit on a few percent of arguments, and Python's ``x ** 2`` is libm
+    ``pow``, not numpy's ``x * x``; either would move printed digits.
+    """
+    items = values.tolist()
+    try:
+        return np.array(list(map(fn, items)), dtype=float)
+    except (OverflowError, ValueError):
+        out = []
+        for item in items:
+            try:
+                out.append(fn(item))
+            except (OverflowError, ValueError):
+                out.append(math.nan)
+        return np.array(out, dtype=float)
+
+
+def _slice_kernel(p: EnergySliceParams, beta: np.ndarray, rederived: bool):
+    """Shift ``m`` and ``P`` with its beta derivatives, ``Z1 = exp(-m beta) P``,
+    at each ``beta``.
 
     With ``m = min(aE, bE)``, ``x = |aE - bE|`` and the signed coupling ``mu``
     of :func:`z1_formula`, ``P = 1 + exp(-x beta) + mu beta F`` where
@@ -423,18 +476,18 @@ def _slice_kernel(p: EnergySliceParams, beta: float, rederived: bool):
     mu = p.kappa if rederived else -p.kappa
     m, x = min(p.aE, p.bE), abs(p.aE - p.bE)
     y = x * beta
-    e = math.exp(-y)
-    f = beta * (-math.expm1(-y) / y) if y else beta
-    bracket = 1.0 + e + mu * beta * f
-    return m, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
+    e = _math_each(math.exp, -y)
+    with np.errstate(all="ignore"):
+        f = np.where(y != 0.0, beta * (-_math_each(math.expm1, -y) / y), beta)
+        bracket = 1.0 + e + mu * beta * f
+        return m, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
 
 
-def _shifted(m: float, beta: float, bracket: float) -> float:
+def _shifted(m: float, beta: np.ndarray, bracket: np.ndarray) -> np.ndarray:
     """``exp(-m beta) * bracket``, or its signed infinity past the float range."""
-    try:
-        return math.exp(-m * beta) * bracket
-    except OverflowError:
-        return math.copysign(math.inf, bracket)
+    scale = _math_each(math.exp, -m * beta)
+    with np.errstate(all="ignore"):
+        return np.where(np.isnan(scale), np.copysign(np.inf, bracket), scale * bracket)
 
 
 def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> float:
@@ -447,79 +500,56 @@ def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> fl
     own second-order time-ordered integral with the anti-Hermiticity
     constraint ``d = -(alpha/gamma) conj(c)`` for purely imaginary
     quaternionic coupling, where ``c*d = +kappa``. The two branches differ;
-    comparisons between them belong in the discrepancy log.
+    comparisons between them belong in the discrepancy log. It is one point
+    of :func:`closed_form_grid`'s ``Z1`` column.
     """
-    m, bracket, _, _ = _slice_kernel(p, beta, rederived)
-    return _shifted(m, beta, bracket)
+    grid = np.array([float(beta)])
+    m, bracket, _, _ = _slice_kernel(p, grid, rederived)
+    return _shifted(m, grid, bracket)[0].item()
 
 
-#: Slice display forms over ``(slice, beta, n, k)`` by quantity, in log order.
-#: Each looks its ``printed_*`` function up when called, so a rebound one runs.
+def _printed_internal_energy(p: EnergySliceParams, beta: np.ndarray, n: float, k: float):
+    a, b, kp = p.aE, p.bE, p.kappa
+    delta = a - b
+    xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
+    num = xb * (a * (delta + kp * beta) - kp) + xa * (b * (delta - kp * beta) + kp)
+    den = xb * (delta + kp * beta) + xa * (delta - kp * beta)
+    return n * num / den
+
+
+def _printed_entropy(p: EnergySliceParams, beta: np.ndarray, n: float, k: float):
+    a, b, kp = p.aE, p.bE, p.kappa
+    delta = a - b
+    m, bracket, _, _ = _slice_kernel(p, beta, rederived=False)
+    log_z1 = _math_each(math.log, _shifted(m, beta, bracket))
+    xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
+    num = (a * delta - kp + kp * beta * a) * xb + (b * delta + kp - kp * beta * b) * xa
+    den = (delta + kp * beta) * xb + (delta - kp * beta) * xa
+    return n * k * log_z1 + n * k * beta * num / den
+
+
+def _printed_specific_heat(p: EnergySliceParams, beta: np.ndarray, n: float, k: float):
+    a, b, kp = p.aE, p.bE, p.kappa
+    delta = a - b
+    xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
+    kb2 = _math_each(lambda v: v ** 2, kp * beta)
+    bracket = delta * delta * (delta * delta - kb2 - 4.0 * kp)
+    num = -_math_each(math.exp, beta * (a + b)) * (bracket + 2.0 * kp * kp) + kp * kp * (
+        _math_each(math.exp, 2.0 * beta * a) + _math_each(math.exp, 2.0 * beta * b)
+    )
+    den = _math_each(lambda v: v ** 2, xb * (delta + kp * beta) + xa * (delta - kp * beta))
+    return (beta * beta * k / n) * num / den
+
+
+#: Slice display forms by quantity, in log order: literal transcriptions
+#: over ``(slice, beta array, n, k)``. The specific heat keeps its overall
+#: sign and its stray ``1/N`` factor; its disagreement with the derivation
+#: chain is a reported finding.
 SLICE_FORMS = {
-    "U": lambda p, beta, n, k: printed_internal_energy(p, beta, n),
-    "S": lambda p, beta, n, k: printed_entropy(p, beta, n, k),
-    "Cv": lambda p, beta, n, k: printed_specific_heat(p, beta, n, k),
+    "U": _printed_internal_energy,
+    "S": _printed_entropy,
+    "Cv": _printed_specific_heat,
 }
-
-
-def thermo_closed_form(
-    p: EnergySliceParams,
-    beta: float,
-    n_particles: int = 1,
-    k: float = 1.0,
-    rederived: bool = False,
-    diff_tol: float = 1e-8,
-    quantities: Sequence[str] = tuple(SLICE_FORMS),
-) -> ThermoReport:
-    """Slice thermodynamics generated from ``Z1`` by analytic differentiation.
-
-    ``A = -(N/beta) ln Z1``; ``U``, ``S`` and ``Cv`` come from the first two
-    beta derivatives of the chosen ``Z1`` branch, so every report satisfies
-    ``A = U - T S`` and ``Cv = (1/N) dU/dT`` by construction. The display
-    forms of :data:`SLICE_FORMS` named in ``quantities`` are logged, in that
-    order, into ``report.discrepancies`` wherever :func:`discrepancy` finds
-    them apart from the derivation chain at ``diff_tol``.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive on the thermodynamic branch")
-    n = int(n_particles)
-    m, bracket, d1, d2 = _slice_kernel(p, beta, rederived)
-    z1 = _shifted(m, beta, bracket)
-    if not (bracket > 0.0):
-        raise UnphysicalZ(f"Z1 = {z1:.6g} is not positive at beta = {beta:.6g}")
-    log_p, ratio = math.log(bracket), d1 / bracket
-    a_free = -(n / beta) * (log_p - m * beta)
-    u = n * (m - ratio)
-    s = n * k * (log_p - beta * ratio)
-    cv = k * beta * beta * (d2 * bracket - d1 * d1) / (bracket * bracket)
-    report = ThermoReport(beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv)
-    for quantity in quantities:
-        printed = functools.partial(SLICE_FORMS[quantity], p, beta, n, k)
-        record = discrepancy(quantity, printed, getattr(report, quantity), beta, diff_tol)
-        if record is not None:
-            report.discrepancies.append(record)
-    return report
-
-
-def discrepancy(
-    quantity: str, printed: Callable[[], float], derived: float, beta: float, tol: float
-) -> DiscrepancyRecord | None:
-    """The one rule for when a printed display value is a discrepancy.
-
-    ``printed`` is evaluated here. A display form that fails with
-    ``OverflowError`` or a :class:`QuatstatError` (an unphysical ``Z1``,
-    degenerate levels), or returns a value that is not finite, gives no
-    record. Otherwise the pair is recorded when
-    ``|printed - derived| > tol * max(1, |derived|)``; a gap exactly at the
-    threshold, or a NaN derived value, is none.
-    """
-    try:
-        value = printed()
-    except (OverflowError, QuatstatError):
-        return None
-    if math.isfinite(value) and abs(value - derived) > tol * max(1.0, abs(derived)):
-        return DiscrepancyRecord(quantity, value, derived, beta)
-    return None
 
 
 def _require_distinct(p: EnergySliceParams):
@@ -529,53 +559,130 @@ def _require_distinct(p: EnergySliceParams):
         )
 
 
-def printed_internal_energy(
-    p: EnergySliceParams, beta: float, n_particles: int = 1
-) -> float:
-    """Display form of the slice internal energy (literal transcription)."""
+def printed_grid(quantity: str, p: EnergySliceParams, beta: Sequence[float],
+                 n_particles: float = 1, k: float = 1.0) -> np.ndarray:
+    """The display form of ``quantity`` at each beta; NaN where the literal
+    form fails (an exponential or a square past the float range, the log of
+    a ``Z1`` that is not positive) and everywhere for degenerate levels."""
+    beta = np.asarray(beta, dtype=float)
+    if abs(p.aE - p.bE) < DEGENERACY_TOL:
+        return np.full(beta.shape, np.nan)
+    with np.errstate(all="ignore"):
+        return SLICE_FORMS[quantity](p, beta, float(n_particles), k)
+
+
+def printed_internal_energy(p: EnergySliceParams, beta: float, n_particles: int = 1) -> float:
+    """:func:`printed_grid` of ``U`` at one beta; degenerate levels raise."""
     _require_distinct(p)
-    a, b, kp = p.aE, p.bE, p.kappa
-    delta = a - b
-    xb, xa = math.exp(beta * b), math.exp(beta * a)
-    num = xb * (a * (delta + kp * beta) - kp) + xa * (b * (delta - kp * beta) + kp)
-    den = xb * (delta + kp * beta) + xa * (delta - kp * beta)
-    return n_particles * num / den
+    return printed_grid("U", p, [beta], n_particles)[0].item()
 
 
-def printed_entropy(
-    p: EnergySliceParams, beta: float, n_particles: int = 1, k: float = 1.0
-) -> float:
-    """Display form of the slice entropy (literal transcription)."""
+def printed_entropy(p: EnergySliceParams, beta: float, n_particles: int = 1,
+                    k: float = 1.0) -> float:
+    """:func:`printed_grid` of ``S`` at one beta; degenerate levels raise."""
     _require_distinct(p)
-    a, b, kp = p.aE, p.bE, p.kappa
-    delta = a - b
-    z1 = z1_formula(p, beta, rederived=False)
-    if not (z1 > 0.0):
-        raise UnphysicalZ(f"Z1 = {z1:.6g} is not positive at beta = {beta:.6g}")
-    xb, xa = math.exp(beta * b), math.exp(beta * a)
-    num = (a * delta - kp + kp * beta * a) * xb + (b * delta + kp - kp * beta * b) * xa
-    den = (delta + kp * beta) * xb + (delta - kp * beta) * xa
-    return n_particles * k * math.log(z1) + n_particles * k * beta * num / den
+    return printed_grid("S", p, [beta], n_particles, k)[0].item()
 
 
-def printed_specific_heat(
-    p: EnergySliceParams, beta: float, n_particles: int = 1, k: float = 1.0
-) -> float:
-    """Display form of the slice specific heat (literal transcription).
+def printed_specific_heat(p: EnergySliceParams, beta: float, n_particles: int = 1,
+                          k: float = 1.0) -> float:
+    """:func:`printed_grid` of ``Cv`` at one beta; degenerate levels raise."""
+    _require_distinct(p)
+    return printed_grid("Cv", p, [beta], n_particles, k)[0].item()
 
-    Kept verbatim, including its overall sign and the stray ``1/N`` factor;
-    its disagreement with the derivation chain is a reported finding.
+
+def discrepancies(
+    checks: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    beta: Sequence[float],
+    tol: float,
+) -> list[DiscrepancyRecord]:
+    """The one rule for when a printed display value is a discrepancy.
+
+    ``checks`` holds ``(quantity, printed, derived)`` columns with one value
+    per ``beta``. A printed value that is not finite, NaN for a display form
+    that failed included, gives no record. Otherwise the pair is recorded
+    when ``|printed - derived| > tol * max(1, |derived|)``; a gap exactly at
+    the threshold, or a NaN derived value, is none. Records come in grid
+    order, and at each beta in the order of ``checks``.
     """
-    _require_distinct(p)
-    a, b, kp = p.aE, p.bE, p.kappa
-    delta = a - b
-    xb, xa = math.exp(beta * b), math.exp(beta * a)
-    bracket = delta * delta * (delta * delta - (kp * beta) ** 2 - 4.0 * kp)
-    num = -math.exp(beta * (a + b)) * (bracket + 2.0 * kp * kp) + kp * kp * (
-        math.exp(2.0 * beta * a) + math.exp(2.0 * beta * b)
-    )
-    den = (xb * (delta + kp * beta) + xa * (delta - kp * beta)) ** 2
-    return (beta * beta * k / n_particles) * num / den
+    if not checks:
+        return []
+    printed = np.array([column for _, column, _ in checks], dtype=float)
+    derived = np.array([column for _, _, column in checks], dtype=float)
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(printed - derived)
+        found = np.isfinite(printed) & (gap > tol * np.maximum(1.0, np.abs(derived)))
+    at, which = np.nonzero(found.T)
+    names = [checks[j][0] for j in which.tolist()]
+    return list(map(DiscrepancyRecord, names, printed[which, at].tolist(),
+                    derived[which, at].tolist(), np.asarray(beta, dtype=float)[at].tolist()))
+
+
+def printed_value(printed: Callable[[], float]) -> float:
+    """``printed()``, or NaN where that display form fails with
+    ``OverflowError`` or a :class:`QuatstatError`."""
+    try:
+        return printed()
+    except (OverflowError, QuatstatError):
+        return math.nan
+
+
+def discrepancy(
+    quantity: str, printed: Callable[[], float], derived: float, beta: float, tol: float
+) -> DiscrepancyRecord | None:
+    """One point of :func:`discrepancies`; ``printed`` is evaluated here by
+    :func:`printed_value`."""
+    found = discrepancies([(quantity, [printed_value(printed)], [derived])], [beta], tol)
+    return found[0] if found else None
+
+
+def closed_form_grid(
+    p: EnergySliceParams,
+    beta: Sequence[float],
+    n_particles: int = 1,
+    k: float = 1.0,
+    rederived: bool = False,
+    diff_tol: float = 1e-8,
+    quantities: Sequence[str] = tuple(SLICE_FORMS),
+) -> ThermoGrid:
+    """Slice thermodynamics generated from ``Z1`` by analytic differentiation.
+
+    ``A = -(N/beta) ln Z1``; ``U``, ``S`` and ``Cv`` come from the first two
+    beta derivatives of the chosen ``Z1`` branch, so every row satisfies
+    ``A = U - T S`` and ``Cv = (1/N) dU/dT`` by construction. The display
+    forms of :data:`SLICE_FORMS` named in ``quantities`` are logged, in that
+    order at each beta, wherever :func:`discrepancies` finds them apart from
+    the derivation chain at ``diff_tol``.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if (beta <= 0.0).any():
+        raise ValueError("beta must be positive on the thermodynamic branch")
+    n = float(int(n_particles))
+    m, bracket, d1, d2 = _slice_kernel(p, beta, rederived)
+    z1 = _shifted(m, beta, bracket).tolist()
+    log_p = _math_each(math.log, bracket)
+    with np.errstate(all="ignore"):
+        ratio = d1 / bracket
+        a_free = -(n / beta) * (log_p - m * beta)
+        u = n * (m - ratio)
+        s = n * k * (log_p - beta * ratio)
+        cv = k * beta * beta * (d2 * bracket - d1 * d1) / (bracket * bracket)
+    bad = np.flatnonzero(~(bracket > 0.0)).tolist()
+    u[bad] = cv[bad] = np.nan  # A and S are already NaN there, through log_p
+    derived = {"U": u, "S": s, "Cv": cv}
+    checks = [(q, printed_grid(q, p, beta, n, k), derived[q]) for q in quantities]
+    grid = ThermoGrid(beta.tolist(), z1, a_free.tolist(), s.tolist(), u.tolist(),
+                      cv.tolist(), discrepancies(checks, beta, diff_tol))
+    if bad:
+        grid.error = UnphysicalZ(
+            f"Z1 = {z1[bad[0]]:.6g} is not positive at beta = {grid.beta[bad[0]]:.6g}")
+    return grid
+
+
+def thermo_closed_form(p: EnergySliceParams, beta: float, *args, **kwargs) -> ThermoReport:
+    """One point of :func:`closed_form_grid`, which takes the same arguments
+    after ``beta``; raises its error."""
+    return closed_form_grid(p, [beta], *args, **kwargs).one_point()
 
 
 def printed_pressure(
@@ -622,12 +729,8 @@ def pressure(
             )
 
     def free_energy(vol: float) -> float:
-        p = vm.slice_at(vol)
-        m, bracket, _, _ = _slice_kernel(p, beta, rederived)
-        if not (bracket > 0.0):
-            z1 = _shifted(m, beta, bracket)
-            raise UnphysicalZ(f"Z1 = {z1:.6g} is not positive at V = {vol:.6g}")
-        return -(n_particles / beta) * (math.log(bracket) - m * beta)
+        return thermo_closed_form(vm.slice_at(vol), beta, n_particles, 1.0, rederived,
+                                  quantities=()).A
 
     def central(step: float) -> float:
         return (free_energy(volume + step) - free_energy(volume - step)) / (2.0 * step)
@@ -637,27 +740,50 @@ def pressure(
     return -derivative
 
 
+
+
 # ---------------------------------------------------------------------------
-# Spectral path
+# Spectral path, over a beta grid
 # ---------------------------------------------------------------------------
 
 
-def _boltzmann_weights(e: SpectralEnsemble, beta: float):
-    """Shifted Boltzmann weights; stable against overflow for any beta sign."""
-    exponents = -beta * e.energies
-    shift = exponents.max()
-    w = e.degeneracies * np.exp(exponents - shift)
-    return w, shift
+def _boltzmann_sums(e: SpectralEnsemble, beta: np.ndarray):
+    """The shift, the weight total, the mean energy and the energy variance
+    per beta, from one set of shifted Boltzmann weights, which are stable
+    against overflow for any beta sign.
+
+    Each dot product is a stacked ``(1, n) @ (n, 1)`` matmul, BLAS ``ddot``
+    per row like the 1-D ``@`` at one beta; gemv, ``einsum`` and row sums of
+    products round differently.
+    """
+    energies = e.energies
+    exponents = np.multiply.outer(-beta, energies)
+    shift = exponents.max(axis=1)
+    w = e.degeneracies * np.exp(exponents - shift[:, None])
+    total = w.sum(axis=1)
+    prob = (w / total[:, None])[:, None, :]
+    mean = (prob @ energies[:, None])[:, 0, 0]
+    return shift, total, mean, (prob @ ((energies - mean[:, None]) ** 2)[..., None])[:, 0, 0]
+
+
+def _sums_at(e: SpectralEnsemble, beta: float) -> tuple[float, float, float]:
+    """``ln Z1``, the mean energy and the energy variance at one beta."""
+    shift, total, mean, var = _boltzmann_sums(e, np.array([float(beta)]))
+    return float(shift[0] + np.log(total[0])), float(mean[0]), float(var[0])
+
+
+def z_spectral_grid(e: SpectralEnsemble, beta: Sequence[float]) -> list[float]:
+    """Single-particle partition function ``sum g_r exp(-beta E_r)`` per beta."""
+    shift, total, _, _ = _boltzmann_sums(e, np.asarray(beta, dtype=float))
+    return (np.exp(shift) * total).tolist()
 
 
 def z_spectral(e: SpectralEnsemble, beta: float) -> float:
-    """Single-particle partition function ``sum g_r exp(-beta E_r)``."""
-    w, shift = _boltzmann_weights(e, beta)
-    return float(np.exp(shift) * w.sum())
+    return z_spectral_grid(e, [beta])[0]
 
 
 def log_z_spectral(e: SpectralEnsemble, beta: float) -> float:
-    return _boltzmann_sums(e, beta)[0]
+    return _sums_at(e, beta)[0]
 
 
 def log_z_total(e: SpectralEnsemble, beta: float) -> float:
@@ -665,44 +791,35 @@ def log_z_total(e: SpectralEnsemble, beta: float) -> float:
     return e.n_particles * log_z_spectral(e, beta)
 
 
-def _boltzmann_sums(e: SpectralEnsemble, beta: float) -> tuple[float, float, float]:
-    """``ln Z1``, the mean energy and the energy variance from one set of weights."""
-    w, shift = _boltzmann_weights(e, beta)
-    total = w.sum()
-    prob = w / total
-    energies = e.energies
-    mean = float(prob @ energies)
-    return float(shift + np.log(total)), mean, float(prob @ (energies - mean) ** 2)
-
-
-def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
+def spectral_grid(e: SpectralEnsemble, beta: Sequence[float]) -> ThermoGrid:
     """Exact thermodynamics from the Boltzmann sum over real energies.
 
     ``U`` is the extensive mean energy, ``A = -(N/beta) ln Z1``, ``S``
     follows from ``A = U - T S``, and the specific heat per particle is
     ``k beta^2`` times the single-particle energy variance.
     """
-    if beta == 0.0:
+    beta = np.asarray(beta, dtype=float)
+    if (beta == 0.0).any():
         raise ValueError("beta must be nonzero for the free-energy branch")
-    n, k = e.n_particles, e.k
-    log_z1, mean, var = _boltzmann_sums(e, beta)
+    n, k = float(e.n_particles), e.k
+    shift, total, mean, var = _boltzmann_sums(e, beta)
+    log_z1 = shift + np.log(total)
     a_free = -(n / beta) * log_z1
     u = n * mean
     s = k * beta * (u - a_free)
     cv = k * beta * beta * var
-    return ThermoReport(
-        beta=beta,
-        Z1=float(np.exp(log_z1)),
-        A=a_free,
-        S=s,
-        U=u,
-        Cv=cv,
-    )
+    return ThermoGrid(beta.tolist(), np.exp(log_z1).tolist(), a_free.tolist(), s.tolist(),
+                      u.tolist(), cv.tolist())
+
+
+def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
+    """One point of :func:`spectral_grid`."""
+    return spectral_grid(e, [beta]).one_point()
 
 
 def energy_variance(e: SpectralEnsemble, beta: float) -> float:
     """Single-particle energy variance ``<E^2> - <E>^2`` from the weights."""
-    return _boltzmann_sums(e, beta)[2]
+    return _sums_at(e, beta)[2]
 
 
 def relative_rms(e: SpectralEnsemble, beta: float) -> float:
@@ -711,7 +828,7 @@ def relative_rms(e: SpectralEnsemble, beta: float) -> float:
     Independent particles add variances, so the ratio carries an explicit
     ``1/sqrt(N)`` prefactor: quadrupling ``N`` halves the result exactly.
     """
-    _, mean, var = _boltzmann_sums(e, beta)
+    _, mean, var = _sums_at(e, beta)
     scale = max(1.0, float(np.abs(e.energies).max()))
     if abs(mean) <= 1e-12 * scale:
         raise ZeroMeanEnergy("mean energy vanishes; relative fluctuation undefined")

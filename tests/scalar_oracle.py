@@ -1,0 +1,244 @@
+"""The scalar slice and spectral forms, one beta per call: the bit-for-bit oracle.
+
+These are the one-point implementations that ``quatstat.thermo`` evaluated
+before its grid functions, kept verbatim (only the imports are new) so that
+``tests/test_grid.py`` can require the grid path to reproduce every value,
+every discrepancy record and every error bit for bit. Nothing in the package
+imports this module.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from typing import Callable, Sequence
+
+import numpy as np
+
+from quatstat.errors import DegenerateLevels, QuatstatError, UnphysicalZ
+from quatstat.thermo import (
+    DEGENERACY_TOL,
+    DiscrepancyRecord,
+    EnergySliceParams,
+    SpectralEnsemble,
+    ThermoReport,
+)
+
+
+def _slice_kernel(p: EnergySliceParams, beta: float, rederived: bool):
+    """Shift ``m`` and ``P`` with its beta derivatives, ``Z1 = exp(-m beta) P``.
+
+    With ``m = min(aE, bE)``, ``x = |aE - bE|`` and the signed coupling ``mu``
+    of :func:`z1_formula`, ``P = 1 + exp(-x beta) + mu beta F`` where
+    ``F = beta phi(x beta)``, ``phi(y) = -expm1(-y)/y`` and ``phi(0) = 1``, so
+    a subnormal ``x`` still gives ``F = beta``. Nothing cancels or overflows.
+    """
+    mu = p.kappa if rederived else -p.kappa
+    m, x = min(p.aE, p.bE), abs(p.aE - p.bE)
+    y = x * beta
+    e = math.exp(-y)
+    f = beta * (-math.expm1(-y) / y) if y else beta
+    bracket = 1.0 + e + mu * beta * f
+    return m, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
+
+
+def _shifted(m: float, beta: float, bracket: float) -> float:
+    """``exp(-m beta) * bracket``, or its signed infinity past the float range."""
+    try:
+        return math.exp(-m * beta) * bracket
+    except OverflowError:
+        return math.copysign(math.inf, bracket)
+
+
+def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> float:
+    """Single-particle partition function on the slice, to second order.
+
+    With ``rederived=False`` the coupling term carries the conventional
+    display sign, ``Z1 = Ea + Eb - kappa*beta*(Eb - Ea)/(aE - bE)``, which
+    corresponds to an off-diagonal product ``c*d = -kappa`` (real coupling).
+    With ``rederived=True`` the sign follows from carrying this module's
+    own second-order time-ordered integral with the anti-Hermiticity
+    constraint ``d = -(alpha/gamma) conj(c)`` for purely imaginary
+    quaternionic coupling, where ``c*d = +kappa``. The two branches differ;
+    comparisons between them belong in the discrepancy log.
+    """
+    m, bracket, _, _ = _slice_kernel(p, beta, rederived)
+    return _shifted(m, beta, bracket)
+
+
+#: Slice display forms over ``(slice, beta, n, k)`` by quantity, in log order.
+#: Each looks its ``printed_*`` function up when called, so a rebound one runs.
+SLICE_FORMS = {
+    "U": lambda p, beta, n, k: printed_internal_energy(p, beta, n),
+    "S": lambda p, beta, n, k: printed_entropy(p, beta, n, k),
+    "Cv": lambda p, beta, n, k: printed_specific_heat(p, beta, n, k),
+}
+
+
+def thermo_closed_form(
+    p: EnergySliceParams,
+    beta: float,
+    n_particles: int = 1,
+    k: float = 1.0,
+    rederived: bool = False,
+    diff_tol: float = 1e-8,
+    quantities: Sequence[str] = tuple(SLICE_FORMS),
+) -> ThermoReport:
+    """Slice thermodynamics generated from ``Z1`` by analytic differentiation.
+
+    ``A = -(N/beta) ln Z1``; ``U``, ``S`` and ``Cv`` come from the first two
+    beta derivatives of the chosen ``Z1`` branch, so every report satisfies
+    ``A = U - T S`` and ``Cv = (1/N) dU/dT`` by construction. The display
+    forms of :data:`SLICE_FORMS` named in ``quantities`` are logged, in that
+    order, into ``report.discrepancies`` wherever :func:`discrepancy` finds
+    them apart from the derivation chain at ``diff_tol``.
+    """
+    if beta <= 0.0:
+        raise ValueError("beta must be positive on the thermodynamic branch")
+    n = int(n_particles)
+    m, bracket, d1, d2 = _slice_kernel(p, beta, rederived)
+    z1 = _shifted(m, beta, bracket)
+    if not (bracket > 0.0):
+        raise UnphysicalZ(f"Z1 = {z1:.6g} is not positive at beta = {beta:.6g}")
+    log_p, ratio = math.log(bracket), d1 / bracket
+    a_free = -(n / beta) * (log_p - m * beta)
+    u = n * (m - ratio)
+    s = n * k * (log_p - beta * ratio)
+    cv = k * beta * beta * (d2 * bracket - d1 * d1) / (bracket * bracket)
+    report = ThermoReport(beta=beta, Z1=z1, A=a_free, S=s, U=u, Cv=cv)
+    for quantity in quantities:
+        printed = functools.partial(SLICE_FORMS[quantity], p, beta, n, k)
+        record = discrepancy(quantity, printed, getattr(report, quantity), beta, diff_tol)
+        if record is not None:
+            report.discrepancies.append(record)
+    return report
+
+
+def discrepancy(
+    quantity: str, printed: Callable[[], float], derived: float, beta: float, tol: float
+) -> DiscrepancyRecord | None:
+    """The one rule for when a printed display value is a discrepancy.
+
+    ``printed`` is evaluated here. A display form that fails with
+    ``OverflowError`` or a :class:`QuatstatError` (an unphysical ``Z1``,
+    degenerate levels), or returns a value that is not finite, gives no
+    record. Otherwise the pair is recorded when
+    ``|printed - derived| > tol * max(1, |derived|)``; a gap exactly at the
+    threshold, or a NaN derived value, is none.
+    """
+    try:
+        value = printed()
+    except (OverflowError, QuatstatError):
+        return None
+    if math.isfinite(value) and abs(value - derived) > tol * max(1.0, abs(derived)):
+        return DiscrepancyRecord(quantity, value, derived, beta)
+    return None
+
+
+def _require_distinct(p: EnergySliceParams):
+    if abs(p.aE - p.bE) < DEGENERACY_TOL:
+        raise DegenerateLevels(
+            f"display form requires distinct energies, got aE = {p.aE}, bE = {p.bE}"
+        )
+
+
+def printed_internal_energy(
+    p: EnergySliceParams, beta: float, n_particles: int = 1
+) -> float:
+    """Display form of the slice internal energy (literal transcription)."""
+    _require_distinct(p)
+    a, b, kp = p.aE, p.bE, p.kappa
+    delta = a - b
+    xb, xa = math.exp(beta * b), math.exp(beta * a)
+    num = xb * (a * (delta + kp * beta) - kp) + xa * (b * (delta - kp * beta) + kp)
+    den = xb * (delta + kp * beta) + xa * (delta - kp * beta)
+    return n_particles * num / den
+
+
+def printed_entropy(
+    p: EnergySliceParams, beta: float, n_particles: int = 1, k: float = 1.0
+) -> float:
+    """Display form of the slice entropy (literal transcription)."""
+    _require_distinct(p)
+    a, b, kp = p.aE, p.bE, p.kappa
+    delta = a - b
+    z1 = z1_formula(p, beta, rederived=False)
+    if not (z1 > 0.0):
+        raise UnphysicalZ(f"Z1 = {z1:.6g} is not positive at beta = {beta:.6g}")
+    xb, xa = math.exp(beta * b), math.exp(beta * a)
+    num = (a * delta - kp + kp * beta * a) * xb + (b * delta + kp - kp * beta * b) * xa
+    den = (delta + kp * beta) * xb + (delta - kp * beta) * xa
+    return n_particles * k * math.log(z1) + n_particles * k * beta * num / den
+
+
+def printed_specific_heat(
+    p: EnergySliceParams, beta: float, n_particles: int = 1, k: float = 1.0
+) -> float:
+    """Display form of the slice specific heat (literal transcription).
+
+    Kept verbatim, including its overall sign and the stray ``1/N`` factor;
+    its disagreement with the derivation chain is a reported finding.
+    """
+    _require_distinct(p)
+    a, b, kp = p.aE, p.bE, p.kappa
+    delta = a - b
+    xb, xa = math.exp(beta * b), math.exp(beta * a)
+    bracket = delta * delta * (delta * delta - (kp * beta) ** 2 - 4.0 * kp)
+    num = -math.exp(beta * (a + b)) * (bracket + 2.0 * kp * kp) + kp * kp * (
+        math.exp(2.0 * beta * a) + math.exp(2.0 * beta * b)
+    )
+    den = (xb * (delta + kp * beta) + xa * (delta - kp * beta)) ** 2
+    return (beta * beta * k / n_particles) * num / den
+
+
+
+
+def _boltzmann_weights(e: SpectralEnsemble, beta: float):
+    """Shifted Boltzmann weights; stable against overflow for any beta sign."""
+    exponents = -beta * e.energies
+    shift = exponents.max()
+    w = e.degeneracies * np.exp(exponents - shift)
+    return w, shift
+
+
+def z_spectral(e: SpectralEnsemble, beta: float) -> float:
+    """Single-particle partition function ``sum g_r exp(-beta E_r)``."""
+    w, shift = _boltzmann_weights(e, beta)
+    return float(np.exp(shift) * w.sum())
+
+
+
+def _boltzmann_sums(e: SpectralEnsemble, beta: float) -> tuple[float, float, float]:
+    """``ln Z1``, the mean energy and the energy variance from one set of weights."""
+    w, shift = _boltzmann_weights(e, beta)
+    total = w.sum()
+    prob = w / total
+    energies = e.energies
+    mean = float(prob @ energies)
+    return float(shift + np.log(total)), mean, float(prob @ (energies - mean) ** 2)
+
+
+def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
+    """Exact thermodynamics from the Boltzmann sum over real energies.
+
+    ``U`` is the extensive mean energy, ``A = -(N/beta) ln Z1``, ``S``
+    follows from ``A = U - T S``, and the specific heat per particle is
+    ``k beta^2`` times the single-particle energy variance.
+    """
+    if beta == 0.0:
+        raise ValueError("beta must be nonzero for the free-energy branch")
+    n, k = e.n_particles, e.k
+    log_z1, mean, var = _boltzmann_sums(e, beta)
+    a_free = -(n / beta) * log_z1
+    u = n * mean
+    s = k * beta * (u - a_free)
+    cv = k * beta * beta * var
+    return ThermoReport(
+        beta=beta,
+        Z1=float(np.exp(log_z1)),
+        A=a_free,
+        S=s,
+        U=u,
+        Cv=cv,
+    )
+

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import quatstat
 from quatstat import DiscrepancyRecord, SpectralEnsemble, thermo_spectral
-from quatstat.cli import _RECORD_FIELDS, _json_table, _record_values, cli
+from quatstat.cli import _RECORD_FIELDS, _csv_table, _fmt, _json_table, _record_values, cli
 
 SPIN_FILE = {
     "matrix": {
@@ -53,6 +53,7 @@ NON_FINITE = {
     "inf_alpha.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
                       '"alpha": Infinity, "gamma": 1.0}',
     "huge_n.json": '{"e_plus": 1, "e_minus": 0, "n_particles": 1e400}',
+    "past_float_n.json": f'{{"e_plus": 1, "e_minus": 0, "n_particles": {10**309}}}',
     "inf_metric.json": '{"matrix": {"n": 2, "entries": [[[0, 1, 0, 0], [0, 0, 0.5, 0]], '
                        '[[0, 0, 0.5, 0], [0, -1, 0, 0]]]}, "metric": {"x": Infinity, "y": 1}}',
 }
@@ -322,6 +323,21 @@ def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monke
         assert "(tol 1.0e-10)" in result.stderr
 
 
+def test_compare_formal_oracle_needs_no_block_symmetry(runner, tmp_path):
+    # at beta |H| of about 1.4e6 unembed's fixed 1e-10 block-symmetry bound
+    # refused the mat_exp oracle's exponential (exit 1); read straight from
+    # the embedding, the oracle agrees with Z_formal to rounding
+    toy = {"a": [0, 0.805948888067108, 0, 0], "b": [0, -0.805948888067108, 0, 0],
+           "c": [0.0, 0.0, 0.21822755160034352, 0.07290554849655759],
+           "alpha": 1.9574370331447257, "gamma": 0.7690796631842469}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("toy.json").write_text(json.dumps(toy))
+        result = runner.invoke(cli, ["compare", "--model", "toy", "--params", "toy.json",
+                                     "--beta", "1e6:1082721.3764468092:2"])
+        assert result.exit_code == 0, result.stderr
+        assert "oracle self-check failed" not in result.stderr
+
+
 def test_compare_spot_checks_pass_at_tolerance_zero(runner, tmp_path):
     # --tolerance 0 records every rounding gap in the log, but the mat_exp
     # spot checks keep their own bound, which gaps of about 4e-16 stay within
@@ -442,8 +458,14 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
          "--out", "toy.json"],
         ["thermo", "--model", "toy", "--params", "./toy.json", "--beta", "1:2:2",
          "--discrepancies", "toy.json"],
+        # a particle count past the float range
+        ["thermo", "--beta", "1:2:2", "--n-particles", str(10**309)],
+        ["thermo", "--model", "qubit", "--beta", "1:2:2", "--n-particles", str(10**309)],
+        ["compare", "--beta", "1:2:2", "--n-particles", str(10**309)],
+        ["negtemp", "--points", "3", "--n-particles", str(10**309)],
+        ["negtemp", "--params", "past_float_n.json"],
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} digits>" for a in argv),
 )
 def test_configuration_errors_exit_2(runner, tmp_path, argv):
     # a leading QUATSTAT_TOL=value element sets that variable for the command
@@ -462,22 +484,44 @@ def test_configuration_errors_exit_2(runner, tmp_path, argv):
         assert {name: Path(name).read_text() for name in os.listdir()} == CONFIG_INPUTS
 
 
+WRITER_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0.1,
+                np.float64(2.5), np.float64(math.nan), 7, "infinite"]
+
+
 def test_discrepancy_log_template_is_jsons_indent_2():
-    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0.1,
-              np.float64(2.5), np.float64(math.nan)]
+    # rows of finite Python floats take the %r templates, one per leading
+    # quantity; every other row takes the per-cell fallback: both must be
+    # exactly what json.dumps(indent=2) writes
+    values = WRITER_CELLS[:11]
     records = [DiscrepancyRecord(q, p, d, b) for q, p, d, b in zip(
         ["U", "S", "Cv", "Z1", "S_two_level", "P", "U", 'q"\\', "Z_formal", "S", "Cv"],
         values, values[3:] + values[:3], values[5:] + values[:5])]
+    records += [DiscrepancyRecord(q, 0.1 * i, -1.5e-300 * i, 1e308 / (i + 1))
+                for i, q in enumerate(["U", "S%r", "U", 'q"\\', "Cv"])]
     for chosen in ([], records[:1], records):
         want = json.dumps([vars(r) for r in chosen], indent=2) + "\n"
         assert _json_table(_RECORD_FIELDS, [_record_values(r) for r in chosen]) == want
     # --output json tables: the cells the runners emit, strings and ints included
-    header = ["beta", "multiplicity", "T", "Z1"]
+    header = ["beta", "multiplicity", "T", "Z1 %r"]
     rows = [(np.float64(v), i, "infinite", v) for i, v in enumerate(values)]
-    rows.append((-0.0, -3, 'q"\\', np.float64(-math.inf)))
-    for chosen in ([], rows[:1], rows):
+    rows += [(-0.0, -3, 'q"\\', np.float64(-math.inf)), (0.1, -0.0, 5e-324, 1e308),
+             (1e308, 1e308, 1.0, -2.5), ("infinite", 1.0, 2.0, 3.0)]
+    for chosen in ([], rows[:1], rows[-4:], rows):
         want = json.dumps([dict(zip(header, row)) for row in chosen], indent=2) + "\n"
         assert _json_table(header, chosen) == want
+
+
+def test_csv_template_is_the_per_cell_join():
+    # one %.17g template per row, or the per-cell join for a row that holds
+    # a string: both give the bytes of _fmt joined by commas
+    header = ["E", "S", "T"]
+    cells = WRITER_CELLS
+    plain = [tuple(cells[i:i + 3]) for i in range(0, 10)]
+    mixed = [(c, 2.5, "infinite") for c in cells[:-1]]
+    for rows in ([], plain, mixed, plain + mixed):
+        want = "\n".join([",".join(header), *(
+            ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)])
+        assert _csv_table(header, rows) == want + "\n"
 
 
 def test_params_file_error_names_the_file(runner, tmp_path):

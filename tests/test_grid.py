@@ -1,0 +1,184 @@
+"""The grid path against the scalar oracle in ``scalar_oracle.py``, bit for bit.
+
+Every value is compared by ``repr``, which tells apart any two floats
+(``-0.0`` from ``0.0`` included). Where a scalar display form raises, the
+grid holds NaN; where it divides by zero (Python raises, IEEE arithmetic gives
+an infinity or NaN), the grid value is not finite and logs no record.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+
+import numpy as np
+import pytest
+import scalar_oracle as oracle
+
+from quatstat import EnergySliceParams, SpectralEnsemble, thermo
+from quatstat.errors import DegenerateLevels, QuatstatError, UnphysicalZ
+
+FORMS = ("U", "S", "Cv")
+
+
+def oracle_printed(quantity, p, beta, n, k):
+    """The scalar display form, NaN where it raises; ``None`` where it
+    divides by zero."""
+    try:
+        return oracle.SLICE_FORMS[quantity](p, beta, n, k)
+    except (OverflowError, QuatstatError):
+        return math.nan
+    except ZeroDivisionError:
+        return None
+
+
+def oracle_closed_form(p, betas, n, k, rederived, tol):
+    """Rows, records and the first error of the scalar closed form over a grid.
+
+    An unphysical beta keeps its ``Z1`` and is NaN elsewhere, as in the grid.
+    """
+    rows, records, first_error = [], [], None
+    for beta in betas:
+        z1 = oracle.z1_formula(p, beta, rederived)
+        try:
+            r = oracle.thermo_closed_form(p, beta, n, k, rederived, tol, quantities=())
+        except UnphysicalZ as exc:
+            first_error = first_error or str(exc)
+            rows.append((beta, z1) + (math.nan,) * 4)
+            continue
+        assert repr(r.Z1) == repr(z1)
+        rows.append((r.beta, r.Z1, r.A, r.S, r.U, r.Cv))
+        for q in FORMS:
+            value = oracle_printed(q, p, beta, n, k)
+            record = oracle.discrepancy(
+                q, lambda: math.nan if value is None else value, getattr(r, q), beta, tol)
+            records += [record] if record else []
+    return rows, records, first_error
+
+
+def check_closed_form(p, betas, n, k, rederived, tol):
+    want_rows, want_records, want_error = oracle_closed_form(p, betas, n, k, rederived, tol)
+    grid = thermo.closed_form_grid(p, betas, n, k, rederived, tol)
+    assert repr(grid.rows()) == repr(want_rows)
+    assert repr(grid.discrepancies) == repr(want_records)
+    assert (None if grid.error is None else str(grid.error)) == want_error
+    assert all(type(v) is float for row in grid.rows() for v in row)
+    for q in FORMS:
+        got = thermo.printed_grid(q, p, betas, n, k).tolist()
+        for beta, value in zip(betas, got):
+            want = oracle_printed(q, p, beta, n, k)
+            if want is None:
+                assert not math.isfinite(value), (q, beta)
+            else:
+                assert repr(value) == repr(want), (q, p, beta, n, k)
+    return grid
+
+
+def random_count(rng) -> int:
+    return int(10 ** rng.uniform(0.0, 20.0)) if rng.random() < 0.5 else int(rng.integers(1, 11))
+
+
+def random_grid(rng, hi: float) -> list[float]:
+    lo = 10 ** rng.uniform(-3.0, 0.0)
+    steps = int(rng.integers(100, 400))
+    points = np.geomspace(lo, hi, steps) if rng.random() < 0.5 else np.linspace(lo, hi, steps)
+    return np.sort(points).tolist()
+
+
+def random_slice(rng, kind: str) -> EnergySliceParams:
+    if kind == "spin":
+        return EnergySliceParams.from_spin(rng.uniform(0.1, 5.0), rng.uniform(0.01, 3.0))
+    if kind == "toy":
+        a, b = rng.uniform(-3.0, 3.0, size=2)
+        return EnergySliceParams(float(a), float(b), float(rng.uniform(-1.0, 1.0)))
+    # near-degenerate, on both sides of DEGENERACY_TOL, and exactly degenerate
+    gap = 0.0 if rng.random() < 0.2 else 10 ** -rng.uniform(3.0, 12.0)
+    b = float(rng.uniform(-1.0, 1.0))
+    return EnergySliceParams(b + gap, b, float(rng.uniform(-0.5, 0.5)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_closed_form_grid_is_the_scalar_oracle(seed):
+    rng = np.random.default_rng(1700 + seed)
+    crossed = 0
+    for case in range(30):
+        kind = ("spin", "toy", "near")[case % 3]
+        p = random_slice(rng, kind)
+        hi = float(rng.choice([5.0, 40.0, 800.0]))
+        tol = float(rng.choice([1e-8, 0.0, 1e-3]))
+        for rederived in (False, True):
+            grid = check_closed_form(p, random_grid(rng, hi), random_count(rng),
+                                     float(rng.uniform(0.5, 2.0)), rederived, tol)
+            crossed += grid.error is not None
+    assert crossed  # some grids cross Z1 <= 0
+
+
+def test_closed_form_grid_at_the_edges():
+    # a subnormal gap, beta up to 800 where the display forms overflow, a
+    # grid that crosses Z1 <= 0 (the spin model's rederived branch), and
+    # levels far below zero where the display denominators underflow to zero
+    gap = EnergySliceParams(aE=3e-308, bE=math.nextafter(3e-308, 1.0), kappa=0.2)
+    spin = EnergySliceParams.from_spin(2.0, 0.5)
+    deep = EnergySliceParams(aE=-1.0, bE=-2.0, kappa=-0.1)
+    betas = np.linspace(0.5, 800.0, 401).tolist()
+    for p in (gap, spin, deep):
+        for rederived in (False, True):
+            for tol in (1e-8, 0.0):
+                check_closed_form(p, betas, 3, 1.3, rederived, tol)
+    grid = check_closed_form(spin, np.linspace(1.0, 20.0, 39).tolist(), 1, 1.0, True, 1e-8)
+    assert str(grid.error) == "Z1 = -307.173 is not positive at beta = 8.5"
+    assert math.isnan(thermo.printed_grid("Cv", spin, [800.0])[0])
+
+
+def test_one_point_wrappers_are_the_scalar_oracle():
+    rng = np.random.default_rng(1717)
+    for case in range(300):
+        p = random_slice(rng, ("spin", "toy", "near")[case % 3])
+        beta = float(10 ** rng.uniform(-2.0, 2.9))
+        n, k, rederived = random_count(rng), float(rng.uniform(0.5, 2.0)), bool(case % 2)
+        assert repr(thermo.z1_formula(p, beta, rederived)) == repr(
+            oracle.z1_formula(p, beta, rederived))
+        try:
+            want = oracle.thermo_closed_form(p, beta, n, k, rederived)
+        except UnphysicalZ as exc:
+            with pytest.raises(UnphysicalZ, match=f"^{re.escape(str(exc))}$"):
+                thermo.thermo_closed_form(p, beta, n, k, rederived)
+        except ZeroDivisionError:
+            pass
+        else:
+            assert repr(thermo.thermo_closed_form(p, beta, n, k, rederived)) == repr(want)
+        wrappers = {"U": lambda: thermo.printed_internal_energy(p, beta, n),
+                    "S": lambda: thermo.printed_entropy(p, beta, n, k),
+                    "Cv": lambda: thermo.printed_specific_heat(p, beta, n, k)}
+        for q, wrapper in wrappers.items():
+            want = oracle_printed(q, p, beta, n, k)
+            if abs(p.aE - p.bE) < thermo.DEGENERACY_TOL:
+                with pytest.raises(DegenerateLevels):
+                    wrapper()
+            elif want is not None:
+                assert repr(wrapper()) == repr(want), (q, p, beta)
+
+
+def random_ensemble(rng) -> SpectralEnsemble:
+    size = int(rng.integers(2, 6))
+    levels = tuple((float(e), int(g)) for e, g in zip(
+        rng.uniform(-3.0, 3.0, size=size) * 10 ** rng.uniform(-2.0, 1.0),
+        rng.integers(1, 4, size=size)))
+    return SpectralEnsemble(levels, n_particles=random_count(rng), k=float(rng.uniform(0.5, 2)))
+
+
+def test_spectral_grid_is_the_scalar_oracle():
+    rng = np.random.default_rng(1718)
+    with np.errstate(over="ignore"):  # Z1 = exp(ln Z1) past the float range is inf
+        for _ in range(60):
+            e = random_ensemble(rng)
+            betas = random_grid(rng, float(rng.choice([5.0, 100.0, 800.0])))
+            grid = thermo.spectral_grid(e, betas)
+            want = [oracle.thermo_spectral(e, beta) for beta in betas]
+            assert repr(grid.rows()) == repr([(r.beta, r.Z1, r.A, r.S, r.U, r.Cv) for r in want])
+            assert repr(thermo.z_spectral_grid(e, betas)) == repr(
+                [oracle.z_spectral(e, beta) for beta in betas])
+            assert all(type(v) is float for row in grid.rows() for v in row)
+            beta = betas[len(betas) // 2]
+            assert repr(thermo.thermo_spectral(e, beta)) == repr(oracle.thermo_spectral(e, beta))
+            assert repr(thermo.z_spectral(e, beta)) == repr(oracle.z_spectral(e, beta))

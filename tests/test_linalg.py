@@ -22,6 +22,8 @@ from quatstat import (
     dagger,
     embed,
     energies_by_continuity,
+    exp_re_trace,
+    formal_trace,
     fro_norm,
     inverse,
     mat_exp,
@@ -227,6 +229,24 @@ def test_mat_exp_spin_trace_oracle():
     for t in (0.3, 1.0, 2.7):
         got = re_trace(mat_exp(-1.0 * h, t))
         assert got == pytest.approx(2 * np.cos(omega * t / 2) * np.cos(v * t), abs=1e-12)
+
+
+def test_exp_re_trace_is_mat_exps_trace_read_from_the_embedding():
+    # the same Pade exponential as mat_exp, with no unembed after it: equal
+    # to mat_exp's trace to rounding at ordinary scale, and a value where
+    # unembed's fixed 1e-10 block-symmetry bound refuses the exponential
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        m = random_qmatrix(rng, 3)
+        assert exp_re_trace(m, 0.7) == pytest.approx(re_trace(mat_exp(m, 0.7)), rel=1e-13)
+    toy = ToyModelParams(Quaternion(0, 0.805948888067108), Quaternion(0, -0.805948888067108),
+                         Quaternion(0, 0, 0.21822755160034352, 0.07290554849655759),
+                         1.9574370331447257, 0.7690796631842469)
+    h, t = build_toy_hamiltonian(toy), 1082721.3764468092
+    with pytest.raises(NotSymplectic):
+        mat_exp(-1.0 * h, t)
+    # eps * t * |H| is about 3e-10; the two paths round apart by about 2e-10
+    assert abs(exp_re_trace(-1.0 * h, t) - formal_trace(h, t)) < 1e-8
 
 
 def test_mat_exp_semigroup():
