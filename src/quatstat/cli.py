@@ -11,7 +11,6 @@ Exit codes: 0 success (findings included), 1 oracle self-check failure,
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -333,35 +332,38 @@ def _json_table(names: list[str], rows: list[tuple]) -> str:
     """The rows as a JSON list of objects named by ``names``, laid out as
     ``json.dumps`` does with an indent of 2, plus a newline.
 
-    A row of finite Python floats fills one ``%r`` template, since their
-    ``repr`` is their JSON form; the pure-Python indent encoder is several
-    times slower. A leading ``str`` cell, a record's quantity, is encoded
-    once per distinct value, into a template of its own. Any other row takes
-    :func:`_json_scalar` per cell.
+    Every row fills one template; the pure-Python indent encoder is several
+    times slower. A column of finite Python floats fills it through ``%r``,
+    which is their JSON form. A column of strings (a record's quantity) is
+    encoded once per distinct value, and any other column cell by cell by
+    :func:`_json_scalar`.
     """
-    keys = [json.dumps(name).replace("%", "%%") for name in names]
-
-    @functools.cache
-    def template(placeholder: str, lead: str | None = None) -> str:
-        cells = [placeholder] * len(keys)
-        if lead is not None:
-            cells[0] = json.dumps(lead).replace("%", "%%")
-        return "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, cells)) + "\n  }"
-
-    def render(row: tuple) -> str:
-        lead = row[0] if type(row[0]) is str else None
-        rest = row if lead is None else row[1:]
-        if all(type(v) is float for v in rest) and math.isfinite(sum(rest)):
-            return template("%r", lead) % rest
-        return template("%s") % tuple(map(_json_scalar, row))
-
-    return "[\n" + ",\n".join(map(render, rows)) + "\n]\n" if rows else "[]\n"
+    if not rows:
+        return "[]\n"
+    columns, cells = [], []
+    for column in zip(*rows):
+        types = set(map(type, column))
+        if types == {float} and math.isfinite(sum(column)):
+            cells.append("%r")
+        else:
+            encode = ({v: json.dumps(v) for v in set(column)}.__getitem__ if types == {str}
+                      else _json_scalar)
+            column = list(map(encode, column))
+            cells.append("%s")
+        columns.append(column)
+    template = "  {\n" + ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: {cell}" for name, cell in zip(names, cells)
+    ) + "\n  }"
+    return "[\n" + ",\n".join(template % row for row in zip(*columns)) + "\n]\n"
 
 
 def _csv_table(header: list[str], rows: list[tuple]) -> str:
-    """The header and rows as CSV, numbers at 17 significant digits, each row
-    from one ``%.17g`` template unless it holds a string (negtemp's ``T``)."""
-    template = ",".join(["%.17g"] * len(header))
+    """The header and rows as CSV, numbers at 17 significant digits. Every row
+    fills one template, ``%s`` for a column of strings (negtemp's ``T``) and
+    ``%.17g`` for any other; a column that mixes strings with numbers is
+    written cell by cell."""
+    template = ",".join("%s" if set(map(type, column)) == {str} else "%.17g"
+                        for column in zip(*rows))
     try:
         lines = [template % row for row in rows]
     except TypeError:

@@ -489,16 +489,17 @@ WRITER_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0
 
 
 def test_discrepancy_log_template_is_jsons_indent_2():
-    # rows of finite Python floats take the %r templates, one per leading
-    # quantity; every other row takes the per-cell fallback: both must be
-    # exactly what json.dumps(indent=2) writes
+    # a column of finite Python floats fills the row template through %r, a
+    # column of strings is encoded once per value, and any other column goes
+    # cell by cell through the fallback: each must be exactly what
+    # json.dumps(indent=2) writes
     values = WRITER_CELLS[:11]
     records = [DiscrepancyRecord(q, p, d, b) for q, p, d, b in zip(
         ["U", "S", "Cv", "Z1", "S_two_level", "P", "U", 'q"\\', "Z_formal", "S", "Cv"],
         values, values[3:] + values[:3], values[5:] + values[:5])]
-    records += [DiscrepancyRecord(q, 0.1 * i, -1.5e-300 * i, 1e308 / (i + 1))
+    records += [DiscrepancyRecord(q, 0.1 * i, -1.5e-300 * i, 1e307 / (i + 1))
                 for i, q in enumerate(["U", "S%r", "U", 'q"\\', "Cv"])]
-    for chosen in ([], records[:1], records):
+    for chosen in ([], records[:1], records[-5:], records):
         want = json.dumps([vars(r) for r in chosen], indent=2) + "\n"
         assert _json_table(_RECORD_FIELDS, [_record_values(r) for r in chosen]) == want
     # --output json tables: the cells the runners emit, strings and ints included
@@ -506,7 +507,9 @@ def test_discrepancy_log_template_is_jsons_indent_2():
     rows = [(np.float64(v), i, "infinite", v) for i, v in enumerate(values)]
     rows += [(-0.0, -3, 'q"\\', np.float64(-math.inf)), (0.1, -0.0, 5e-324, 1e308),
              (1e308, 1e308, 1.0, -2.5), ("infinite", 1.0, 2.0, 3.0)]
-    for chosen in ([], rows[:1], rows[-4:], rows):
+    # finite numpy scalars print as np.float64(...) under %r: fallback cells
+    numpy_cells = [(np.float64(2.5), 0.5, "T", 1.0), (0.25, 1.5, "T", np.float64(-1.0))]
+    for chosen in ([], rows[:1], rows[-3:-1], rows[-2:], rows, numpy_cells):
         want = json.dumps([dict(zip(header, row)) for row in chosen], indent=2) + "\n"
         assert _json_table(header, chosen) == want
 
