@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import click
 import numpy as np
 
-from .errors import InfiniteTemperature, QuatstatError
+from .errors import EnergyOutOfRange, QuatstatError
 from .linalg import QMatrix, energies_by_continuity, exp_re_trace, fro_norm
 from .metric import DEFAULT_REL_TOL, MetricOperator, build_metric, classification_report
 from .models import (
@@ -32,14 +32,12 @@ from .models import (
     TwoLevelGas,
     build_qubit_model,
     build_spin_model,
-    entropy_stirling,
-    log_multiplicity,
+    negtemp_grid,
     printed_spin_entropy,
     printed_spin_internal_energy,
     qubit_negative_temperature,
     spin_mean_energy,
     spin_negative_temperature,
-    temperature,
 )
 from .quaternion import Quaternion
 from .thermo import (
@@ -97,16 +95,21 @@ def _fmt(value: float) -> str:
 
 
 class _FiniteFloat(click.types.FloatParamType):
-    """A float that must be finite: NaN and infinities are usage errors."""
+    """A float that must be finite: NaN and infinities are usage errors, and
+    so are zero and negatives where ``positive`` is set."""
+
+    def __init__(self, positive: bool = False):
+        self.positive = positive
 
     def convert(self, value, param, ctx):
         number = super().convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        if not math.isfinite(number) or self.positive and not number > 0:
+            self.fail(f"{value!r} is not a{' positive' * self.positive} finite number.",
+                      param, ctx)
         return number
 
 
-FINITE = _FiniteFloat()
+FINITE, POSITIVE = _FiniteFloat(), _FiniteFloat(positive=True)
 
 
 def _particle_count(n) -> int:
@@ -306,9 +309,7 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
             return qubit_negative_temperature(n)
         if values["e_plus"] is None or values["e_minus"] is None:
             raise click.UsageError("--model custom requires --e-plus and --e-minus")
-        return TwoLevelGas(
-            n_particles=n, e_plus=values["e_plus"], e_minus=values["e_minus"]
-        )
+        return TwoLevelGas(n_particles=n, e_plus=values["e_plus"], e_minus=values["e_minus"])
     except (KeyError, TypeError, ValueError, QuatstatError) as exc:
         raise click.UsageError(f"negtemp params rejected: {exc}") from exc
 
@@ -527,18 +528,12 @@ def run_compare(cfg: SimpleNamespace) -> int:
 def run_negtemp(cfg: SimpleNamespace) -> int:
     gas = _negtemp_gas(cfg)
     energies = _grid(cfg.grid_spec or (gas.e_min, gas.e_max, cfg.points), False)
-    rows = []
-    for energy in energies:
-        try:
-            s_model = entropy_stirling(gas, energy, cfg.k)
-            s_exact = cfg.k * log_multiplicity(gas, energy)
-        except QuatstatError as exc:
-            raise click.UsageError(f"E = {energy}: {exc}") from exc
-        try:
-            t_cell = _fmt(temperature(gas, energy, cfg.k))
-        except InfiniteTemperature:
-            t_cell = "infinite"
-        rows.append((energy, s_model, s_exact, t_cell))
+    try:
+        grid = negtemp_grid(gas, energies, cfg.k)
+    except EnergyOutOfRange as exc:
+        raise click.UsageError(f"E = {exc.energy}: {exc}") from exc
+    rows = [(energy, s_model, s_exact, "infinite" if t is None else _fmt(t))
+            for energy, _, _, s_model, s_exact, _, t in grid]
     _emit(cfg, ["E", "S_stirling", "S_exact", "T"], rows)
     return 0
 
@@ -568,8 +563,8 @@ def run_spectrum(cfg: SimpleNamespace) -> int:
 # Click wiring
 # ---------------------------------------------------------------------------
 
-def _number(flag: str, default: float | None, help: str):
-    return (flag,), dict(type=FINITE, default=default, show_default=True, help=help)
+def _number(flag: str, default: float | None, help: str, type=FINITE):
+    return (flag,), dict(type=type, default=default, show_default=True, help=help)
 
 
 #: Every option of every subcommand, declared once: name -> (declarations,
@@ -597,7 +592,7 @@ _OPTIONS = {
         help="Grid size when --grid is not given.")),
     "n_particles": (("--n-particles",), dict(
         type=click.IntRange(min=1), default=1, show_default=True, callback=_count_option)),
-    "k": _number("--k", 1.0, "Boltzmann constant."),
+    "k": _number("--k", 1.0, "Boltzmann constant.", POSITIVE),
     "rederived": (("--rederived",), dict(
         is_flag=True, help="Use the re-derived coupling sign on the closed-form path.")),
     "discrepancies": (("--discrepancies", "discrepancies_path"), dict(

@@ -50,6 +50,10 @@ class UnphysicalZ(QuatstatError):
 class EnergyOutOfRange(QuatstatError):
     """Total energy lies outside the reachable band of the two-level gas."""
 
+    def __init__(self, message: str, energy: float | None = None):
+        super().__init__(message)
+        self.energy = energy
+
 
 class InfiniteTemperature(QuatstatError):
     """Requested energy sits exactly at the entropy maximum (1/T == 0)."""

@@ -64,6 +64,8 @@ class TwoLevelGas:
             raise ConstraintViolation("particle count must be at least 1")
         if not (self.e_plus > self.e_minus):
             raise ConstraintViolation("levels must satisfy e_plus > e_minus")
+        if not math.isfinite(self.e_max - self.e_min):
+            raise ConstraintViolation(f"band [{self.e_min}, {self.e_max}] past the float range")
 
     @property
     def e_min(self) -> float:
@@ -81,44 +83,21 @@ class TwoLevelGas:
         return 1e-12 * max(1.0, abs(self.e_min), abs(self.e_max))
 
 
-def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
-    """Level populations ``(N+, N-)`` solving the energy and number constraints.
-
-    ``N+ = (E - N E-)/(E+ - E-)``; the companion population is returned as
-    ``N - N+`` so the pair sums to ``N`` exactly. Populations are continuous
-    in ``E`` and need not be integers.
-    """
-    slack = g._slack()
-    if energy < g.e_min - slack or energy > g.e_max + slack:
-        raise EnergyOutOfRange(
-            f"E = {energy} outside [{g.e_min}, {g.e_max}] for this gas"
-        )
-    n_plus = (energy - g.e_min) / (g.e_plus - g.e_minus)
-    n_plus = min(max(n_plus, 0.0), float(g.n_particles))
-    return n_plus, g.n_particles - n_plus
-
-
 #: ``ln(2 pi) / 2``, the constant of Stirling's formula.
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
-    """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
-    by analytic continuation.
+def _stirling_log_multiplicity(n: float, n_plus: float, n_minus: float) -> float:
+    """``ln N!/(N+! N-!)`` where ``ln N!`` passes the float range (``N`` above
+    about 2.5e305), so it is not formed.
 
-    Where ``ln N!`` passes the float range (``N`` above about 2.5e305) it is
-    not formed. With ``N = N+ + N-``, Stirling's formula for ``ln N!`` splits
-    into one term per population ``m``, ``m ln N - m - ln m!``, which stays
-    below ``N``. A population under 100 takes ``ln m!`` from log-gamma; a
-    larger one is ``-m ln(m/N) - ln(2 pi m)/2`` less Stirling's series
-    ``1/(12 m) - 1/(360 m^3) + 1/(1260 m^5)``. ``ln(2 pi N)/2`` is added
-    once; the series term of ``N`` is below the last digit.
+    With ``N = N+ + N-``, Stirling's formula for ``ln N!`` splits into one
+    term per population ``m``, ``m ln N - m - ln m!``, which stays below
+    ``N``. A population under 100 takes ``ln m!`` from log-gamma; a larger one
+    is ``-m ln(m/N) - ln(2 pi m)/2`` less Stirling's series
+    ``1/(12 m) - 1/(360 m^3) + 1/(1260 m^5)``. ``ln(2 pi N)/2`` is added once;
+    the series term of ``N`` is below the last digit.
     """
-    n_plus, n_minus = occupation_numbers(g, energy)
-    total = lgamma(g.n_particles + 1.0)
-    if total < math.inf:
-        return total - lgamma(n_plus + 1.0) - lgamma(n_minus + 1.0)
-    n = float(g.n_particles)
     value = _HALF_LOG_2PI + 0.5 * math.log(n)
     for m, other in ((n_plus, n_minus), (n_minus, n_plus)):
         if m < 100.0:
@@ -132,55 +111,80 @@ def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     return value
 
 
-def entropy_stirling(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
-    """Stirling entropy ``k [N ln N - N+ ln N+ - N- ln N-]``.
+def negtemp_grid(g: TwoLevelGas, energies, k: float = 1.0) -> list[tuple]:
+    """Rows ``(E, N+, N-, S_stirling, S_exact, 1/T, T)`` at each energy, in order.
 
-    Evaluated in the equivalent population-fraction form, which is exact at
-    the band edges (zero) and at the midpoint (``N k ln 2``).
+    Each column is its one-point function below, bit for bit; ``S_exact`` is
+    ``k ln Omega`` and ``T`` is None where :func:`temperature` raises. The
+    gas's constants are computed once, each energy's populations serve both
+    entropies, and every ``log`` and ``lgamma`` is ``math``'s (numpy's differ
+    in the last bit). The first energy outside the band raises EnergyOutOfRange.
     """
-    n_plus, n_minus = occupation_numbers(g, energy)
-    n = g.n_particles
-    # the trailing + 0.0 normalizes -0.0 at the band edges
-    return float(-k * (xlogy(n_plus, n_plus / n) + xlogy(n_minus, n_minus / n))) + 0.0
+    n, e_min, e_max, mid, slack = float(g.n_particles), g.e_min, g.e_max, g.midpoint, g._slack()
+    floor, ceil, low_edge, high_edge = e_min - slack, e_max + slack, e_min + slack, e_max - slack
+    width, neg_k, scale = g.e_plus - g.e_minus, -k, k / (g.e_minus - g.e_plus)
+    log_total = lgamma(g.n_particles + 1.0)
+    log, log_gamma, inf = math.log, math.lgamma, math.inf
+    rows = []
+    for energy in energies:
+        if energy < floor or energy > ceil:
+            raise EnergyOutOfRange(
+                f"E = {energy} outside [{e_min}, {e_max}] for this gas", energy)
+        # N+ = (E - N E-)/(E+ - E-); N- = N - N+, so the pair sums to N exactly
+        n_plus = min(max((energy - e_min) / width, 0.0), n)
+        n_minus = n - n_plus
+        # + 0.0 normalizes -0.0 at the band edges
+        stirling = float(neg_k * (xlogy(n_plus, n_plus / n) + xlogy(n_minus, n_minus / n))) + 0.0
+        if log_total < inf:
+            exact = log_total - log_gamma(n_plus + 1.0) - log_gamma(n_minus + 1.0)
+        else:
+            exact = _stirling_log_multiplicity(n, n_plus, n_minus)
+        if abs(energy - mid) <= slack:
+            inverse = 0.0
+        elif energy <= low_edge:
+            inverse = inf
+        elif energy >= high_edge:
+            inverse = -inf
+        else:
+            inverse = scale * log(-(energy - e_min) / (energy - e_max))
+        t = (None if inverse == 0.0 else math.copysign(0.0, inverse)
+             if math.isinf(inverse) else 1.0 / inverse)
+        rows.append((energy, n_plus, n_minus, stirling, k * exact, inverse, t))
+    return rows
+
+
+def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
+    """Level populations ``(N+, N-)`` at ``energy``; they sum to ``N`` exactly
+    and need not be integers."""
+    return negtemp_grid(g, [energy])[0][1:3]
+
+
+def entropy_stirling(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
+    """Stirling entropy ``k [N ln N - N+ ln N+ - N- ln N-]``, exact at the band
+    edges (zero) and at the midpoint (``N k ln 2``)."""
+    return negtemp_grid(g, [energy], k)[0][3]
+
+
+def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
+    """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
+    by analytic continuation, and Stirling's formula past ``N`` near 2.5e305."""
+    return negtemp_grid(g, [energy])[0][4]
 
 
 def inverse_temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
-    """``1/T = dS/dE = k/(E- - E+) * ln(-(E - N E-)/(E - N E+))``.
-
-    Zero exactly at the midpoint, positive below it, negative above it, and
-    divergent toward the band edges.
-    """
-    slack = g._slack()
-    if energy < g.e_min - slack or energy > g.e_max + slack:
-        raise EnergyOutOfRange(
-            f"E = {energy} outside [{g.e_min}, {g.e_max}] for this gas"
-        )
-    if abs(energy - g.midpoint) <= slack:
-        return 0.0
-    if energy <= g.e_min + slack:
-        return math.inf
-    if energy >= g.e_max - slack:
-        return -math.inf
-    ratio = -(energy - g.e_min) / (energy - g.e_max)
-    return k / (g.e_minus - g.e_plus) * math.log(ratio)
+    """``1/T = dS/dE = k/(E- - E+) * ln(-(E - N E-)/(E - N E+))``: zero at the
+    midpoint, positive below it, negative above it, ``+-inf`` at the edges."""
+    return negtemp_grid(g, [energy], k)[0][5]
 
 
 def temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
-    """Combinatorial temperature; sign flips across the entropy maximum.
-
-    Raises :class:`InfiniteTemperature` exactly at the midpoint, where
-    ``1/T`` crosses zero; reports use that signal rather than a float
-    infinity so overflow stays distinguishable. At the band edges the limit
-    values ``+0.0`` and ``-0.0`` are returned.
-    """
-    inv = inverse_temperature(g, energy, k)
-    if inv == 0.0:
-        raise InfiniteTemperature(
-            f"E = {energy} is the entropy maximum of this gas; |T| diverges"
-        )
-    if math.isinf(inv):
-        return math.copysign(0.0, inv)
-    return 1.0 / inv
+    """Combinatorial temperature; sign flips across the entropy maximum. At the
+    band edges it is ``+0.0`` and ``-0.0``; where ``1/T`` is zero (the midpoint)
+    :class:`InfiniteTemperature` is raised, which keeps a float overflow apart."""
+    t = negtemp_grid(g, [energy], k)[0][6]
+    if t is None:
+        raise InfiniteTemperature(f"E = {energy} is the entropy maximum of this gas; |T| diverges")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +233,16 @@ def spin_eigenvectors(p: SpinModelParams):
     return psi_plus, psi_minus, phi_plus, phi_minus
 
 
+def _certify_levels(h: QMatrix, pairs) -> None:
+    """Raise :class:`ConstraintViolation` unless ``H psi = psi * iE`` holds for
+    each ``(psi, E)`` of ``pairs``."""
+    for psi, energy in pairs:
+        left, right = mat_vec(h, psi), vec_scale_right(psi, I * energy)
+        residual = max(abs(a - b) for a, b in zip(left, right))
+        if residual > 1e-10 * max(1.0, fro_norm(h)):
+            raise ConstraintViolation(f"eigenvector residual {residual:.3e} exceeds tolerance")
+
+
 def build_spin_model(
     p: SpinModelParams,
 ) -> tuple[QMatrix, MetricOperator, SpectralEnsemble]:
@@ -244,14 +258,7 @@ def build_spin_model(
     metric = build_metric(abs(p.x), 1.0, 0.0)
     expected = [p.omega / 2.0 + p.v, p.omega / 2.0 - p.v]
     psi_plus, psi_minus, _, _ = spin_eigenvectors(p)
-    for psi, energy in ((psi_plus, expected[0]), (psi_minus, expected[1])):
-        left = mat_vec(h, psi)
-        right = vec_scale_right(psi, I * energy)
-        residual = max(abs(a - b) for a, b in zip(left, right))
-        if residual > 1e-10 * max(1.0, fro_norm(h)):
-            raise ConstraintViolation(
-                f"eigenvector residual {residual:.3e} exceeds tolerance"
-            )
+    _certify_levels(h, ((psi_plus, expected[0]), (psi_minus, expected[1])))
     ensemble = SpectralEnsemble(((expected[0], 1), (expected[1], 1)))
     return h, metric, ensemble
 
@@ -402,12 +409,6 @@ def build_qubit_model(
         raise ConstraintViolation("qubit Hamiltonian failed certification")
     s = 1.0 / math.sqrt(2.0)
     u = Quaternion(s, 0.0, s * math.sin(p.phi), -s * math.cos(p.phi))
-    for psi, energy in (((u, Quaternion()), 2.0), ((Quaternion(), Quaternion(1.0)), 0.0)):
-        residual = max(abs(a - b) for a, b in zip(mat_vec(h, psi),
-                                                  vec_scale_right(psi, I * energy)))
-        if residual > 1e-10 * max(1.0, fro_norm(h)):
-            raise ConstraintViolation(
-                f"eigenvector residual {residual:.3e} exceeds tolerance"
-            )
+    _certify_levels(h, (((u, Quaternion()), 2.0), ((Quaternion(), Quaternion(1.0)), 0.0)))
     ensemble = SpectralEnsemble(((2.0, 1), (0.0, 1)))
     return h, metric, ensemble

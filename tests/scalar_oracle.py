@@ -1,10 +1,11 @@
-"""The scalar slice and spectral forms, one beta per call: the bit-for-bit oracle.
+"""The scalar slice, spectral and two-level gas forms, one point per call: the
+bit-for-bit oracle.
 
-These are the one-point implementations that ``quatstat.thermo`` evaluated
-before its grid functions, kept verbatim (only the imports are new) so that
-``tests/test_grid.py`` can require the grid path to reproduce every value,
-every discrepancy record and every error bit for bit. Nothing in the package
-imports this module.
+These are the one-point implementations that ``quatstat.thermo`` and
+``quatstat.models`` evaluated before their grid functions, kept verbatim
+(only the imports are new) so that ``tests/test_grid.py`` can require the grid
+path to reproduce every value, every discrepancy record and every error bit
+for bit. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from quatstat.errors import DegenerateLevels, QuatstatError, UnphysicalZ
+from quatstat.errors import (
+    DegenerateLevels,
+    EnergyOutOfRange,
+    InfiniteTemperature,
+    QuatstatError,
+    UnphysicalZ,
+)
+from quatstat.models import TwoLevelGas, lgamma, xlogy
 from quatstat.thermo import (
     DEGENERACY_TOL,
     DiscrepancyRecord,
@@ -242,3 +250,104 @@ def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
         Cv=cv,
     )
 
+
+def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
+    """Level populations ``(N+, N-)`` solving the energy and number constraints.
+
+    ``N+ = (E - N E-)/(E+ - E-)``; the companion population is returned as
+    ``N - N+`` so the pair sums to ``N`` exactly. Populations are continuous
+    in ``E`` and need not be integers.
+    """
+    slack = g._slack()
+    if energy < g.e_min - slack or energy > g.e_max + slack:
+        raise EnergyOutOfRange(
+            f"E = {energy} outside [{g.e_min}, {g.e_max}] for this gas"
+        )
+    n_plus = (energy - g.e_min) / (g.e_plus - g.e_minus)
+    n_plus = min(max(n_plus, 0.0), float(g.n_particles))
+    return n_plus, g.n_particles - n_plus
+
+
+#: ``ln(2 pi) / 2``, the constant of Stirling's formula.
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
+    """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
+    by analytic continuation.
+
+    Where ``ln N!`` passes the float range (``N`` above about 2.5e305) it is
+    not formed. With ``N = N+ + N-``, Stirling's formula for ``ln N!`` splits
+    into one term per population ``m``, ``m ln N - m - ln m!``, which stays
+    below ``N``. A population under 100 takes ``ln m!`` from log-gamma; a
+    larger one is ``-m ln(m/N) - ln(2 pi m)/2`` less Stirling's series
+    ``1/(12 m) - 1/(360 m^3) + 1/(1260 m^5)``. ``ln(2 pi N)/2`` is added
+    once; the series term of ``N`` is below the last digit.
+    """
+    n_plus, n_minus = occupation_numbers(g, energy)
+    total = lgamma(g.n_particles + 1.0)
+    if total < math.inf:
+        return total - lgamma(n_plus + 1.0) - lgamma(n_minus + 1.0)
+    n = float(g.n_particles)
+    value = _HALF_LOG_2PI + 0.5 * math.log(n)
+    for m, other in ((n_plus, n_minus), (n_minus, n_plus)):
+        if m < 100.0:
+            value += m * math.log(n) - m - math.lgamma(m + 1.0)
+            continue
+        # log1p(-other/N) keeps the digits of ln(m/N) where m is near N
+        log_share = math.log(m / n) if m < other else math.log1p(-other / n)
+        inv2 = 1.0 / (m * m)
+        series = (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / m
+        value -= m * log_share + _HALF_LOG_2PI + 0.5 * math.log(m) + series
+    return value
+
+
+def entropy_stirling(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
+    """Stirling entropy ``k [N ln N - N+ ln N+ - N- ln N-]``.
+
+    Evaluated in the equivalent population-fraction form, which is exact at
+    the band edges (zero) and at the midpoint (``N k ln 2``).
+    """
+    n_plus, n_minus = occupation_numbers(g, energy)
+    n = g.n_particles
+    # the trailing + 0.0 normalizes -0.0 at the band edges
+    return float(-k * (xlogy(n_plus, n_plus / n) + xlogy(n_minus, n_minus / n))) + 0.0
+
+
+def inverse_temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
+    """``1/T = dS/dE = k/(E- - E+) * ln(-(E - N E-)/(E - N E+))``.
+
+    Zero exactly at the midpoint, positive below it, negative above it, and
+    divergent toward the band edges.
+    """
+    slack = g._slack()
+    if energy < g.e_min - slack or energy > g.e_max + slack:
+        raise EnergyOutOfRange(
+            f"E = {energy} outside [{g.e_min}, {g.e_max}] for this gas"
+        )
+    if abs(energy - g.midpoint) <= slack:
+        return 0.0
+    if energy <= g.e_min + slack:
+        return math.inf
+    if energy >= g.e_max - slack:
+        return -math.inf
+    ratio = -(energy - g.e_min) / (energy - g.e_max)
+    return k / (g.e_minus - g.e_plus) * math.log(ratio)
+
+
+def temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
+    """Combinatorial temperature; sign flips across the entropy maximum.
+
+    Raises :class:`InfiniteTemperature` exactly at the midpoint, where
+    ``1/T`` crosses zero; reports use that signal rather than a float
+    infinity so overflow stays distinguishable. At the band edges the limit
+    values ``+0.0`` and ``-0.0`` are returned.
+    """
+    inv = inverse_temperature(g, energy, k)
+    if inv == 0.0:
+        raise InfiniteTemperature(
+            f"E = {energy} is the entropy maximum of this gas; |T| diverges"
+        )
+    if math.isinf(inv):
+        return math.copysign(0.0, inv)
+    return 1.0 / inv

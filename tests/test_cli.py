@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +465,17 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         ["compare", "--beta", "1:2:2", "--n-particles", str(10**309)],
         ["negtemp", "--points", "3", "--n-particles", str(10**309)],
         ["negtemp", "--params", "past_float_n.json"],
+        # an energy band past the float range
+        ["negtemp", "--n-particles", str(10**308), "--omega", "3", "--v", "1", "--points", "3"],
+        ["negtemp", "--model", "custom", "--e-plus", "1e308", "--e-minus", "-1e308",
+         "--n-particles", "1", "--points", "3"],
+        ["negtemp", "--n-particles", str(10**308), "--grid", "1:2:3", "--omega", "3"],
+        # a Boltzmann constant that is not positive
+        ["thermo", "--k", "-1", "--beta", "1:2:2"],
+        ["thermo", "--k", "0", "--beta", "1:2:2"],
+        ["compare", "--k", "-0.5", "--beta", "0.2:1:3"],
+        ["negtemp", "--k", "-1"],
+        ["negtemp", "--k", "0"],
     ],
     ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} digits>" for a in argv),
 )
@@ -473,7 +485,9 @@ def test_configuration_errors_exit_2(runner, tmp_path, argv):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         for name, text in CONFIG_INPUTS.items():
             Path(name).write_text(text)
-        result = runner.invoke(cli, argv[len(env):], env=env)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is an escaped exception
+            result = runner.invoke(cli, argv[len(env):], env=env)
         assert result.exit_code == 2, result.output
         # click turned it into a usage error; an escaped exception would be
         # result.exception and print a traceback from the console script
@@ -613,15 +627,16 @@ def test_negtemp_table(runner, tmp_path):
 
 
 def test_negtemp_past_the_lgamma_range_prints_finite_entropy(runner, tmp_path):
-    # ln N! passes the float range near N = 2.6e305; S_exact does not
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        result = runner.invoke(cli, ["negtemp", "--n-particles", str(10**306),
-                                     "--points", "3"])
-        assert result.exit_code == 0, result.output
-        _, rows = parse_csv(result.stdout)
-        s_exact = [float(row[2]) for row in rows]
-        assert s_exact[0] == s_exact[2] == 0.0
-        assert s_exact[1] == pytest.approx(10**306 * math.log(2.0), rel=1e-12)
+    # ln N! passes the float range near N = 2.6e305; S_exact does not. At
+    # N = 10**308 the default band, 0.5e308 to 1.5e308, is still finite
+    for n in (10**306, 10**308):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(cli, ["negtemp", "--n-particles", str(n), "--points", "3"])
+            assert result.exit_code == 0, result.output
+            _, rows = parse_csv(result.stdout)
+            s_exact = [float(row[2]) for row in rows]
+            assert s_exact[0] == s_exact[2] == 0.0
+            assert s_exact[1] == pytest.approx(n * math.log(2.0), rel=1e-12)
 
 
 def test_negtemp_params_file(runner, tmp_path):

@@ -1,4 +1,4 @@
-"""The grid path against the scalar oracle in ``scalar_oracle.py``, bit for bit.
+"""The grid paths against the scalar oracle in ``scalar_oracle.py``, bit for bit.
 
 Every value is compared by ``repr``, which tells apart any two floats
 (``-0.0`` from ``0.0`` included). Where a scalar display form raises, the
@@ -15,8 +15,15 @@ import numpy as np
 import pytest
 import scalar_oracle as oracle
 
-from quatstat import EnergySliceParams, SpectralEnsemble, thermo
-from quatstat.errors import DegenerateLevels, QuatstatError, UnphysicalZ
+from quatstat import EnergySliceParams, SpectralEnsemble, SpinModelParams, models, thermo
+from quatstat.errors import (
+    ConstraintViolation,
+    DegenerateLevels,
+    EnergyOutOfRange,
+    InfiniteTemperature,
+    QuatstatError,
+    UnphysicalZ,
+)
 
 FORMS = ("U", "S", "Cv")
 
@@ -182,3 +189,121 @@ def test_spectral_grid_is_the_scalar_oracle():
             beta = betas[len(betas) // 2]
             assert repr(thermo.thermo_spectral(e, beta)) == repr(oracle.thermo_spectral(e, beta))
             assert repr(thermo.z_spectral(e, beta)) == repr(oracle.z_spectral(e, beta))
+
+
+def oracle_negtemp(g, energies, k):
+    """Rows of the scalar gas functions over ``energies``, as
+    :func:`models.negtemp_grid` gives them, and the first error's text."""
+    rows = []
+    for energy in energies:
+        try:
+            s_model = oracle.entropy_stirling(g, energy, k)
+        except EnergyOutOfRange as exc:
+            return rows, str(exc)
+        try:
+            t = oracle.temperature(g, energy, k)
+        except InfiniteTemperature:
+            t = None
+        rows.append((energy, *oracle.occupation_numbers(g, energy), s_model,
+                     k * oracle.log_multiplicity(g, energy),
+                     oracle.inverse_temperature(g, energy, k), t))
+    return rows, None
+
+
+def check_negtemp(g, energies, k):
+    want, error = oracle_negtemp(g, energies, k)
+    if error is None:
+        got = models.negtemp_grid(g, energies, k)
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got, want):  # row by row: a short report
+            assert repr(got_row) == repr(want_row), (g, k)
+        if all(type(e) is float for e in energies):
+            assert all(type(v) is float for row in got for v in row if v is not None)
+    else:
+        with pytest.raises(EnergyOutOfRange, match=f"^{re.escape(error)}$"):
+            models.negtemp_grid(g, energies, k)
+    return error
+
+
+def random_gas(rng, kind: str, n: int):
+    if kind == "spin":
+        v = float(rng.uniform(0.01, 3.0)) * float(rng.choice([-1.0, 1.0]))
+        return models.spin_negative_temperature(
+            SpinModelParams(float(rng.uniform(0.1, 5.0)), v, 1.0), n)
+    if kind == "qubit":
+        return models.qubit_negative_temperature(n)
+    e_minus = float(rng.uniform(-3.0, 3.0)) * 10 ** rng.uniform(-3.0, 3.0)
+    return models.TwoLevelGas(n, e_minus + float(10 ** rng.uniform(-3.0, 1.0)), e_minus)
+
+
+def band_grid(g, points: int, out: float = 0.0) -> list[float]:
+    """``--points`` over the band, or a ``--grid`` that passes each edge by
+    ``out`` times the gas's slack; ascending, as the command builds it."""
+    spread = out * g._slack()
+    return np.sort(np.linspace(g.e_min - spread, g.e_max + spread, points)).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_negtemp_grid_is_the_scalar_oracle(seed):
+    rng = np.random.default_rng(1800 + seed)
+    errors = 0
+    for case in range(45):
+        kind = ("spin", "qubit", "custom")[case % 3]
+        n = random_count(rng) if case % 5 else int(rng.choice([3e305, 1e306, 10**308]))
+        try:
+            g = random_gas(rng, kind, n)
+        except ConstraintViolation:  # a band past the float range
+            continue
+        k = float(rng.uniform(0.5, 2.0))
+        points = int(rng.choice([3, 4, int(rng.integers(2, 300)), 2000, 2001]))
+        # within the slack of each edge, or past it
+        out = float(rng.choice([0.0, 0.0, 0.5, 3.0]))
+        errors += check_negtemp(g, band_grid(g, points, out), k) is not None
+    assert errors  # some grids leave the band
+
+
+def test_negtemp_grid_at_the_edges():
+    gases = [
+        models.TwoLevelGas(1, 5e-324, 0.0),  # a subnormal band
+        models.TwoLevelGas(1, 1e-300, 0.0),  # narrower than the slack floor
+        models.TwoLevelGas(10**308, 1.5, 0.5),  # Stirling, next to the float range
+        models.TwoLevelGas(int(3e305), 1.0, -1.0),
+        models.TwoLevelGas(10**306, 2.0, 0.0),
+        models.TwoLevelGas(7, 8e307 / 7, -8e307 / 7),
+        models.qubit_negative_temperature(10),
+    ]
+    for g in gases:
+        for points in (1, 2, 3, 4, 5, 2001):
+            assert check_negtemp(g, band_grid(g, points), 1.3) is None
+        assert check_negtemp(g, band_grid(g, 7, 0.99), 0.7) is None
+        assert check_negtemp(g, band_grid(g, 7, 3.0), 0.7) is not None
+    # the first energy out of the band in grid order names the error
+    g = models.qubit_negative_temperature(2)
+    error = check_negtemp(g, [0.0, 4.0, -1.0, 5.0], 1.0)
+    assert error == "E = -1.0 outside [0.0, 4.0] for this gas"
+    # numpy floats keep the types the scalar functions gave them
+    assert check_negtemp(g, np.linspace(-1.0, 5.0, 13), 1.0) is not None
+    assert check_negtemp(g, np.linspace(0.0, 4.0, 13), 1.0) is None
+
+
+def test_negtemp_one_point_wrappers_are_the_scalar_oracle():
+    rng = np.random.default_rng(1801)
+    for case in range(120):
+        g = random_gas(rng, ("spin", "qubit", "custom")[case % 3], random_count(rng))
+        k = float(rng.uniform(0.5, 2.0))
+        for energy in [*band_grid(g, 5, 0.5), *np.linspace(g.e_min, g.e_max, 3)]:
+            assert repr(models.occupation_numbers(g, energy)) == repr(
+                oracle.occupation_numbers(g, energy))
+            assert repr(models.entropy_stirling(g, energy, k)) == repr(
+                oracle.entropy_stirling(g, energy, k))
+            assert repr(models.log_multiplicity(g, energy)) == repr(
+                oracle.log_multiplicity(g, energy))
+            assert repr(models.inverse_temperature(g, energy, k)) == repr(
+                oracle.inverse_temperature(g, energy, k))
+            try:
+                want = oracle.temperature(g, energy, k)
+            except InfiniteTemperature as exc:
+                with pytest.raises(InfiniteTemperature, match=f"^{re.escape(str(exc))}$"):
+                    models.temperature(g, energy, k)
+            else:
+                assert repr(models.temperature(g, energy, k)) == repr(want)

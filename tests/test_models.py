@@ -372,3 +372,8 @@ def test_two_level_gas_validation():
         TwoLevelGas(n_particles=0, e_plus=1.0, e_minus=0.0)
     with pytest.raises(ConstraintViolation):
         TwoLevelGas(n_particles=5, e_plus=0.0, e_minus=0.0)
+    # a band, or its width, past the float range
+    for n, e_plus, e_minus in ((10**308, 2.5, 0.5), (10**308, -0.5, -2.5), (1, 1e308, -1e308)):
+        with pytest.raises(ConstraintViolation, match="past the float range"):
+            TwoLevelGas(n_particles=n, e_plus=e_plus, e_minus=e_minus)
+    assert TwoLevelGas(n_particles=10**308, e_plus=1.5, e_minus=0.5).e_max == 1.5e308
