@@ -94,6 +94,7 @@ from .quaternion import (
     qmul,
 )
 from .thermo import (
+    DiscrepancyLog,
     DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,

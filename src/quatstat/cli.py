@@ -16,9 +16,10 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Sequence
 
 import click
 import numpy as np
@@ -41,6 +42,7 @@ from .models import (
 )
 from .quaternion import Quaternion
 from .thermo import (
+    DiscrepancyLog,
     DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
@@ -285,10 +287,15 @@ def _resolve_model(cfg: SimpleNamespace) -> ModelBundle:
     )
 
 
+#: The flags that set each ``negtemp`` gas, named when the gas is refused.
+_NEGTEMP_FLAGS = {"spin": "--omega/--v/--x/", "qubit": "", "custom": "--e-plus/--e-minus/"}
+
+
 def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
     """The two-level gas of ``negtemp``. A params file replaces the model and
     level flags with ``e_plus``/``e_minus`` or ``omega``/``v`` (and ``x``),
-    and may set ``n_particles``, which must be a JSON integer."""
+    and may set ``n_particles``, which must be a JSON integer. A refused gas
+    is a usage error that names the params file or the flags that set it."""
     model, values, n = cfg.model, vars(cfg), cfg.n_particles
     try:
         if cfg.params_path:
@@ -311,7 +318,8 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
             raise click.UsageError("--model custom requires --e-plus and --e-minus")
         return TwoLevelGas(n_particles=n, e_plus=values["e_plus"], e_minus=values["e_minus"])
     except (KeyError, TypeError, ValueError, QuatstatError) as exc:
-        raise click.UsageError(f"negtemp params rejected: {exc}") from exc
+        source = "params" if cfg.params_path else f"{_NEGTEMP_FLAGS[model]}--n-particles"
+        raise click.UsageError(f"negtemp {source} rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -320,51 +328,52 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
 
 
 _RECORD_FIELDS = [f.name for f in fields(DiscrepancyRecord)]
-_record_values = attrgetter(*_RECORD_FIELDS)
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)  # strings, ints, NaN, Infinity, -Infinity
+def _json_cells(column: Sequence) -> list[str]:
+    """``json.dumps`` of each cell: through ``repr`` for a column of finite
+    Python floats, ``encode_basestring_ascii`` for a column of strings, and
+    ``json.dumps`` itself for any other (ints, numpy floats, NaN, infinities)."""
+    types = set(map(type, column))
+    if types == {float} and math.isfinite(sum(column)):
+        return list(map(float.__repr__, column))
+    return list(map(encode_basestring_ascii if types == {str} else json.dumps, column))
 
 
-def _json_table(names: list[str], rows: list[tuple]) -> str:
-    """The rows as a JSON list of objects named by ``names``, laid out as
-    ``json.dumps`` does with an indent of 2, plus a newline.
-
-    Every row fills one template; the pure-Python indent encoder is several
-    times slower. A column of finite Python floats fills it through ``%r``,
-    which is their JSON form. A column of strings (a record's quantity) is
-    encoded once per distinct value, and any other column cell by cell by
-    :func:`_json_scalar`.
-    """
-    if not rows:
+def _json_table(names: list[str], cells: list[list[str]]) -> str:
+    """Columns of :func:`_json_cells` as a JSON list of objects named by
+    ``names``, laid out as ``json.dumps`` does with an indent of 2, plus a
+    newline. Every row fills one template; the pure-Python indent encoder is
+    several times slower."""
+    if not cells or not cells[0]:
         return "[]\n"
-    columns, cells = [], []
-    for column in zip(*rows):
-        types = set(map(type, column))
-        if types == {float} and math.isfinite(sum(column)):
-            cells.append("%r")
-        else:
-            encode = ({v: json.dumps(v) for v in set(column)}.__getitem__ if types == {str}
-                      else _json_scalar)
-            column = list(map(encode, column))
-            cells.append("%s")
-        columns.append(column)
     template = "  {\n" + ",\n".join(
-        f"    {json.dumps(name).replace('%', '%%')}: {cell}" for name, cell in zip(names, cells)
-    ) + "\n  }"
-    return "[\n" + ",\n".join(template % row for row in zip(*columns)) + "\n]\n"
+        f"    {json.dumps(name).replace('%', '%%')}: %s" for name in names) + "\n  }"
+    return "[\n" + ",\n".join(template % row for row in zip(*cells)) + "\n]\n"
 
 
-def _csv_table(header: list[str], rows: list[tuple]) -> str:
-    """The header and rows as CSV, numbers at 17 significant digits. Every row
-    fills one template, ``%s`` for a column of strings (negtemp's ``T``) and
-    ``%.17g`` for any other; a column that mixes strings with numbers is
+def _log_cells(log: DiscrepancyLog, beta_cells: list[str],
+               shared: dict[str, list[str]]) -> list[list[str]]:
+    """The :func:`_json_cells` of the discrepancy log. A record's ``beta``
+    cell is ``beta_cells[at]``, and where ``shared`` holds the table cells
+    of its quantity's derived column, its ``derived_value`` cell is the cell
+    at ``at`` there; every other value is encoded here."""
+    own = iter(_json_cells([v for q, v in zip(log.quantity, log.derived_value)
+                            if q not in shared]))
+    derived = [shared[q][i] if q in shared else next(own)
+               for q, i in zip(log.quantity, log.at)]
+    return [_json_cells(log.quantity), _json_cells(log.printed_value), derived,
+            list(map(beta_cells.__getitem__, log.at))]
+
+
+def _csv_table(header: list[str], columns: list[Sequence]) -> str:
+    """The header and columns as CSV, numbers at 17 significant digits. Every
+    row fills one template, ``%s`` for a column of strings (negtemp's ``T``)
+    and ``%.17g`` for any other; a column that mixes strings with numbers is
     written cell by cell."""
     template = ",".join("%s" if set(map(type, column)) == {str} else "%.17g"
-                        for column in zip(*rows))
+                        for column in columns)
+    rows = list(zip(*columns))
     try:
         lines = [template % row for row in rows]
     except TypeError:
@@ -372,18 +381,29 @@ def _csv_table(header: list[str], rows: list[tuple]) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def _emit(cfg: SimpleNamespace, header: list[str], rows: list[tuple], records=None):
-    """Write the table, then the discrepancy log unless ``records`` is None.
+def _emit(cfg: SimpleNamespace, header: list[str], columns: list[Sequence],
+          log: DiscrepancyLog | None = None, derived_columns: dict[str, str] | None = None):
+    """Write the table, then the discrepancy log unless ``log`` is None.
 
-    Both are rendered and every destination is checked first, so that a
-    path that cannot be written, or one that names the ``--params`` input,
-    is a configuration error with no output.
+    Each float is formatted once per format: the log's ``beta`` cells are the
+    JSON cells of the first column, the grid that ``at`` indexes, and under
+    ``--output json`` a quantity's ``derived_value`` cells are those of the
+    table column that ``derived_columns`` names for it. Both texts are
+    rendered and every destination is checked first, so that a path that
+    cannot be written, or names the ``--params`` input, is a usage error
+    with no output.
     """
-    table = (_json_table if cfg.output == "json" else _csv_table)(header, rows)
-    writes = [(cfg.out_path, table, f"{len(rows)} rows")] if cfg.out_path else []
-    if records is not None:
-        log = _json_table(_RECORD_FIELDS, [_record_values(r) for r in records])
-        writes.append((cfg.discrepancies_path, log, f"{len(records)} discrepancy records"))
+    if cfg.output == "json":
+        cells = dict(zip(header, map(_json_cells, columns)))
+        table = _json_table(header, list(cells.values()))
+    else:
+        cells, table = {}, _csv_table(header, columns)
+    writes = [(cfg.out_path, table, f"{len(columns[0])} rows")] if cfg.out_path else []
+    if log is not None:
+        beta_cells = cells.get(header[0]) or _json_cells(columns[0])
+        shared = {q: cells[name] for q, name in (derived_columns or {}).items() if name in cells}
+        text = _json_table(_RECORD_FIELDS, _log_cells(log, beta_cells, shared))
+        writes.append((cfg.discrepancies_path, text, f"{len(log)} discrepancy records"))
     targets = [Path(path).resolve() for path, _, _ in writes]
     if len(set(targets)) < len(targets):
         raise click.UsageError(f"--out and --discrepancies both name {cfg.out_path}")
@@ -428,7 +448,9 @@ def run_thermo(cfg: SimpleNamespace) -> int:
     if grid.error is not None:
         click.echo(f"unphysical branch: {grid.error}", err=True)
         return 3
-    _emit(cfg, ["beta", "Z1", "A", "S", "U", "Cv"], grid.rows(), grid.discrepancies or None)
+    header = ["beta", "Z1", "A", "S", "U", "Cv"]
+    _emit(cfg, header, [getattr(grid, name) for name in header], grid.discrepancies or None,
+          {"U": "U", "S": "S", "Cv": "Cv"})
     return 0
 
 
@@ -492,8 +514,6 @@ def run_compare(cfg: SimpleNamespace) -> int:
     with np.errstate(over="ignore"):  # a spectral Z past the float range is inf
         z_spectral = z_spectral_grid(ensemble, betas)
         s_two_level = spectral_grid(ensemble, betas).S
-    rows = list(zip(betas, z_spectral, z_formal.tolist(), printed.Z1, rederived.Z1,
-                    z_dyson.tolist()))
 
     # per beta the log lists Z1, S (rederived report), Cv (printed report),
     # then the spin model's U and S_two_level: that order is part of the file;
@@ -509,17 +529,17 @@ def run_compare(cfg: SimpleNamespace) -> int:
                      for beta in betas]
         checks += [("U", u_printed, [n * spin_mean_energy(omega, v, beta) for beta in betas]),
                    ("S_two_level", s_printed, s_two_level)]
-    records = discrepancies(checks, betas, tol)
 
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
-    _emit(cfg, header, rows, records)
-    arr = np.array([row[1:] for row in rows])
+    columns = [betas, z_spectral, z_formal.tolist(), printed.Z1, rederived.Z1, z_dyson.tolist()]
+    _emit(cfg, header, columns, discrepancies(checks, betas, tol), {"Z1": "Z1_rederived"})
     for label, i, j in (
-        ("Z_spectral - Z_formal|   ", 0, 1),
-        ("Z1_printed - Z1_rederived|", 2, 3),
-        ("Z1_dyson - Z_formal|     ", 4, 1),
+        ("Z_spectral - Z_formal|   ", 1, 2),
+        ("Z1_printed - Z1_rederived|", 3, 4),
+        ("Z1_dyson - Z_formal|     ", 5, 2),
     ):
-        click.echo(f"max |{label} = {_fmt(np.abs(arr[:, i] - arr[:, j]).max())}", err=True)
+        gap = np.abs(np.subtract(columns[i], columns[j])).max()
+        click.echo(f"max |{label} = {_fmt(gap)}", err=True)
     if slope_line:
         click.echo(slope_line, err=True)
     return 0
@@ -532,9 +552,9 @@ def run_negtemp(cfg: SimpleNamespace) -> int:
         grid = negtemp_grid(gas, energies, cfg.k)
     except EnergyOutOfRange as exc:
         raise click.UsageError(f"E = {exc.energy}: {exc}") from exc
-    rows = [(energy, s_model, s_exact, "infinite" if t is None else _fmt(t))
-            for energy, _, _, s_model, s_exact, _, t in grid]
-    _emit(cfg, ["E", "S_stirling", "S_exact", "T"], rows)
+    energy, _, _, s_model, s_exact, _, t = zip(*grid)
+    t = ["infinite" if value is None else _fmt(value) for value in t]
+    _emit(cfg, ["E", "S_stirling", "S_exact", "T"], [energy, s_model, s_exact, t])
     return 0
 
 
@@ -554,8 +574,7 @@ def run_spectrum(cfg: SimpleNamespace) -> int:
     bundle = _resolve_model(cfg)
     if bundle.ensemble is None:
         raise click.UsageError("model does not define an energy spectrum")
-    rows = [(e, g) for e, g in bundle.ensemble.levels]
-    _emit(cfg, ["energy", "multiplicity"], rows)
+    _emit(cfg, ["energy", "multiplicity"], list(zip(*bundle.ensemble.levels)))
     return 0
 
 

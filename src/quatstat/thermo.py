@@ -161,6 +161,26 @@ class DiscrepancyRecord:
 
 
 @dataclass
+class DiscrepancyLog:
+    """Discrepancy records as columns, in grid order; ``at`` holds the index
+    of each record's beta in the grid."""
+
+    quantity: list[str] = field(default_factory=list)
+    printed_value: list[float] = field(default_factory=list)
+    derived_value: list[float] = field(default_factory=list)
+    beta: list[float] = field(default_factory=list)
+    at: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def records(self) -> list[DiscrepancyRecord]:
+        """One :class:`DiscrepancyRecord` per record."""
+        return list(map(DiscrepancyRecord, self.quantity, self.printed_value,
+                        self.derived_value, self.beta))
+
+
+@dataclass
 class ThermoReport:
     """Thermodynamic quantities at one inverse temperature.
 
@@ -181,7 +201,7 @@ class ThermoReport:
 @dataclass
 class ThermoGrid:
     """The quantities of :class:`ThermoReport` over a beta grid, one list of
-    Python floats per column, with every beta's records in grid order.
+    Python floats per column, with the log of every beta's records.
 
     Where ``Z1`` is not positive a row holds NaN in ``A``, ``S``, ``U`` and
     ``Cv``, and ``error`` is the :class:`UnphysicalZ` of the first such beta.
@@ -193,7 +213,7 @@ class ThermoGrid:
     S: list[float]
     U: list[float]
     Cv: list[float]
-    discrepancies: list[DiscrepancyRecord] = field(default_factory=list)
+    discrepancies: DiscrepancyLog = field(default_factory=DiscrepancyLog)
     error: UnphysicalZ | None = None
 
     def rows(self) -> list[tuple[float, ...]]:
@@ -204,7 +224,7 @@ class ThermoGrid:
         """The report of a one-beta grid; raises its error."""
         if self.error is not None:
             raise self.error
-        return ThermoReport(*self.rows()[0], self.discrepancies)
+        return ThermoReport(*self.rows()[0], self.discrepancies.records())
 
 
 @dataclass
@@ -449,19 +469,17 @@ def _math_each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
 
     numpy's ``exp``, ``expm1`` and ``log`` differ from ``math``'s in the last
     bit on a few percent of arguments, and Python's ``x ** 2`` is libm
-    ``pow``, not numpy's ``x * x``; either would move printed digits.
+    ``pow``, not numpy's ``x * x``; either would move printed digits. After
+    a failure the map goes on from the next element: ``list.extend`` keeps
+    the results it took before the error.
     """
-    items = values.tolist()
-    try:
-        return np.array(list(map(fn, items)), dtype=float)
-    except (OverflowError, ValueError):
-        out = []
-        for item in items:
-            try:
-                out.append(fn(item))
-            except (OverflowError, ValueError):
-                out.append(math.nan)
-        return np.array(out, dtype=float)
+    out, rest = [], iter(values.tolist())
+    while True:
+        try:
+            out.extend(map(fn, rest))
+            return np.array(out, dtype=float)
+        except (OverflowError, ValueError):
+            out.append(math.nan)
 
 
 def _slice_kernel(p: EnergySliceParams, beta: np.ndarray, rederived: bool):
@@ -595,7 +613,7 @@ def discrepancies(
     checks: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     beta: Sequence[float],
     tol: float,
-) -> list[DiscrepancyRecord]:
+) -> DiscrepancyLog:
     """The one rule for when a printed display value is a discrepancy.
 
     ``checks`` holds ``(quantity, printed, derived)`` columns with one value
@@ -606,16 +624,17 @@ def discrepancies(
     order, and at each beta in the order of ``checks``.
     """
     if not checks:
-        return []
+        return DiscrepancyLog()
     printed = np.array([column for _, column, _ in checks], dtype=float)
     derived = np.array([column for _, _, column in checks], dtype=float)
     with np.errstate(invalid="ignore"):
         gap = np.abs(printed - derived)
         found = np.isfinite(printed) & (gap > tol * np.maximum(1.0, np.abs(derived)))
     at, which = np.nonzero(found.T)
-    names = [checks[j][0] for j in which.tolist()]
-    return list(map(DiscrepancyRecord, names, printed[which, at].tolist(),
-                    derived[which, at].tolist(), np.asarray(beta, dtype=float)[at].tolist()))
+    names = [quantity for quantity, _, _ in checks]
+    return DiscrepancyLog(list(map(names.__getitem__, which.tolist())),
+                          printed[which, at].tolist(), derived[which, at].tolist(),
+                          np.asarray(beta, dtype=float)[at].tolist(), at.tolist())
 
 
 def printed_value(printed: Callable[[], float]) -> float:
@@ -633,7 +652,7 @@ def discrepancy(
     """One point of :func:`discrepancies`; ``printed`` is evaluated here by
     :func:`printed_value`."""
     found = discrepancies([(quantity, [printed_value(printed)], [derived])], [beta], tol)
-    return found[0] if found else None
+    return found.records()[0] if found else None
 
 
 def closed_form_grid(
@@ -738,8 +757,6 @@ def pressure(
     coarse, fine = central(h), central(h / 2.0)
     derivative = (4.0 * fine - coarse) / 3.0
     return -derivative
-
-
 
 
 # ---------------------------------------------------------------------------

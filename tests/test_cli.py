@@ -11,8 +11,24 @@ import pytest
 from click.testing import CliRunner
 
 import quatstat
-from quatstat import DiscrepancyRecord, SpectralEnsemble, thermo_spectral
-from quatstat.cli import _RECORD_FIELDS, _csv_table, _fmt, _json_table, _record_values, cli
+from quatstat import (
+    DiscrepancyLog,
+    DiscrepancyRecord,
+    EnergySliceParams,
+    SpectralEnsemble,
+    closed_form_grid,
+    spectral_grid,
+    thermo_spectral,
+)
+from quatstat.cli import (
+    _RECORD_FIELDS,
+    _csv_table,
+    _fmt,
+    _json_cells,
+    _json_table,
+    _log_cells,
+    cli,
+)
 
 SPIN_FILE = {
     "matrix": {
@@ -502,20 +518,36 @@ WRITER_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0
                 np.float64(2.5), np.float64(math.nan), 7, "infinite"]
 
 
+def json_text(names, rows) -> str:
+    return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+
+
 def test_discrepancy_log_template_is_jsons_indent_2():
-    # a column of finite Python floats fills the row template through %r, a
-    # column of strings is encoded once per value, and any other column goes
-    # cell by cell through the fallback: each must be exactly what
+    # a log's cells are its own encoded values, its beta cells are the grid's
+    # cells at each record's index, and a quantity with a table column takes
+    # its derived cells from there: each must be exactly what
     # json.dumps(indent=2) writes
     values = WRITER_CELLS[:11]
-    records = [DiscrepancyRecord(q, p, d, b) for q, p, d, b in zip(
-        ["U", "S", "Cv", "Z1", "S_two_level", "P", "U", 'q"\\', "Z_formal", "S", "Cv"],
-        values, values[3:] + values[:3], values[5:] + values[:5])]
-    records += [DiscrepancyRecord(q, 0.1 * i, -1.5e-300 * i, 1e307 / (i + 1))
-                for i, q in enumerate(["U", "S%r", "U", 'q"\\', "Cv"])]
-    for chosen in ([], records[:1], records[-5:], records):
-        want = json.dumps([vars(r) for r in chosen], indent=2) + "\n"
-        assert _json_table(_RECORD_FIELDS, [_record_values(r) for r in chosen]) == want
+    quantities = ["U", "S", "Cv", "Z1", "S_two_level", "P", "U", 'q"\\', "Z_formal", "S", "Cv",
+                  "U", "S%r", "U", 'q"\\', "Cv"]
+    grid = [1e307 / (i + 1) for i in range(5)] + values
+    at = [5 + i for i in range(11)] + [0, 1, 1, 3, 4]
+    printed = values + [0.1 * i for i in range(5)]
+    derived = values[3:] + values[:3] + [-1.5e-300 * i for i in range(5)]
+    table_u = [math.nan] * len(grid)
+    for q, i, d in zip(quantities, at, derived):
+        if q == "U":
+            table_u[i] = d
+    records = [DiscrepancyRecord(*r) for r in zip(quantities, printed, derived,
+                                                  [grid[i] for i in at])]
+    for chosen in ([], [0], list(range(11, 16)), list(range(16))):
+        log = DiscrepancyLog(*([column[i] for i in chosen]
+                               for column in (quantities, printed, derived)),
+                             [grid[at[i]] for i in chosen], [at[i] for i in chosen])
+        assert log.records() == [records[i] for i in chosen]
+        want = json.dumps([vars(records[i]) for i in chosen], indent=2) + "\n"
+        for shared in ({}, {"U": _json_cells(table_u)}):
+            assert _json_table(_RECORD_FIELDS, _log_cells(log, _json_cells(grid), shared)) == want
     # --output json tables: the cells the runners emit, strings and ints included
     header = ["beta", "multiplicity", "T", "Z1 %r"]
     rows = [(np.float64(v), i, "infinite", v) for i, v in enumerate(values)]
@@ -524,8 +556,70 @@ def test_discrepancy_log_template_is_jsons_indent_2():
     # finite numpy scalars print as np.float64(...) under %r: fallback cells
     numpy_cells = [(np.float64(2.5), 0.5, "T", 1.0), (0.25, 1.5, "T", np.float64(-1.0))]
     for chosen in ([], rows[:1], rows[-3:-1], rows[-2:], rows, numpy_cells):
-        want = json.dumps([dict(zip(header, row)) for row in chosen], indent=2) + "\n"
-        assert _json_table(header, chosen) == want
+        columns = list(zip(*chosen)) or [[] for _ in header]
+        assert _json_table(header, [_json_cells(c) for c in columns]) == json_text(header, chosen)
+
+
+def test_json_writer_on_a_spectral_table_past_the_float_range():
+    # Z1 = exp(800) is inf, A, S, U and Cv stay finite: the Z1 column is
+    # encoded cell by cell and the others by repr
+    with np.errstate(over="ignore"):
+        grid = spectral_grid(SpectralEnsemble(((-800.0, 1), (0.0, 2))), [0.5, 1.0, 2.0])
+    header = ["beta", "Z1", "A", "S", "U", "Cv"]
+    assert math.isinf(grid.Z1[-1]) and math.isfinite(grid.Z1[0])
+    columns = [_json_cells(getattr(grid, name)) for name in header]
+    assert _json_table(header, columns) == json_text(header, grid.rows())
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_thermo_log_reuses_the_table_cells(runner, tmp_path, output):
+    # the log written with the table's beta and derived cells is the
+    # library's records, as json.dumps writes them
+    sl = EnergySliceParams.from_spin(2.0, 0.5)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["thermo", "--beta", "0.1:4:40", "--n-particles", "3",
+                                     "--k", "1.3", "--rederived", "--output", output])
+        assert result.exit_code == 0, result.output
+        log = Path("discrepancies.json").read_text()
+    betas = np.linspace(0.1, 4, 40).tolist()
+    grid = closed_form_grid(sl, betas, 3, 1.3, True, 1e-8)
+    records = grid.discrepancies.records()
+    assert {r.quantity for r in records} == {"U", "S", "Cv"}
+    assert log == json.dumps([vars(r) for r in records], indent=2) + "\n"
+    if output == "json":
+        assert json.loads(result.stdout) == [
+            dict(zip(["beta", "Z1", "A", "S", "U", "Cv"], row)) for row in grid.rows()]
+
+
+def test_compare_log_reuses_the_rederived_cells(runner, tmp_path):
+    # under --output json a Z1 record's derived cell is the Z1_rederived cell
+    # of its beta's row, and every record's beta cell is a row's beta cell
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["compare", "--beta", "0.2:3:30", "--output", "json"])
+        assert result.exit_code == 0, result.output
+        log = json.loads(Path("discrepancies.json").read_text())
+    rows = {row["beta"]: row for row in json.loads(result.stdout)}
+    z1 = [r for r in log if r["quantity"] == "Z1"]
+    assert len(z1) == len(rows) and all(r["beta"] in rows for r in log)
+    assert all(r["derived_value"] == rows[r["beta"]]["Z1_rederived"] for r in z1)
+    assert {r["quantity"] for r in log} == {"Z1", "S", "Cv", "U", "S_two_level"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--beta", "0.1:4:40"],
+    ["thermo", "--beta", "0.1:4:40", "--output", "json", "--rederived"],
+    ["compare", "--beta", "0.2:2:10"],
+    ["compare", "--beta", "0.2:2:10", "--output", "json"],
+], ids=["thermo-csv", "thermo-json", "compare-csv", "compare-json"])
+def test_commands_build_no_record_objects(runner, tmp_path, monkeypatch, argv):
+    def refuse(self, *args):
+        raise AssertionError("a DiscrepancyRecord was built")
+
+    monkeypatch.setattr(DiscrepancyRecord, "__init__", refuse)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 0, result.output
+        assert json.loads(Path("discrepancies.json").read_text())
 
 
 def test_csv_template_is_the_per_cell_join():
@@ -538,7 +632,7 @@ def test_csv_template_is_the_per_cell_join():
     for rows in ([], plain, mixed, plain + mixed):
         want = "\n".join([",".join(header), *(
             ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)])
-        assert _csv_table(header, rows) == want + "\n"
+        assert _csv_table(header, list(zip(*rows)) or [[] for _ in header]) == want + "\n"
 
 
 def test_params_file_error_names_the_file(runner, tmp_path):
@@ -690,6 +784,24 @@ def test_negtemp_custom_and_errors(runner, tmp_path):
              "--grid", "-40:40:3"],
         )
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--omega", "-1"], "negtemp --omega/--v/--x/--n-particles rejected: omega must be positive"),
+    (["--model", "custom", "--e-plus", "1e308", "--e-minus", "-1e308", "--n-particles", "1"],
+     "negtemp --e-plus/--e-minus/--n-particles rejected: band [-1e+308, 1e+308] past the float"),
+    (["--model", "qubit", "--n-particles", str(10 ** 308)],
+     "negtemp --n-particles rejected: band [0.0, inf] past the float range"),
+    (["--params", "spin.json"], "negtemp params rejected: omega must be positive"),
+    (["--params", "spin.json", "--omega", "1"], "negtemp params rejected: omega must be positive"),
+], ids=["spin-flags", "custom-flags", "qubit-flags", "params", "params-over-flags"])
+def test_negtemp_error_names_its_source(runner, tmp_path, argv, message):
+    # a refused gas names the params file when one was given, else its flags
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("spin.json").write_text('{"omega": -1, "v": 0.5}')
+        result = runner.invoke(cli, ["negtemp", *argv])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}" in result.stderr
 
 
 # -- validate --------------------------------------------------------------------

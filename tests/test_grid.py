@@ -67,7 +67,7 @@ def check_closed_form(p, betas, n, k, rederived, tol):
     want_rows, want_records, want_error = oracle_closed_form(p, betas, n, k, rederived, tol)
     grid = thermo.closed_form_grid(p, betas, n, k, rederived, tol)
     assert repr(grid.rows()) == repr(want_rows)
-    assert repr(grid.discrepancies) == repr(want_records)
+    assert repr(grid.discrepancies.records()) == repr(want_records)
     assert (None if grid.error is None else str(grid.error)) == want_error
     assert all(type(v) is float for row in grid.rows() for v in row)
     for q in FORMS:
@@ -135,6 +135,24 @@ def test_closed_form_grid_at_the_edges():
     grid = check_closed_form(spin, np.linspace(1.0, 20.0, 39).tolist(), 1, 1.0, True, 1e-8)
     assert str(grid.error) == "Z1 = -307.173 is not positive at beta = 8.5"
     assert math.isnan(thermo.printed_grid("Cv", spin, [800.0])[0])
+
+
+def test_math_each_calls_once_per_element():
+    # a failing element is NaN and the map goes on after it: no element is
+    # evaluated twice, and the values around the failures are kept
+    calls = []
+
+    def log(x):
+        calls.append(x)
+        return math.log(x)
+
+    values = [2.0, -1.0, 3.0, 0.0, -0.0, 5.0, -2.0]
+    got = thermo._math_each(log, np.array(values)).tolist()
+    assert calls == values
+    assert repr(got) == repr([math.log(2.0), math.nan, math.log(3.0), math.nan, math.nan,
+                              math.log(5.0), math.nan])
+    assert thermo._math_each(math.exp, np.array([1.0, 1e300, -1.0])).tolist()[::2] == [
+        math.exp(1.0), math.exp(-1.0)]
 
 
 def test_one_point_wrappers_are_the_scalar_oracle():
