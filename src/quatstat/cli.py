@@ -553,8 +553,8 @@ def run_negtemp(cfg: SimpleNamespace) -> int:
     except EnergyOutOfRange as exc:
         raise click.UsageError(f"E = {exc.energy}: {exc}") from exc
     energy, _, _, s_model, s_exact, _, t = zip(*grid)
-    t = ["infinite" if value is None else _fmt(value) for value in t]
-    _emit(cfg, ["E", "S_stirling", "S_exact", "T"], [energy, s_model, s_exact, t])
+    cells = ["infinite" if value is None else _fmt(value) for value in t]
+    _emit(cfg, ["E", "S_stirling", "S_exact", "T"], [energy, s_model, s_exact, cells])
     return 0
 
 
