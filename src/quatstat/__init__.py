@@ -120,7 +120,6 @@ from .thermo import (
     printed_grid,
     printed_pressure,
     printed_specific_heat,
-    printed_value,
     relative_rms,
     spectral_grid,
     thermo_closed_form,

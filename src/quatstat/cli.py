@@ -34,10 +34,9 @@ from .models import (
     build_qubit_model,
     build_spin_model,
     negtemp_grid,
-    printed_spin_entropy,
-    printed_spin_internal_energy,
+    printed_spin_grid,
     qubit_negative_temperature,
-    spin_mean_energy,
+    spin_mean_energy_grid,
     spin_negative_temperature,
 )
 from .quaternion import Quaternion
@@ -54,7 +53,6 @@ from .thermo import (
     dyson_trace,
     formal_trace,
     printed_grid,
-    printed_value,
     spectral_grid,
     van_loan_trace,
     z_spectral_grid,
@@ -369,16 +367,10 @@ def _log_cells(log: DiscrepancyLog, beta_cells: list[str],
 def _csv_table(header: list[str], columns: list[Sequence]) -> str:
     """The header and columns as CSV, numbers at 17 significant digits. Every
     row fills one template, ``%s`` for a column of strings (negtemp's ``T``)
-    and ``%.17g`` for any other; a column that mixes strings with numbers is
-    written cell by cell."""
+    and ``%.17g`` for any other."""
     template = ",".join("%s" if set(map(type, column)) == {str} else "%.17g"
                         for column in columns)
-    rows = list(zip(*columns))
-    try:
-        lines = [template % row for row in rows]
-    except TypeError:
-        lines = [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
-    return "\n".join([",".join(header), *lines]) + "\n"
+    return "\n".join([",".join(header), *(template % row for row in zip(*columns))]) + "\n"
 
 
 def _emit(cfg: SimpleNamespace, header: list[str], columns: list[Sequence],
@@ -518,17 +510,14 @@ def run_compare(cfg: SimpleNamespace) -> int:
     # per beta the log lists Z1, S (rederived report), Cv (printed report),
     # then the spin model's U and S_two_level: that order is part of the file;
     # an unphysical report's NaN column gives no record
-    checks = [("Z1", printed.Z1, rederived.Z1),
-              ("S", printed_grid("S", sl, betas, n, k), rederived.S),
-              ("Cv", printed_grid("Cv", sl, betas, n, k), printed.Cv)]
+    forms = printed_grid(sl, betas, n, k)
+    checks = [("Z1", printed.Z1, rederived.Z1), ("S", forms["S"], rederived.S),
+              ("Cv", forms["Cv"], printed.Cv)]
     if cfg.model == "spin":
-        omega, v = cfg.omega, cfg.v
-        u_printed = [printed_value(lambda: printed_spin_internal_energy(omega, v, beta, n))
-                     for beta in betas]
-        s_printed = [printed_value(lambda: printed_spin_entropy(omega, v, beta, n, k))
-                     for beta in betas]
-        checks += [("U", u_printed, [n * spin_mean_energy(omega, v, beta) for beta in betas]),
-                   ("S_two_level", s_printed, s_two_level)]
+        spin = printed_spin_grid(cfg.omega, cfg.v, betas, n, k)
+        with np.errstate(over="ignore"):  # N U past the float range is inf
+            u_spectral = float(n) * spin_mean_energy_grid(cfg.omega, cfg.v, betas)
+        checks += [("U", spin["U"], u_spectral), ("S_two_level", spin["S"], s_two_level)]
 
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
     columns = [betas, z_spectral, z_formal.tolist(), printed.Z1, rederived.Z1, z_dyson.tolist()]

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import ConstraintViolation, EnergyOutOfRange, InfiniteTemperature, UnphysicalZ
+import numpy as np
+
+from .errors import ConstraintViolation, EnergyOutOfRange, InfiniteTemperature
 from .linalg import QMatrix, dagger, fro_norm, mat_vec, vec_scale_right
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import I, J, Quaternion
-from .thermo import SpectralEnsemble, ToyModelParams, build_toy_hamiltonian
+from .thermo import SpectralEnsemble, ToyModelParams, _math_each, build_toy_hamiltonian
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +83,10 @@ class TwoLevelGas:
         return 0.5 * self.n_particles * (self.e_plus + self.e_minus)
 
     def _slack(self) -> float:
-        return 1e-12 * max(1.0, abs(self.e_min), abs(self.e_max))
+        """``1e-12`` of the band's larger end, but never below the smallest
+        positive float, so that a narrow band keeps its edges apart from its
+        midpoint."""
+        return max(1e-12 * max(abs(self.e_min), abs(self.e_max)), math.ulp(0.0))
 
 
 #: ``ln(2 pi) / 2``, the constant of Stirling's formula.
@@ -279,9 +285,16 @@ def qubit_negative_temperature(n_particles: int = 1) -> TwoLevelGas:
     return TwoLevelGas(n_particles=n_particles, e_plus=2.0, e_minus=0.0)
 
 
+def spin_mean_energy_grid(omega: float, v: float, beta: Sequence[float]) -> np.ndarray:
+    """Mean energy per particle from the spectral path, ``omega/2 - v tanh(beta v)``,
+    at each beta; every ``tanh`` is ``math``'s."""
+    with np.errstate(all="ignore"):
+        return omega / 2.0 - v * _math_each(math.tanh, np.asarray(beta, dtype=float) * v)
+
+
 def spin_mean_energy(omega: float, v: float, beta: float) -> float:
-    """Mean energy per particle from the spectral path: ``omega/2 - v tanh(beta v)``."""
-    return omega / 2.0 - v * math.tanh(beta * v)
+    """:func:`spin_mean_energy_grid` at one beta."""
+    return spin_mean_energy_grid(omega, v, [beta])[0].item()
 
 
 def spin_entropy_per_particle(v: float, beta: float, k: float = 1.0) -> float:
@@ -298,35 +311,39 @@ def spin_entropy_per_particle(v: float, beta: float, k: float = 1.0) -> float:
 # energy; their disagreement with the spectral path is a reported finding.
 
 
+def printed_spin_grid(omega: float, v: float, beta: Sequence[float], n_particles: float = 1,
+                      k: float = 1.0) -> dict[str, np.ndarray]:
+    """Display forms of the spin internal energy ``U`` and entropy ``S`` at each
+    beta (literal transcriptions).
+
+    Both share ``half``, its sin, sinh and cosh, the numerator and the
+    denominator; every transcendental is ``math``'s, one call per element.
+    A form is NaN where its literal formula fails (a sinh or cosh past the
+    float range, the log of an argument that is not positive) and is not
+    finite where the denominator is zero.
+    """
+    beta, n = np.asarray(beta, dtype=float), float(n_particles)
+    with np.errstate(all="ignore"):
+        half = 0.5 * omega * beta
+        sin, sinh, cosh = (_math_each(fn, half) for fn in (math.sin, math.sinh, math.cosh))
+        num = omega * omega * sin + 2.0 * v * v * sinh + beta * omega * v * v * cosh
+        den = 2.0 * omega * cosh - 2.0 * beta * v * v * sinh
+        log_arg = _math_each(math.log, 2.0 * (cosh - (v * v * beta / omega) * sinh))
+        return {"U": n * num / den, "S": n * k * log_arg + n * k * beta * num / den}
+
+
 def printed_spin_entropy(
     omega: float, v: float, beta: float, n_particles: int = 1, k: float = 1.0
 ) -> float:
-    """Display form of the spin entropy (literal transcription)."""
-    half = 0.5 * omega * beta
-    arg = 2.0 * (math.cosh(half) - (v * v * beta / omega) * math.sinh(half))
-    if not (arg > 0.0):
-        raise UnphysicalZ(f"display-form log argument {arg:.6g} is not positive")
-    num = (
-        omega * omega * math.sin(half)
-        + 2.0 * v * v * math.sinh(half)
-        + beta * omega * v * v * math.cosh(half)
-    )
-    den = 2.0 * omega * math.cosh(half) - 2.0 * beta * v * v * math.sinh(half)
-    return n_particles * k * math.log(arg) + n_particles * k * beta * num / den
+    """:func:`printed_spin_grid` of ``S`` at one beta."""
+    return printed_spin_grid(omega, v, [beta], n_particles, k)["S"][0].item()
 
 
 def printed_spin_internal_energy(
     omega: float, v: float, beta: float, n_particles: int = 1
 ) -> float:
-    """Display form of the spin internal energy (literal transcription)."""
-    half = 0.5 * omega * beta
-    num = (
-        omega * omega * math.sin(half)
-        + 2.0 * v * v * math.sinh(half)
-        + beta * omega * v * v * math.cosh(half)
-    )
-    den = 2.0 * omega * math.cosh(half) - 2.0 * beta * v * v * math.sinh(half)
-    return n_particles * num / den
+    """:func:`printed_spin_grid` of ``U`` at one beta."""
+    return printed_spin_grid(omega, v, [beta], n_particles)["U"][0].item()
 
 
 def printed_spin_log_multiplicity(

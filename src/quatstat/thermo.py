@@ -526,50 +526,6 @@ def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> fl
     return _shifted(m, grid, bracket)[0].item()
 
 
-def _printed_internal_energy(p: EnergySliceParams, beta: np.ndarray, n: float, k: float):
-    a, b, kp = p.aE, p.bE, p.kappa
-    delta = a - b
-    xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
-    num = xb * (a * (delta + kp * beta) - kp) + xa * (b * (delta - kp * beta) + kp)
-    den = xb * (delta + kp * beta) + xa * (delta - kp * beta)
-    return n * num / den
-
-
-def _printed_entropy(p: EnergySliceParams, beta: np.ndarray, n: float, k: float):
-    a, b, kp = p.aE, p.bE, p.kappa
-    delta = a - b
-    m, bracket, _, _ = _slice_kernel(p, beta, rederived=False)
-    log_z1 = _math_each(math.log, _shifted(m, beta, bracket))
-    xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
-    num = (a * delta - kp + kp * beta * a) * xb + (b * delta + kp - kp * beta * b) * xa
-    den = (delta + kp * beta) * xb + (delta - kp * beta) * xa
-    return n * k * log_z1 + n * k * beta * num / den
-
-
-def _printed_specific_heat(p: EnergySliceParams, beta: np.ndarray, n: float, k: float):
-    a, b, kp = p.aE, p.bE, p.kappa
-    delta = a - b
-    xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
-    kb2 = _math_each(lambda v: v ** 2, kp * beta)
-    bracket = delta * delta * (delta * delta - kb2 - 4.0 * kp)
-    num = -_math_each(math.exp, beta * (a + b)) * (bracket + 2.0 * kp * kp) + kp * kp * (
-        _math_each(math.exp, 2.0 * beta * a) + _math_each(math.exp, 2.0 * beta * b)
-    )
-    den = _math_each(lambda v: v ** 2, xb * (delta + kp * beta) + xa * (delta - kp * beta))
-    return (beta * beta * k / n) * num / den
-
-
-#: Slice display forms by quantity, in log order: literal transcriptions
-#: over ``(slice, beta array, n, k)``. The specific heat keeps its overall
-#: sign and its stray ``1/N`` factor; its disagreement with the derivation
-#: chain is a reported finding.
-SLICE_FORMS = {
-    "U": _printed_internal_energy,
-    "S": _printed_entropy,
-    "Cv": _printed_specific_heat,
-}
-
-
 def _require_distinct(p: EnergySliceParams):
     if abs(p.aE - p.bE) < DEGENERACY_TOL:
         raise DegenerateLevels(
@@ -577,36 +533,58 @@ def _require_distinct(p: EnergySliceParams):
         )
 
 
-def printed_grid(quantity: str, p: EnergySliceParams, beta: Sequence[float],
-                 n_particles: float = 1, k: float = 1.0) -> np.ndarray:
-    """The display form of ``quantity`` at each beta; NaN where the literal
-    form fails (an exponential or a square past the float range, the log of
-    a ``Z1`` that is not positive) and everywhere for degenerate levels."""
+def printed_grid(p: EnergySliceParams, beta: Sequence[float], n_particles: float = 1,
+                 k: float = 1.0) -> dict[str, np.ndarray]:
+    """The slice display forms ``U``, ``S`` and ``Cv`` at each beta, in log order.
+
+    Literal transcriptions: ``exp(beta bE)``, ``exp(beta aE)`` and the common
+    denominator are computed once for all three. The specific heat keeps its
+    overall sign and its stray ``1/N`` factor; its disagreement with the
+    derivation chain is a reported finding. A form is NaN where its literal
+    formula fails (an exponential or a square past the float range, the log
+    of a ``Z1`` that is not positive) and everywhere for degenerate levels.
+    """
     beta = np.asarray(beta, dtype=float)
     if abs(p.aE - p.bE) < DEGENERACY_TOL:
-        return np.full(beta.shape, np.nan)
+        return {q: np.full(beta.shape, np.nan) for q in ("U", "S", "Cv")}
+    n, a, b, kp = float(n_particles), p.aE, p.bE, p.kappa
+    delta = a - b
     with np.errstate(all="ignore"):
-        return SLICE_FORMS[quantity](p, beta, float(n_particles), k)
+        m, z_bracket, _, _ = _slice_kernel(p, beta, rederived=False)
+        log_z1 = _math_each(math.log, _shifted(m, beta, z_bracket))
+        xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
+        plus, minus = delta + kp * beta, delta - kp * beta
+        den = xb * plus + xa * minus
+        u_num = xb * (a * plus - kp) + xa * (b * minus + kp)
+        s_num = (a * delta - kp + kp * beta * a) * xb + (b * delta + kp - kp * beta * b) * xa
+        kb2 = _math_each(lambda v: v ** 2, kp * beta)
+        bracket = delta * delta * (delta * delta - kb2 - 4.0 * kp)
+        cv_num = -_math_each(math.exp, beta * (a + b)) * (bracket + 2.0 * kp * kp) + kp * kp * (
+            _math_each(math.exp, 2.0 * beta * a) + _math_each(math.exp, 2.0 * beta * b)
+        )
+        return {"U": n * u_num / den,
+                "S": n * k * log_z1 + n * k * beta * s_num / den,
+                "Cv": (beta * beta * k / n) * cv_num / _math_each(lambda v: v ** 2, den)}
 
 
 def printed_internal_energy(p: EnergySliceParams, beta: float, n_particles: int = 1) -> float:
     """:func:`printed_grid` of ``U`` at one beta; degenerate levels raise."""
     _require_distinct(p)
-    return printed_grid("U", p, [beta], n_particles)[0].item()
+    return printed_grid(p, [beta], n_particles)["U"][0].item()
 
 
 def printed_entropy(p: EnergySliceParams, beta: float, n_particles: int = 1,
                     k: float = 1.0) -> float:
     """:func:`printed_grid` of ``S`` at one beta; degenerate levels raise."""
     _require_distinct(p)
-    return printed_grid("S", p, [beta], n_particles, k)[0].item()
+    return printed_grid(p, [beta], n_particles, k)["S"][0].item()
 
 
 def printed_specific_heat(p: EnergySliceParams, beta: float, n_particles: int = 1,
                           k: float = 1.0) -> float:
     """:func:`printed_grid` of ``Cv`` at one beta; degenerate levels raise."""
     _require_distinct(p)
-    return printed_grid("Cv", p, [beta], n_particles, k)[0].item()
+    return printed_grid(p, [beta], n_particles, k)["Cv"][0].item()
 
 
 def discrepancies(
@@ -637,21 +615,17 @@ def discrepancies(
                           np.asarray(beta, dtype=float)[at].tolist(), at.tolist())
 
 
-def printed_value(printed: Callable[[], float]) -> float:
-    """``printed()``, or NaN where that display form fails with
-    ``OverflowError`` or a :class:`QuatstatError`."""
-    try:
-        return printed()
-    except (OverflowError, QuatstatError):
-        return math.nan
-
-
 def discrepancy(
     quantity: str, printed: Callable[[], float], derived: float, beta: float, tol: float
 ) -> DiscrepancyRecord | None:
-    """One point of :func:`discrepancies`; ``printed`` is evaluated here by
-    :func:`printed_value`."""
-    found = discrepancies([(quantity, [printed_value(printed)], [derived])], [beta], tol)
+    """One point of :func:`discrepancies`; ``printed`` is evaluated here, and a
+    display form that fails with ``OverflowError`` or a :class:`QuatstatError`
+    gives no record."""
+    try:
+        value = printed()
+    except (OverflowError, QuatstatError):
+        return None
+    found = discrepancies([(quantity, [value], [derived])], [beta], tol)
     return found.records()[0] if found else None
 
 
@@ -662,14 +636,14 @@ def closed_form_grid(
     k: float = 1.0,
     rederived: bool = False,
     diff_tol: float = 1e-8,
-    quantities: Sequence[str] = tuple(SLICE_FORMS),
+    quantities: Sequence[str] = ("U", "S", "Cv"),
 ) -> ThermoGrid:
     """Slice thermodynamics generated from ``Z1`` by analytic differentiation.
 
     ``A = -(N/beta) ln Z1``; ``U``, ``S`` and ``Cv`` come from the first two
     beta derivatives of the chosen ``Z1`` branch, so every row satisfies
     ``A = U - T S`` and ``Cv = (1/N) dU/dT`` by construction. The display
-    forms of :data:`SLICE_FORMS` named in ``quantities`` are logged, in that
+    forms of :func:`printed_grid` named in ``quantities`` are logged, in that
     order at each beta, wherever :func:`discrepancies` finds them apart from
     the derivation chain at ``diff_tol``.
     """
@@ -689,7 +663,8 @@ def closed_form_grid(
     bad = np.flatnonzero(~(bracket > 0.0)).tolist()
     u[bad] = cv[bad] = np.nan  # A and S are already NaN there, through log_p
     derived = {"U": u, "S": s, "Cv": cv}
-    checks = [(q, printed_grid(q, p, beta, n, k), derived[q]) for q in quantities]
+    printed = printed_grid(p, beta, n, k) if quantities else {}
+    checks = [(q, printed[q], derived[q]) for q in quantities]
     grid = ThermoGrid(beta.tolist(), z1, a_free.tolist(), s.tolist(), u.tolist(),
                       cv.tolist(), discrepancies(checks, beta, diff_tol))
     if bad:

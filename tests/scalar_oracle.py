@@ -2,7 +2,8 @@
 bit-for-bit oracle.
 
 These are the one-point implementations that ``quatstat.thermo`` and
-``quatstat.models`` evaluated before their grid functions, kept verbatim
+``quatstat.models`` evaluated before their grid functions (the spin display
+forms and mean energy included), kept verbatim
 (only the imports are new) so that ``tests/test_grid.py`` can require the grid
 path to reproduce every value, every discrepancy record and every error bit
 for bit. Nothing in the package imports this module.
@@ -351,3 +352,39 @@ def temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
     if math.isinf(inv):
         return math.copysign(0.0, inv)
     return 1.0 / inv
+
+
+def spin_mean_energy(omega: float, v: float, beta: float) -> float:
+    """Mean energy per particle from the spectral path: ``omega/2 - v tanh(beta v)``."""
+    return omega / 2.0 - v * math.tanh(beta * v)
+
+
+def printed_spin_entropy(
+    omega: float, v: float, beta: float, n_particles: int = 1, k: float = 1.0
+) -> float:
+    """Display form of the spin entropy (literal transcription)."""
+    half = 0.5 * omega * beta
+    arg = 2.0 * (math.cosh(half) - (v * v * beta / omega) * math.sinh(half))
+    if not (arg > 0.0):
+        raise UnphysicalZ(f"display-form log argument {arg:.6g} is not positive")
+    num = (
+        omega * omega * math.sin(half)
+        + 2.0 * v * v * math.sinh(half)
+        + beta * omega * v * v * math.cosh(half)
+    )
+    den = 2.0 * omega * math.cosh(half) - 2.0 * beta * v * v * math.sinh(half)
+    return n_particles * k * math.log(arg) + n_particles * k * beta * num / den
+
+
+def printed_spin_internal_energy(
+    omega: float, v: float, beta: float, n_particles: int = 1
+) -> float:
+    """Display form of the spin internal energy (literal transcription)."""
+    half = 0.5 * omega * beta
+    num = (
+        omega * omega * math.sin(half)
+        + 2.0 * v * v * math.sinh(half)
+        + beta * omega * v * v * math.cosh(half)
+    )
+    den = 2.0 * omega * math.cosh(half) - 2.0 * beta * v * v * math.sinh(half)
+    return n_particles * num / den

@@ -223,6 +223,23 @@ def test_compare_spin_reports_findings(runner, tmp_path):
         assert max(deviations) > 0.1
 
 
+@pytest.mark.parametrize("omega, v, beta", [
+    ("2", "1", "2.0653381389747048:2.0653381389747048:1"),
+    ("1", "0.5", "0.1:4.1306762779494095:2"),
+])
+def test_compare_spin_at_a_zero_display_denominator(runner, tmp_path, omega, v, beta):
+    # the spin display denominator is exactly 0.0 at the last beta: its U and
+    # S are not finite there and write no record, and the run goes on
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["compare", "--model", "spin", "--omega", omega,
+                                     "--v", v, "--beta", beta])
+        assert result.exit_code == 0, result.output
+        assert result.exception is None and "Traceback" not in result.output
+        last = float(beta.split(":")[1])
+        records = json.loads(Path("discrepancies.json").read_text())
+        assert [r["quantity"] for r in records if r["beta"] == last] == ["Z1", "Cv"]
+
+
 def test_compare_decoupled_groups_agree(runner, tmp_path):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         with open("toy.json", "w") as handle:
@@ -623,13 +640,13 @@ def test_commands_build_no_record_objects(runner, tmp_path, monkeypatch, argv):
 
 
 def test_csv_template_is_the_per_cell_join():
-    # one %.17g template per row, or the per-cell join for a row that holds
-    # a string: both give the bytes of _fmt joined by commas
+    # one template per row, %.17g for a column of numbers and %s for a
+    # column of strings, gives the bytes of _fmt joined by commas
     header = ["E", "S", "T"]
     cells = WRITER_CELLS
     plain = [tuple(cells[i:i + 3]) for i in range(0, 10)]
     mixed = [(c, 2.5, "infinite") for c in cells[:-1]]
-    for rows in ([], plain, mixed, plain + mixed):
+    for rows in ([], plain, mixed):
         want = "\n".join([",".join(header), *(
             ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)])
         assert _csv_table(header, list(zip(*rows)) or [[] for _ in header]) == want + "\n"
@@ -718,6 +735,17 @@ def test_negtemp_table(runner, tmp_path):
         below = [float(t) for t in temperatures[1:5]]
         above = [float(t) for t in temperatures[6:10]]
         assert all(t > 0 for t in below) and all(t < 0 for t in above)
+
+
+def test_negtemp_narrow_band_keeps_its_edges(runner, tmp_path):
+    # the slack is relative to the band, so a band of width 1e-299 still
+    # reads T = 0 and -0 at its edges and infinite only at the midpoint
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["negtemp", "--model", "custom", "--e-plus", "1e-300",
+                                     "--e-minus", "0", "--points", "3"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.stdout)
+        assert [row[3] for row in rows] == ["0", "infinite", "-0"]
 
 
 def test_negtemp_past_the_lgamma_range_prints_finite_entropy(runner, tmp_path):

@@ -28,6 +28,18 @@ def test_commands_are_seeded_and_cycle_through_the_subcommands(differential):
     assert [c.argv for c in differential.commands(4, 10)] != [c.argv for c in first]
 
 
+def test_warnings_are_masked_to_their_source_file(differential):
+    # the same warning from two trees differs only in the tree and the line
+    base, change = Path("/a/base"), Path("/b/change")
+    text = b"%s/src/quatstat/thermo.py:%d: RuntimeWarning: overflow\n  gap = x\nin %s/out\n"
+    want = b"<src>/quatstat/thermo.py:<line>: RuntimeWarning: overflow\n  gap = x\nin <work>/out\n"
+    assert differential.masked(text % (b"/a/base", 631, b"/w/1"), base, Path("/w/1")) == want
+    assert differential.masked(text % (b"/b/change", 609, b"/w/2"), change, Path("/w/2")) == want
+    # a warning from elsewhere keeps its path and line
+    other = b"/usr/lib/numpy/core.py:12: RuntimeWarning\n"
+    assert differential.masked(other, base, Path("/w/1")) == other
+
+
 def test_differences_name_the_stream_and_the_byte(differential):
     base = {"exit code": b"0", "stdout": b"beta,Z1\n1,2\n", "file log.json": b"[]\n"}
     assert differential.differences(base, dict(base)) == []

@@ -70,9 +70,10 @@ def check_closed_form(p, betas, n, k, rederived, tol):
     assert repr(grid.discrepancies.records()) == repr(want_records)
     assert (None if grid.error is None else str(grid.error)) == want_error
     assert all(type(v) is float for row in grid.rows() for v in row)
+    forms = thermo.printed_grid(p, betas, n, k)
+    assert tuple(forms) == FORMS
     for q in FORMS:
-        got = thermo.printed_grid(q, p, betas, n, k).tolist()
-        for beta, value in zip(betas, got):
+        for beta, value in zip(betas, forms[q].tolist()):
             want = oracle_printed(q, p, beta, n, k)
             if want is None:
                 assert not math.isfinite(value), (q, beta)
@@ -134,7 +135,7 @@ def test_closed_form_grid_at_the_edges():
                 check_closed_form(p, betas, 3, 1.3, rederived, tol)
     grid = check_closed_form(spin, np.linspace(1.0, 20.0, 39).tolist(), 1, 1.0, True, 1e-8)
     assert str(grid.error) == "Z1 = -307.173 is not positive at beta = 8.5"
-    assert math.isnan(thermo.printed_grid("Cv", spin, [800.0])[0])
+    assert math.isnan(thermo.printed_grid(spin, [800.0])["Cv"][0])
 
 
 def test_math_each_calls_once_per_element():
@@ -182,6 +183,105 @@ def test_one_point_wrappers_are_the_scalar_oracle():
                     wrapper()
             elif want is not None:
                 assert repr(wrapper()) == repr(want), (q, p, beta)
+
+
+def oracle_spin(form, *args):
+    """A scalar spin display form, or None where it raises."""
+    try:
+        return form(*args)
+    except (OverflowError, UnphysicalZ, ZeroDivisionError):
+        return None
+
+
+def zero_denominator_beta(omega: float, v: float) -> float | None:
+    """A beta > 0 at which the scalar spin display denominator is exactly 0.0
+    (its division raises), near the root found by bisection; None if there
+    is none within 64 floats of it or the root is past the sinh range."""
+    def den(beta):
+        half = 0.5 * omega * beta
+        return 2.0 * omega * math.cosh(half) - 2.0 * beta * v * v * math.sinh(half)
+    lo, hi = 1e-6, 1.0
+    while den(hi) > 0.0:
+        if omega * hi > 700.0:
+            return None
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if den(mid) > 0.0 else (lo, mid)
+    down = up = lo
+    for _ in range(64):
+        for beta in (down, up):
+            if oracle_spin(oracle.printed_spin_internal_energy, omega, v, beta) is None:
+                return beta
+        down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+    return None
+
+
+def check_spin(omega, v, betas, n, k) -> int:
+    """The spin grid forms against the scalar oracle at each beta, row by row;
+    the number of betas where a scalar display form raises."""
+    forms = models.printed_spin_grid(omega, v, betas, n, k)
+    assert tuple(forms) == ("U", "S")
+    mean = models.spin_mean_energy_grid(omega, v, betas).tolist()
+    u, s = forms["U"].tolist(), forms["S"].tolist()
+    failed = 0
+    for beta, got_mean, got_u, got_s in zip(betas, mean, u, s):
+        assert repr(got_mean) == repr(oracle.spin_mean_energy(omega, v, beta))
+        for got, want in ((got_u, oracle_spin(oracle.printed_spin_internal_energy,
+                                               omega, v, beta, n)),
+                          (got_s, oracle_spin(oracle.printed_spin_entropy,
+                                              omega, v, beta, n, k))):
+            if want is None:
+                failed += 1
+                assert not math.isfinite(got), (omega, v, beta, n, k)
+            else:
+                assert repr(got) == repr(want), (omega, v, beta, n, k)
+    return failed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spin_grid_is_the_scalar_oracle(seed):
+    # grids run past the cosh range (beta ~ 1420/omega) and through the betas
+    # where the log argument is not positive; the zero-denominator betas are
+    # found for each model and checked on a grid of their own
+    rng = np.random.default_rng(1900 + seed)
+    failed = zeros = 0
+    for case in range(40):
+        omega = float(10 ** rng.uniform(-1.0, 0.7))
+        v = float(rng.uniform(0.01, 3.0)) * float(rng.choice([-1.0, 1.0]))
+        n = random_count(rng) if case % 5 else int(rng.choice([3e305, 10**308]))
+        k = float(rng.uniform(0.5, 2.0))
+        hi = float(rng.choice([5.0, 40.0, 2000.0 / omega]))
+        failed += check_spin(omega, v, random_grid(rng, hi), n, k)
+        zero = zero_denominator_beta(omega, v)
+        if zero is not None:
+            zeros += 1
+            assert check_spin(omega, v, [0.5 * zero, zero, math.nextafter(zero, 0.0)], n, k)
+    assert failed and zeros >= 5
+
+
+def test_spin_one_point_wrappers_are_the_scalar_oracle():
+    # NaN or another non-finite value where the scalar form raises
+    rng = np.random.default_rng(1901)
+    for case in range(300):
+        omega = float(10 ** rng.uniform(-1.0, 0.7))
+        v = float(rng.uniform(0.01, 3.0)) * float(rng.choice([-1.0, 1.0]))
+        n, k = random_count(rng), float(rng.uniform(0.5, 2.0))
+        beta = float(10 ** rng.uniform(-2.0, 3.5)) * (-1.0 if case % 7 == 0 else 1.0)
+        if case % 10 == 1:
+            beta = zero_denominator_beta(omega, v) or beta
+        assert repr(models.spin_mean_energy(omega, v, beta)) == repr(
+            oracle.spin_mean_energy(omega, v, beta))
+        for got, form, args in (
+                (models.printed_spin_internal_energy(omega, v, beta, n),
+                 oracle.printed_spin_internal_energy, (n,)),
+                (models.printed_spin_entropy(omega, v, beta, n, k),
+                 oracle.printed_spin_entropy, (n, k))):
+            want = oracle_spin(form, omega, v, beta, *args)
+            assert type(got) is float
+            if want is None:
+                assert not math.isfinite(got), (omega, v, beta)
+            else:
+                assert repr(got) == repr(want), (omega, v, beta)
 
 
 def random_ensemble(rng) -> SpectralEnsemble:
@@ -283,7 +383,7 @@ def test_negtemp_grid_is_the_scalar_oracle(seed):
 def test_negtemp_grid_at_the_edges():
     gases = [
         models.TwoLevelGas(1, 5e-324, 0.0),  # a subnormal band
-        models.TwoLevelGas(1, 1e-300, 0.0),  # narrower than the slack floor
+        models.TwoLevelGas(1, 1e-300, 0.0),  # a slack far below 1e-12
         models.TwoLevelGas(10**308, 1.5, 0.5),  # Stirling, next to the float range
         models.TwoLevelGas(int(3e305), 1.0, -1.0),
         models.TwoLevelGas(10**306, 2.0, 0.0),

@@ -570,12 +570,12 @@ def test_printed_forms_against_derivation_chain():
 
 
 def test_closed_form_checks_the_named_display_forms(monkeypatch):
-    # a subset of SLICE_FORMS logs the full check's records for its
-    # quantities, in the order named; each form is looked up in SLICE_FORMS
-    # when called, so a rebound one is the one that runs
+    # a subset of the display forms logs the full check's records for its
+    # quantities, in the order named; one printed_grid call gives every form,
+    # and no quantity means no call
     sl = EnergySliceParams(aE=1.0, bE=-1.0, kappa=-0.25)
     full = thermo_closed_form(sl, 0.5, 3, 1.3, rederived=True)
-    assert [d.quantity for d in full.discrepancies] == list(thermo_module.SLICE_FORMS)
+    assert [d.quantity for d in full.discrepancies] == ["U", "S", "Cv"]
     by_quantity = {d.quantity: d for d in full.discrepancies}
     for quantities in (("Cv", "U"), ("S",), ()):
         report = thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, quantities)
@@ -584,12 +584,13 @@ def test_closed_form_checks_the_named_display_forms(monkeypatch):
             full.Z1, full.A, full.S, full.U, full.Cv)
     calls = []
 
-    def entropy_form(p, beta, n, k):
+    def forms(p, beta, n, k):
         calls.append((p, beta.tolist(), n, k))
-        return np.full(beta.shape, full.S)
+        return {q: np.full(beta.shape, getattr(full, q)) for q in ("U", "S", "Cv")}
 
-    monkeypatch.setitem(thermo_module.SLICE_FORMS, "S", entropy_form)
-    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, ("S",)).discrepancies == []
+    monkeypatch.setattr(thermo_module, "printed_grid", forms)
+    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8).discrepancies == []
+    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, ()).discrepancies == []
     assert calls == [(sl, [0.5], 3.0, 1.3)]
 
 

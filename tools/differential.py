@@ -5,11 +5,15 @@ temporary directory, or an existing tree (``--base-tree``); the change tree
 is a checkout, this repository by default. Each command runs as ``python -m
 quatstat.cli`` with its tree's ``src`` on ``PYTHONPATH``, in a fresh work
 directory that holds the command's params files. The exit code, stdout,
-stderr (with the work directory masked) and every file in the work directory
-afterwards must be the same. The commands cycle through ``thermo``,
-``compare``, ``negtemp``, ``spectrum`` and ``validate``, with parameters,
-grids, formats and destinations drawn from ``--seed``; some are meant to
-fail (exit 2 or 3). Run from the repository root::
+stderr and every file in the work directory afterwards must be the same;
+stderr is compared with the work directory masked, and with the tree and
+line number masked where a warning names its source. The commands cycle
+through ``thermo``, ``compare``, ``negtemp``, ``spectrum`` and
+``validate``, with parameters, grids, formats and destinations drawn from
+``--seed``; some are meant to fail (exit 2 or 3). Some ``compare --model
+spin`` grids run past the cosh range of the spin display forms and through
+the betas where their log argument is not positive, so that the forms'
+failing paths are compared. Run from the repository root::
 
     python3 tools/differential.py --base HEAD~1 --count 200 --seed 1
 
@@ -25,6 +29,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tarfile
@@ -109,7 +114,12 @@ def command(rng: random.Random, kind: str) -> Command:
         models = ("spin", "spin", "qubit", "toy", "toy", "file")[:6 if kind == "thermo" else 5]
         cmd = _model(rng, kind, models)
         steps = rng.choice((40, 40, 2000))  # a long grid now and then, as in the benchmark
-        cmd.argv += ["--beta", _grid(rng, 12.0 if kind == "thermo" else 4.0, steps)]
+        beta = _grid(rng, 12.0 if kind == "thermo" else 4.0, steps)
+        if kind == "compare" and cmd.argv[2] == "spin" and rng.random() < 0.5:
+            # past the cosh range of the spin display forms, beta ~ 1420/omega
+            hi = rng.uniform(1500.0, 3000.0) / float(cmd.argv[4])
+            beta = f"{beta.split(':')[0]}:{_num(hi)}:{rng.randint(1, steps)}"
+        cmd.argv += ["--beta", beta]
         if rng.random() < 0.3:
             cmd.argv.append("--log")
         cmd.argv += ["--n-particles", str(rng.randint(1, 10)), "--k", _num(rng.uniform(0.5, 2))]
@@ -152,6 +162,13 @@ def commands(seed: int, count: int) -> list[Command]:
     return [command(rng, KINDS[i % len(KINDS)]) for i in range(count)]
 
 
+def masked(stderr: bytes, tree: Path, workdir: Path) -> bytes:
+    """``stderr`` with the work directory masked, and the tree and line number
+    where a warning names its source file: both differ between trees."""
+    source = re.compile(re.escape(str(tree / "src").encode()) + rb"(/\S+\.py):\d+:")
+    return source.sub(rb"<src>\1:<line>:", stderr.replace(str(workdir).encode(), b"<work>"))
+
+
 def run(tree: Path, cmd: Command, workdir: Path) -> dict[str, bytes]:
     """The outputs of ``cmd`` run in ``tree`` from ``workdir``: exit code,
     stdout, stderr and each file left in ``workdir``, by name."""
@@ -162,10 +179,9 @@ def run(tree: Path, cmd: Command, workdir: Path) -> dict[str, bytes]:
     env.pop("QUATSTAT_TOL", None)
     proc = subprocess.run([sys.executable, "-m", "quatstat.cli", *cmd.argv], cwd=workdir,
                           env=env, capture_output=True, timeout=300)
-    mask = str(workdir).encode()
     out = {"exit code": str(proc.returncode).encode(),
-           "stdout": proc.stdout.replace(mask, b"<work>"),
-           "stderr": proc.stderr.replace(mask, b"<work>")}
+           "stdout": proc.stdout.replace(str(workdir).encode(), b"<work>"),
+           "stderr": masked(proc.stderr, tree, workdir)}
     for path in sorted(workdir.rglob("*")):
         if path.is_file():
             out[f"file {path.relative_to(workdir)}"] = path.read_bytes()
