@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,9 +25,11 @@ import click
 import numpy as np
 
 from .errors import EnergyOutOfRange, QuatstatError
-from .linalg import QMatrix, energies_by_continuity, exp_re_trace, fro_norm
+from .linalg import (QMatrix, energies_by_continuity, exp_re_trace, fro_norm,
+                     require_finite_norm)
 from .metric import DEFAULT_REL_TOL, MetricOperator, build_metric, classification_report
 from .models import (
+    QUBIT_LEVELS,
     QubitModelParams,
     SpinModelParams,
     TwoLevelGas,
@@ -74,15 +76,6 @@ SPOT_CHECK_TOL = 1e-10
 #: allowance stays below ``SPOT_CHECK_TOL`` while ``beta |H|`` is under about
 #: 1e3, and below 1e-3 up to 1e10, so a wrong column still fails.
 SPOT_CHECK_ROUNDING = 256
-
-
-@dataclass
-class ModelBundle:
-    """Everything the runners may need about the resolved model."""
-
-    hamiltonian: QMatrix | None = None
-    ensemble: SpectralEnsemble | None = None
-    slice_params: EnergySliceParams | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +188,10 @@ def _load_matrix(path: str) -> tuple[QMatrix, MetricOperator]:
         h = QMatrix.from_json_dict(data["matrix"])
     except (KeyError, TypeError, ValueError, QuatstatError) as exc:
         raise click.UsageError(f"malformed matrix object: {exc}") from exc
-    with np.errstate(over="ignore"):
-        if not math.isfinite(fro_norm(h)):
-            raise click.UsageError("matrix entries too large: the squared Frobenius "
-                                   "norm overflows the float range")
+    try:
+        require_finite_norm(h)
+    except QuatstatError as exc:
+        raise click.UsageError(f"matrix {exc}") from exc
     if "metric" not in data:
         return h, MetricOperator.identity(h.n)
     spec = data["metric"]
@@ -223,66 +216,74 @@ def _split_diagonal(h: QMatrix) -> tuple[QMatrix, QMatrix]:
     return h0, h - h0
 
 
-def _resolve_model(cfg: SimpleNamespace) -> ModelBundle:
-    """The model ``cfg`` names; its ensemble has one particle and ``k = 1``."""
-    if cfg.model == "spin":
-        try:
-            spin = SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x)
-            h, _, ensemble = build_spin_model(spin)
-        except QuatstatError as exc:
-            raise click.UsageError(f"spin params rejected: {exc}") from exc
-        return ModelBundle(
-            hamiltonian=h,
-            ensemble=ensemble,
-            slice_params=EnergySliceParams.from_spin(cfg.omega, cfg.v),
-        )
-    if cfg.model == "qubit":
-        h, _, ensemble = build_qubit_model(QubitModelParams(phi=cfg.phi))
-        levels = ensemble.levels  # sorted by energy
-        return ModelBundle(
-            hamiltonian=h,
-            ensemble=ensemble,
-            slice_params=EnergySliceParams(aE=levels[-1][0], bE=levels[0][0], kappa=0.0),
-        )
+def _params_file(cfg: SimpleNamespace) -> str:
     if not cfg.params_path:
         raise click.UsageError(f"--model {cfg.model} requires --params FILE")
-    if cfg.model == "file":
-        h, _ = _load_matrix(cfg.params_path)
-        try:
-            energies = energies_by_continuity(*_split_diagonal(h))
-        except QuatstatError as exc:
-            raise click.UsageError(f"cannot assign energies: {exc}") from exc
-        return ModelBundle(hamiltonian=h,
-                           ensemble=SpectralEnsemble(tuple((e, 1) for e in energies)))
-    data = _load_json(cfg.params_path)
+    return cfg.params_path
+
+
+def _toy(cfg: SimpleNamespace) -> EnergySliceParams | ToyModelParams:
+    """The toy model of ``--params``: a slice alone where the file gives
+    ``aE`` (with ``bE`` and optionally ``kappa``), else its quaternion form."""
+    data = _load_json(_params_file(cfg))
     if "aE" in data:
         try:
-            slice_params = EnergySliceParams(
-                aE=float(data["aE"]),
-                bE=float(data["bE"]),
-                kappa=float(data.get("kappa", 0.0)),
-            )
+            return EnergySliceParams(aE=float(data["aE"]), bE=float(data["bE"]),
+                                     kappa=float(data.get("kappa", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"malformed slice params: {exc}") from exc
-        return ModelBundle(slice_params=slice_params)
+        except QuatstatError as exc:
+            raise click.UsageError(f"slice params rejected: {exc}") from exc
     try:
-        toy = ToyModelParams(
+        return ToyModelParams(
             a=_quaternion_field(data, "a"),
             b=_quaternion_field(data, "b"),
             c=_quaternion_field(data, "c"),
             alpha=float(data.get("alpha", 1.0)),
             gamma=float(data.get("gamma", 1.0)),
         )
-        h = build_toy_hamiltonian(toy)
-        slice_params = EnergySliceParams.from_toy(toy)
-        energies = energies_by_continuity(*_split_diagonal(h))
-    except QuatstatError as exc:
+    except (TypeError, ValueError, QuatstatError) as exc:
         raise click.UsageError(f"toy params rejected: {exc}") from exc
-    return ModelBundle(
-        hamiltonian=h,
-        ensemble=SpectralEnsemble(tuple((e, 1) for e in energies)),
-        slice_params=slice_params,
-    )
+
+
+def _slice(cfg: SimpleNamespace) -> EnergySliceParams:
+    """The commuting-scalar slice of the model ``cfg`` names, read without
+    building its Hamiltonian."""
+    if cfg.model == "qubit":
+        return EnergySliceParams(*QUBIT_LEVELS, kappa=0.0)
+    try:
+        if cfg.model == "spin":
+            SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x)  # refuses omega <= 0, v or x 0
+            return EnergySliceParams.from_spin(cfg.omega, cfg.v)
+        toy = _toy(cfg)
+        return toy if isinstance(toy, EnergySliceParams) else EnergySliceParams.from_toy(toy)
+    except QuatstatError as exc:
+        raise click.UsageError(f"{cfg.model} params rejected: {exc}") from exc
+
+
+def _matrix_model(cfg: SimpleNamespace) -> tuple[QMatrix, SpectralEnsemble]:
+    """The Hamiltonian of the model ``cfg`` names and its ensemble, which has
+    one particle and ``k = 1``."""
+    if cfg.model == "qubit":
+        h, _, ensemble = build_qubit_model(QubitModelParams(phi=cfg.phi))
+        return h, ensemble
+    source = "cannot assign energies" if cfg.model == "file" else f"{cfg.model} params rejected"
+    try:
+        if cfg.model == "spin":
+            h, _, ensemble = build_spin_model(SpinModelParams(omega=cfg.omega, v=cfg.v, x=cfg.x))
+            return h, ensemble
+        if cfg.model == "file":
+            h, _ = _load_matrix(_params_file(cfg))
+        else:
+            toy = _toy(cfg)
+            if isinstance(toy, EnergySliceParams):
+                raise click.UsageError("slice-only params (aE, bE, kappa) do not determine "
+                                       "a Hamiltonian or its spectrum")
+            h = build_toy_hamiltonian(toy)
+        energies = energies_by_continuity(*_split_diagonal(h))
+    except (ValueError, QuatstatError) as exc:  # ValueError: an entry past the float range
+        raise click.UsageError(f"{source}: {exc}") from exc
+    return h, SpectralEnsemble(tuple((e, 1) for e in energies))
 
 
 #: The flags that set each ``negtemp`` gas, named when the gas is refused.
@@ -422,44 +423,41 @@ def _emit(cfg: SimpleNamespace, header: list[str], columns: list[Sequence],
 # ---------------------------------------------------------------------------
 
 
-def run_thermo(cfg: SimpleNamespace) -> int:
-    bundle = _resolve_model(cfg)
+def _betas(cfg: SimpleNamespace, command: str) -> list[float]:
     betas = _grid(cfg.beta_spec, cfg.log_scale)
     if betas[0] <= 0:
-        raise click.UsageError("thermo sweeps require beta > 0")
+        raise click.UsageError(f"{command} sweeps require beta > 0")
+    return betas
 
+
+def run_thermo(cfg: SimpleNamespace) -> int:
     if cfg.model == "qubit" or cfg.model == "file":
-        ensemble = replace(bundle.ensemble, n_particles=cfg.n_particles, k=cfg.k)
+        ensemble = replace(_matrix_model(cfg)[1], n_particles=cfg.n_particles, k=cfg.k)
         # the spectral Z1 = exp(ln Z1) is inf past the float range; A, S, U
         # and Cv come from ln Z1 and stay finite, so the overflow is no news
         with np.errstate(over="ignore"):
-            grid = spectral_grid(ensemble, betas)
+            grid = spectral_grid(ensemble, _betas(cfg, "thermo"))
+        log = None  # the spectral models have no display forms
     else:
-        grid = closed_form_grid(bundle.slice_params, betas, cfg.n_particles, cfg.k,
+        grid = closed_form_grid(_slice(cfg), _betas(cfg, "thermo"), cfg.n_particles, cfg.k,
                                 cfg.rederived, cfg.tolerance)
+        log = grid.discrepancies
     if grid.error is not None:
         click.echo(f"unphysical branch: {grid.error}", err=True)
         return 3
     header = ["beta", "Z1", "A", "S", "U", "Cv"]
-    _emit(cfg, header, [getattr(grid, name) for name in header], grid.discrepancies or None,
+    _emit(cfg, header, [getattr(grid, name) for name in header], log,
           {"U": "U", "S": "S", "Cv": "Cv"})
     return 0
 
 
 def run_compare(cfg: SimpleNamespace) -> int:
-    bundle = _resolve_model(cfg)
-    if bundle.hamiltonian is None or bundle.slice_params is None:
-        raise click.UsageError(
-            "compare needs a full model (quaternion form); slice-only params "
-            "do not determine a Hamiltonian"
-        )
-    betas = _grid(cfg.beta_spec, cfg.log_scale)
-    if betas[0] <= 0:
-        raise click.UsageError("compare sweeps require beta > 0")
-    h, sl = bundle.hamiltonian, bundle.slice_params
+    sl = _slice(cfg)
+    h, ensemble = _matrix_model(cfg)
+    betas = _betas(cfg, "compare")
     h0, hp = _split_diagonal(h)
     n, k, tol = cfg.n_particles, cfg.k, cfg.tolerance
-    ensemble = replace(bundle.ensemble, n_particles=n, k=k)
+    ensemble = replace(ensemble, n_particles=n, k=k)
 
     beta = betas[-1]
     try:
@@ -527,7 +525,8 @@ def run_compare(cfg: SimpleNamespace) -> int:
         ("Z1_printed - Z1_rederived|", 3, 4),
         ("Z1_dyson - Z_formal|     ", 5, 2),
     ):
-        gap = np.abs(np.subtract(columns[i], columns[j])).max()
+        with np.errstate(over="ignore"):  # finite columns of opposite sign near 1e308
+            gap = np.abs(np.subtract(columns[i], columns[j])).max()
         click.echo(f"max |{label} = {_fmt(gap)}", err=True)
     if slope_line:
         click.echo(slope_line, err=True)
@@ -560,10 +559,8 @@ def run_validate(cfg: SimpleNamespace) -> int:
 
 
 def run_spectrum(cfg: SimpleNamespace) -> int:
-    bundle = _resolve_model(cfg)
-    if bundle.ensemble is None:
-        raise click.UsageError("model does not define an energy spectrum")
-    _emit(cfg, ["energy", "multiplicity"], list(zip(*bundle.ensemble.levels)))
+    _, ensemble = _matrix_model(cfg)
+    _emit(cfg, ["energy", "multiplicity"], list(zip(*ensemble.levels)))
     return 0
 
 

@@ -213,6 +213,15 @@ def fro_norm(m: QMatrix) -> float:
     return float(np.sqrt(np.sum(m.comp**2)))
 
 
+def require_finite_norm(m: QMatrix) -> None:
+    """Raise :class:`ConstraintViolation` where the squared :func:`fro_norm`
+    of ``m`` passes the float range, without a numpy warning."""
+    with np.errstate(over="ignore"):
+        if not math.isfinite(fro_norm(m)):
+            raise ConstraintViolation("entries too large: the squared Frobenius "
+                                      "norm overflows the float range")
+
+
 def inverse(m: QMatrix) -> QMatrix:
     """Matrix inverse via the complex embedding."""
     return unembed(np.linalg.inv(embed(m)))

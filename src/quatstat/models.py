@@ -279,10 +279,13 @@ def spin_negative_temperature(p: SpinModelParams, n_particles: int = 1) -> TwoLe
     )
 
 
+#: The closed-form levels of :func:`build_qubit_model`, the upper one first.
+QUBIT_LEVELS = (2.0, 0.0)
+
+
 def qubit_negative_temperature(n_particles: int = 1) -> TwoLevelGas:
-    """Two-level gas with the reduced two-qubit levels ``2`` and ``0`` of
-    :func:`build_qubit_model`."""
-    return TwoLevelGas(n_particles=n_particles, e_plus=2.0, e_minus=0.0)
+    """Two-level gas with the reduced two-qubit levels :data:`QUBIT_LEVELS`."""
+    return TwoLevelGas(n_particles, *QUBIT_LEVELS)
 
 
 def spin_mean_energy_grid(omega: float, v: float, beta: Sequence[float]) -> np.ndarray:
@@ -426,6 +429,7 @@ def build_qubit_model(
         raise ConstraintViolation("qubit Hamiltonian failed certification")
     s = 1.0 / math.sqrt(2.0)
     u = Quaternion(s, 0.0, s * math.sin(p.phi), -s * math.cos(p.phi))
-    _certify_levels(h, (((u, Quaternion()), 2.0), ((Quaternion(), Quaternion(1.0)), 0.0)))
-    ensemble = SpectralEnsemble(((2.0, 1), (0.0, 1)))
+    upper, lower = QUBIT_LEVELS
+    _certify_levels(h, (((u, Quaternion()), upper), ((Quaternion(), Quaternion(1.0)), lower)))
+    ensemble = SpectralEnsemble(((upper, 1), (lower, 1)))
     return h, metric, ensemble

@@ -119,7 +119,7 @@ class Quaternion:
         return NotImplemented
 
     def __abs__(self) -> float:
-        return math.sqrt(self.q0**2 + self.q1**2 + self.q2**2 + self.q3**2)
+        return math.hypot(self.q0, self.q1, self.q2, self.q3)
 
     def conjugate(self) -> "Quaternion":
         return qconj(self)

@@ -39,7 +39,8 @@ from .errors import (
     UnphysicalZ,
     ZeroMeanEnergy,
 )
-from .linalg import QMatrix, _expm, embed, fro_norm, mat_exp, mat_mul, unembed
+from .linalg import (QMatrix, _expm, embed, fro_norm, mat_exp, mat_mul,
+                     require_finite_norm, unembed)
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import Quaternion, is_imaginary, qconj, qmul
 
@@ -59,7 +60,7 @@ class ToyModelParams:
     The Hamiltonian is ``[[a, c], [d, b]]`` with ``d`` fixed by the
     anti-Hermiticity constraint ``d = -(alpha/gamma) conj(c)`` under the
     metric ``diag(alpha, gamma)``; ``a`` and ``b`` must be purely imaginary
-    quaternions.
+    quaternions, and ``alpha`` and ``gamma`` positive and finite.
     """
 
     a: Quaternion
@@ -73,6 +74,9 @@ class ToyModelParams:
             raise ConstraintViolation("diagonal entries must be purely imaginary")
         if not (self.alpha > 0.0 and self.gamma > 0.0):
             raise ConstraintViolation("metric parameters alpha, gamma must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.gamma)):
+            raise ConstraintViolation(
+                f"metric parameters alpha, gamma must be finite, got {self.alpha}, {self.gamma}")
 
     @property
     def d(self) -> Quaternion:
@@ -87,26 +91,38 @@ class EnergySliceParams:
     effective coupling ``(alpha/gamma) c^2`` (real for complex ``c`` and for
     ``c`` in the j-line, where it equals ``-(alpha/gamma)|c|^2``). The
     display forms divide by ``aE - bE`` and refuse coincident energies; the
-    derived forms take any pair, coincident energies included.
+    derived forms take any pair, coincident energies included. A ``kappa``
+    or ``(aE - bE)^2`` past the float range is refused.
     """
 
     aE: float
     bE: float
     kappa: float
 
+    def __post_init__(self):
+        # the closed forms square the gap and scale the coupling by beta
+        gap = self.aE - self.bE
+        if not (math.isfinite(self.kappa) and math.isfinite(gap * gap)):
+            raise ConstraintViolation(
+                f"slice past the float range: aE = {self.aE}, bE = {self.bE}, "
+                f"kappa = {self.kappa} (kappa and (aE - bE)^2 must be finite)")
+
     @classmethod
     def from_toy(cls, p: ToyModelParams) -> "EnergySliceParams":
         """Formal scalar reading of quaternionic toy parameters.
 
         Requires ``a`` and ``b`` on the complex-imaginary line (``a = i aE``)
-        and a coupling with real square, so that the slice expressions make
-        sense as commuting scalars.
+        and a coupling with real square within the float range, so that the
+        slice expressions make sense as commuting scalars.
         """
         for name, q in (("a", p.a), ("b", p.b)):
             if max(abs(q.q2), abs(q.q3)) > 1e-10:
                 raise ConstraintViolation(
                     f"slice reading needs complex-imaginary {name}, got {q}"
                 )
+        size = abs(p.c)
+        if not math.isfinite(size * size):
+            raise ConstraintViolation(f"c^2 is past the float range, |c| = {size}")
         c2 = qmul(p.c, p.c)
         if max(abs(c2.q1), abs(c2.q2), abs(c2.q3)) > 1e-10 * max(1.0, abs(c2)):
             raise ConstraintViolation("c^2 must be real for the scalar slice")
@@ -253,8 +269,10 @@ class VolumeModel:
 
 
 def build_toy_hamiltonian(p: ToyModelParams) -> QMatrix:
-    """Assemble ``[[a, c], [d, b]]`` and certify its symmetry class."""
+    """Assemble ``[[a, c], [d, b]]`` and certify its symmetry class; entries
+    whose squared Frobenius norm passes the float range are refused."""
     h = QMatrix.from_rows([[p.a, p.c], [p.d, p.b]])
+    require_finite_norm(h)
     if not is_quasi_anti_hermitian(h, toy_metric(p)):
         raise ConstraintViolation("constructed Hamiltonian failed certification")
     return h
@@ -605,7 +623,7 @@ def discrepancies(
         return DiscrepancyLog()
     printed = np.array([column for _, column, _ in checks], dtype=float)
     derived = np.array([column for _, _, column in checks], dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(printed - derived)
         found = np.isfinite(printed) & (gap > tol * np.maximum(1.0, np.abs(derived)))
     at, which = np.nonzero(found.T)

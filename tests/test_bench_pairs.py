@@ -91,6 +91,21 @@ def test_disagreeing_environment_fields_are_named(bench_pairs, tmp_path):
     assert one["q1"] == one["median"] == one["q3"] == 1.0
 
 
+def test_bytecode_regime_per_side(bench_pairs, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_record(parent, "cli-mix", 1, 1.0, 1.0, 0, 1.0)
+    write_record(change, "cli-mix", 1, 1.0, 1.0, 0, 2.0)
+    (change / "src" / "quatstat" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    got = bench_pairs.collect(parent, change, 6, METRICS)
+    assert got["bytecode"] == {
+        "parent": {"PYTHONDONTWRITEBYTECODE": "1", "pycache": False},
+        "change": {"PYTHONDONTWRITEBYTECODE": "1", "pycache": True}}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    got = bench_pairs.collect(parent, change, 6, METRICS)
+    assert got["bytecode"]["parent"] == {"PYTHONDONTWRITEBYTECODE": None, "pycache": False}
+
+
 def test_no_pairs_is_an_error(bench_pairs, tmp_path, capsys, monkeypatch):
     write_record(tmp_path / "parent", "cli-mix", 1, 1.0, 1.0, 0, 1.0)
     (tmp_path / "change").mkdir()

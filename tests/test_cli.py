@@ -75,12 +75,25 @@ NON_FINITE = {
                        '[[0, 0, 0.5, 0], [0, -1, 0, 0]]]}, "metric": {"x": Infinity, "y": 1}}',
 }
 
-#: The inputs of every configuration-error case: the files above, and a
-#: valid toy model whose thermo sweep writes discrepancy records.
+#: Params files of finite numbers whose model passes the float range.
+PAST_FLOAT = {
+    "huge_slice.json": '{"aE": 1e200, "bE": -1e200, "kappa": 1}',
+    "huge_c.json": '{"a": [0, 0.5, 0, 0], "b": [0, -0.5, 0, 0], "c": [0, 0, 1e200, 0]}',
+    "huge_ratio.json": '{"a": [0, 0.5, 0, 0], "b": [0, -0.5, 0, 0], "c": [0, 0, 1, 0], '
+                       '"alpha": 1e200, "gamma": 1e-200}',
+}
+
+#: The inputs of every configuration-error case: the files above, a valid
+#: toy model whose thermo sweep writes discrepancy records, a valid
+#: slice-only model, and a toy whose alpha is not a number.
 CONFIG_INPUTS = {
     **NON_FINITE,
+    **PAST_FLOAT,
     "toy.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
                 '"alpha": 1.0, "gamma": 1.0}',
+    "slice.json": '{"aE": 1, "bE": -1, "kappa": -0.2}',
+    "text_alpha.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
+                       '"alpha": "one"}',
 }
 
 
@@ -155,6 +168,34 @@ def test_thermo_writes_discrepancy_log(runner, tmp_path):
             for r in records
         )
         assert any(r["quantity"] == "Cv" for r in records)
+
+
+def test_thermo_spin_does_not_depend_on_the_metric(runner, tmp_path):
+    # the slice reads omega and v only: the metric parameter x, which the
+    # Hamiltonian needs, moves no byte of the table or the log
+    outputs = set()
+    for x in ("1", "1.3", "1e200"):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(cli, ["thermo", "--x", x, "--beta", "0.5:3:6"])
+            assert result.exit_code == 0, result.output
+            outputs.add((result.stdout, Path("discrepancies.json").read_text()))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("model", [[], ["--model", "toy", "--params", "toy.json"]],
+                         ids=["spin", "toy"])
+def test_thermo_slice_path_builds_no_hamiltonian(runner, tmp_path, monkeypatch, model):
+    import quatstat.cli as cli_module
+
+    def refuse(*args):
+        raise AssertionError("a Hamiltonian was built")
+
+    for name in ("build_spin_model", "build_toy_hamiltonian"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("toy.json").write_text(CONFIG_INPUTS["toy.json"])
+        result = runner.invoke(cli, ["thermo", *model, "--beta", "0.5:3:6"])
+        assert result.exit_code == 0, result.output
 
 
 def test_thermo_exit_codes(runner, tmp_path):
@@ -509,6 +550,23 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         ["compare", "--k", "-0.5", "--beta", "0.2:1:3"],
         ["negtemp", "--k", "-1"],
         ["negtemp", "--k", "0"],
+        # a slice or matrix model past the float range
+        ["thermo", "--omega", "1", "--v", "1e200", "--beta", "1:2:2"],
+        ["thermo", "--omega", "1e300", "--v", "1e300", "--beta", "1:2:2"],
+        ["thermo", "--model", "toy", "--params", "huge_slice.json", "--beta", "1:2:2"],
+        ["thermo", "--model", "toy", "--params", "huge_c.json", "--beta", "1:2:2"],
+        ["thermo", "--model", "toy", "--params", "huge_ratio.json", "--beta", "1:2:2"],
+        ["compare", "--x", "1e200", "--beta", "1:2:2"],
+        ["spectrum", "--omega", "1", "--v", "1", "--x", "1e200"],
+        ["spectrum", "--omega", "1e300", "--v", "1e300"],
+        ["spectrum", "--omega", "1", "--v", "1e300", "--x", "1e-10"],
+        ["spectrum", "--model", "toy", "--params", "huge_c.json"],
+        ["spectrum", "--model", "toy", "--params", "huge_ratio.json"],
+        # a slice alone determines no Hamiltonian; a toy's alpha is a number
+        ["spectrum", "--model", "toy", "--params", "slice.json"],
+        ["compare", "--model", "toy", "--params", "slice.json", "--beta", "1:2:2"],
+        ["thermo", "--model", "toy", "--params", "text_alpha.json", "--beta", "1:2:2"],
+        ["spectrum", "--model", "toy", "--params", "text_alpha.json"],
     ],
     ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} digits>" for a in argv),
 )
@@ -672,6 +730,18 @@ def test_unwritable_destination_writes_nothing(runner, tmp_path, command):
             assert "cannot write taken: it is a directory" in result.stderr
             assert result.stdout == ""
             assert sorted(os.listdir()) == ["taken"] and not os.listdir("taken")
+
+
+def test_thermo_slice_log_is_written_without_records(runner, tmp_path):
+    # an empty log replaces the records of an earlier run, as compare's does
+    args = ["thermo", "--beta", "1:3:3"]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        assert runner.invoke(cli, args).exit_code == 0
+        assert len(json.loads(Path("discrepancies.json").read_text())) == 3
+        result = runner.invoke(cli, args + ["--tolerance", "1e6"])
+        assert result.exit_code == 0, result.output
+        assert Path("discrepancies.json").read_text() == "[]\n"
+        assert result.stderr == "wrote 0 discrepancy records to discrepancies.json\n"
 
 
 def test_thermo_without_records_never_opens_the_log(runner, tmp_path):
@@ -978,6 +1048,22 @@ def test_spectrum_gives_each_conjugate_class_one_level(runner, tmp_path):
         assert levels == pytest.approx([1.9420419862203946, 2.1718637972980739], rel=1e-12)
 
 
+def test_spectrum_of_a_toy_with_no_slice_reading(runner, tmp_path):
+    # a and b on the j-line have no commuting-scalar slice, which spectrum
+    # never reads; its levels are the magnitudes of chi(H)'s classes
+    toy = {"a": [0, 0, 0.5, 0], "b": [0, 0, -0.5, 0], "c": [0, 0.3, 0, 0]}
+    h = quatstat.build_toy_hamiltonian(quatstat.ToyModelParams(
+        *(quatstat.Quaternion.from_list(toy[key]) for key in "abc"), alpha=1.0, gamma=1.0))
+    classes = sorted(abs(z) for z, _ in quatstat.standard_spectrum(h))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("toy.json").write_text(json.dumps(toy))
+        result = runner.invoke(cli, ["spectrum", "--model", "toy", "--params", "toy.json"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.stdout)
+        assert sorted(abs(float(r[0])) for r in rows) == pytest.approx(classes, rel=1e-12)
+        assert len(classes) == 2
+
+
 @pytest.mark.parametrize("omega, v, levels", [("0.25", "4", ["-3.875,1", "4.125,1"]),
                                               ("3e8", "1e8", ["50000000,1", "250000000,1"])])
 def test_spin_model_takes_a_potential_far_above_the_splitting(runner, tmp_path, omega, v,
@@ -1141,6 +1227,17 @@ def test_slice_z1_overflow_prints_inf_with_finite_thermodynamics(tmp_path, cli_e
 def test_compare_past_the_slice_float_range(tmp_path, cli_env):
     rows, _ = run_large_beta(tmp_path, cli_env, ["compare", "--beta", "700:800:3"])
     assert [row[3:5] for row in rows[1:]] == [["inf", "-inf"]] * 2
+
+
+def test_compare_gap_past_the_float_range_prints_no_warning(tmp_path, cli_env):
+    # the printed and rederived Z1 reach finite values near 1e308 of opposite
+    # sign, whose difference overflows in the log rule and the summary
+    rows, _ = run_large_beta(tmp_path, cli_env, [
+        "compare", "--model", "spin", "--omega", "3.4212049120201513",
+        "--v", "1.126318141342953", "--x", "0.5938461482886525",
+        "--beta", "0.021072561557451703:674.8084832362838:1635",
+        "--n-particles", "4", "--k", "1.4607096064487057"])
+    assert len(rows) == 1635
 
 
 def test_positive_slice_specific_heat_at_large_beta(tmp_path, cli_env):

@@ -73,6 +73,12 @@ def test_is_imaginary():
     assert is_imaginary(J + K)
 
 
+def test_norm_of_components_past_the_square_range():
+    # each square overflows from about 1.3e154 on; the norm does not
+    assert abs(Quaternion(3e300, 4e300)) == pytest.approx(5e300, rel=1e-15)
+    assert abs(Quaternion(0.0, 0.0, 3e-200, 4e-200)) == pytest.approx(5e-200, rel=1e-15)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=12, max_size=12))
 def test_norm_multiplicativity_hypothesis(values):

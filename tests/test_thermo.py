@@ -100,6 +100,14 @@ def test_toy_params_reject_real_diagonal():
         ToyModelParams(a=Quaternion(1.0), b=I, c=J, alpha=1.0, gamma=1.0)
     with pytest.raises(ConstraintViolation):
         ToyModelParams(a=I, b=I, c=J, alpha=-1.0, gamma=1.0)
+    with pytest.raises(ConstraintViolation, match="must be finite"):
+        ToyModelParams(a=I, b=I, c=J, alpha=math.inf, gamma=1.0)
+
+
+def test_toy_hamiltonian_past_the_frobenius_range_is_refused():
+    toy = ToyModelParams(a=I * 1e154, b=I * -1e154, c=J * 1e154, alpha=1.0, gamma=1.0)
+    with pytest.raises(ConstraintViolation, match="squared Frobenius norm overflows"):
+        build_toy_hamiltonian(toy)
 
 
 def test_slice_from_toy_and_spin():
@@ -113,6 +121,17 @@ def test_slice_from_toy_and_spin():
         EnergySliceParams.from_toy(
             ToyModelParams(a=J, b=I, c=J, alpha=1.0, gamma=1.0)
         )
+    with pytest.raises(ConstraintViolation, match="c\\^2 is past the float range"):
+        EnergySliceParams.from_toy(ToyModelParams(a=I, b=-1.0 * I, c=J * 1e200,
+                                                  alpha=1.0, gamma=1.0))
+
+
+@pytest.mark.parametrize("ae, be, kappa", [(1e200, -1e200, 1.0), (0.5, -0.5, -math.inf),
+                                           (1.0, 0.0, math.nan), (1e308, -1e308, 0.0)])
+def test_slice_past_the_float_range_is_refused(ae, be, kappa):
+    # the closed forms square aE - bE and scale kappa by beta
+    with pytest.raises(ConstraintViolation, match="slice past the float range"):
+        EnergySliceParams(ae, be, kappa)
 
 
 # -- propagators ---------------------------------------------------------------

@@ -7,8 +7,12 @@ record of the same workload and seed form one pair. For every workload and
 every end-to-end metric of ``BENCHMARK.json`` the output gives each side's
 median, quartiles and per-seed values, and how many pairs the change won;
 per workload it gives each side's failed and attempted requests and which
-side of each pair ran first (the earlier record). Run from the repository
-root::
+side of each pair ran first (the earlier record). Per side it gives the
+bytecode regime: ``PYTHONDONTWRITEBYTECODE`` as this tool sees it, so run it
+from the shell that ran the benchmark, and whether the tree holds a
+``src/quatstat/__pycache__`` directory after its runs. With the variable
+set, no cache is written and every ``quatstat`` subprocess compiles the
+package again. Run from the repository root::
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pr 6
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import sys
@@ -59,6 +64,13 @@ def environment(records: list[dict]) -> dict:
         else:
             env["varies"].append(key)
     return env
+
+
+def bytecode_regime(tree: Path) -> dict:
+    """The variable that stops Python writing bytecode, and whether ``tree``
+    holds the package's bytecode cache."""
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pycache": (tree / "src" / "quatstat" / "__pycache__").is_dir()}
 
 
 def collect(parent: Path, change: Path, pr: int, metrics: list[dict],
@@ -104,6 +116,7 @@ def collect(parent: Path, change: Path, pr: int, metrics: list[dict],
         "parent": labels[0],
         "change": labels[1],
         "environment": environment(every),
+        "bytecode": {"parent": bytecode_regime(parent), "change": bytecode_regime(change)},
         "workloads": workloads,
     }
 
