@@ -47,6 +47,7 @@ from .thermo import (
     DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
+    ThermoGrid,
     ToyModelParams,
     build_toy_hamiltonian,
     closed_form_grid,
@@ -430,6 +431,21 @@ def _betas(cfg: SimpleNamespace, command: str) -> list[float]:
     return betas
 
 
+def _refuse_overflow(model: str, grid: ThermoGrid) -> None:
+    """Refuse a slice grid whose ``Z1`` is positive everywhere but where ``A``,
+    ``S``, ``U`` or ``Cv`` is not finite: a slice near the float maximum
+    overflows inside the kernel (``0 * inf`` in ``Cv``, ``mu beta`` in ``A``
+    and ``S``). ``Z1 = inf`` alone is allowed."""
+    names = ("A", "S", "U", "Cv")
+    bad = ~np.isfinite(np.array([getattr(grid, name) for name in names]))
+    if bad.any():
+        q, i = divmod(int(np.argmax(bad.T)), len(names))
+        name = names[i]
+        raise click.UsageError(
+            f"{model} slice overflows the float range: {name} = "
+            f"{_fmt(getattr(grid, name)[q])} at beta = {_fmt(grid.beta[q])}")
+
+
 def run_thermo(cfg: SimpleNamespace) -> int:
     if cfg.model == "qubit" or cfg.model == "file":
         ensemble = replace(_matrix_model(cfg)[1], n_particles=cfg.n_particles, k=cfg.k)
@@ -442,6 +458,8 @@ def run_thermo(cfg: SimpleNamespace) -> int:
         grid = closed_form_grid(_slice(cfg), _betas(cfg, "thermo"), cfg.n_particles, cfg.k,
                                 cfg.rederived, cfg.tolerance)
         log = grid.discrepancies
+        if grid.error is None:
+            _refuse_overflow(cfg.model, grid)
     if grid.error is not None:
         click.echo(f"unphysical branch: {grid.error}", err=True)
         return 3

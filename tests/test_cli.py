@@ -556,6 +556,9 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         ["thermo", "--model", "toy", "--params", "huge_slice.json", "--beta", "1:2:2"],
         ["thermo", "--model", "toy", "--params", "huge_c.json", "--beta", "1:2:2"],
         ["thermo", "--model", "toy", "--params", "huge_ratio.json", "--beta", "1:2:2"],
+        # a slice within the float range whose A, S or Cv overflows in the kernel
+        ["thermo", "--model", "spin", "--omega", "1e154", "--v", "1e154", "--beta", "0.1:5:3"],
+        ["thermo", "--omega", "1e150", "--v", "1e150", "--beta", "1e3:1e4:2"],
         ["compare", "--x", "1e200", "--beta", "1:2:2"],
         ["spectrum", "--omega", "1", "--v", "1", "--x", "1e200"],
         ["spectrum", "--omega", "1e300", "--v", "1e300"],
@@ -587,6 +590,25 @@ def test_configuration_errors_exit_2(runner, tmp_path, argv):
         # exit 2 means nothing was written, the inputs included
         assert result.stdout == ""
         assert {name: Path(name).read_text() for name in os.listdir()} == CONFIG_INPUTS
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--beta", "0.1:5:3"], "Cv = nan at beta = 0.10000000000000001"),
+        (["--beta", "2:5:3"], "A = -inf at beta = 2"),
+    ],
+)
+def test_slice_overflow_names_the_first_beta(runner, tmp_path, argv, message):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["thermo", "--omega", "1e154", "--v", "1e154"] + argv)
+        assert result.exit_code == 2 and result.stdout == "" and os.listdir() == []
+    assert f"spin slice overflows the float range: {message}\n" in result.stderr
+    # Z1 = inf alone is no overflow: A, S, U and Cv come from ln Z1
+    result = runner.invoke(cli, ["thermo", "--beta", "800:900:2", "--discrepancies",
+                                 str(tmp_path / "d.json")])
+    assert result.exit_code == 0
+    assert [row.split(",")[1] for row in result.stdout.splitlines()[1:]] == ["inf", "inf"]
 
 
 WRITER_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0.1,
@@ -1272,8 +1294,8 @@ def test_cli_subprocess_imports_the_package_under_test(tmp_path, cli_env):
 
 
 #: Run in a fresh interpreter with a command's arguments: import the CLI, run
-#: the command in-process, then report its exit code and the scipy modules
-#: loaded on the last line of stderr.
+#: the command in-process, then report its exit code and the scipy and
+#: quatstat modules loaded on the last line of stderr.
 SCIPY_PROBE = """
 import json, sys
 from quatstat.cli import cli
@@ -1283,8 +1305,9 @@ if sys.argv[1:]:
         cli.main(sys.argv[1:], standalone_mode=False)
     except SystemExit as exc:
         code = exc.code
-loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
-sys.stderr.write("\\n" + json.dumps({"code": code, "scipy": loaded}))
+loaded = {prefix: sorted(name for name in sys.modules if name.split(".")[0] == prefix)
+          for prefix in ("scipy", "quatstat")}
+sys.stderr.write("\\n" + json.dumps({"code": code, **loaded}))
 """
 
 
@@ -1321,7 +1344,13 @@ def scipy_probe(tmp_path, cli_env, argv):
     ids=lambda argv: " ".join(argv) or "import",
 )
 def test_import_and_scipy_free_commands_load_no_scipy(tmp_path, cli_env, argv):
-    assert scipy_probe(tmp_path, cli_env, argv) == {"code": 0 if argv else None, "scipy": []}
+    report = scipy_probe(tmp_path, cli_env, argv)
+    assert (report["code"], report["scipy"]) == (0 if argv else None, [])
+    if not argv:
+        # perfbench's traced run times the modules that `import quatstat.cli`
+        # loads and looks up each of these; a lazy import would lose one
+        layers = ("quaternion", "linalg", "thermo", "models", "metric", "cli")
+        assert {f"quatstat.{name}" for name in layers} <= set(report["quatstat"])
 
 
 def test_scipy_probe_sees_a_scipy_import(tmp_path, cli_env):

@@ -1,6 +1,7 @@
 """``tools/differential.py`` reports a planted one-byte difference, and only it."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -26,6 +27,15 @@ def test_commands_are_seeded_and_cycle_through_the_subcommands(differential):
     assert [c.argv for c in first] == [c.argv for c in differential.commands(3, 10)]
     assert [c.argv[0] for c in first] == list(differential.KINDS) * 2
     assert [c.argv for c in differential.commands(4, 10)] != [c.argv for c in first]
+
+
+def test_compared_toys_include_symmetric_levels(differential):
+    # b = -a with a j-k coupling makes every Dyson node (0, 0), so compare's
+    # shared exponential is compared byte for byte beside the distinct nodes
+    toys = [json.loads(c.files["toy.json"]) for c in differential.commands(1, 200)
+            if c.argv[:3] == ["compare", "--model", "toy"]]
+    symmetric = [t["b"] == [0, -t["a"][1], 0, 0] for t in toys]
+    assert any(symmetric) and not all(symmetric)
 
 
 def test_warnings_are_masked_to_their_source_file(differential):

@@ -56,6 +56,7 @@ from quatstat import (
 )
 from quatstat import thermo as thermo_module
 from quatstat.cli import cli
+from quatstat.linalg import _expm
 from quatstat.metric import is_quasi_anti_hermitian
 
 OMEGA, V, X = 2.0, 0.5, 1.0
@@ -287,21 +288,78 @@ def test_dyson_stiff_reference_matches_van_loan():
         assert np.abs(got - (u0 + first + second)).max() <= 1e-13 * max(1.0, t * t)
 
 
+def symmetric_split():
+    """Levels ``a = i 0.9`` and ``-a`` coupled by ``c = [0, .3, .3, .4]``: the j-k part
+    of the coupling links coincident eigenvalues of ``chi(H0)`` and gives
+    divided-difference nodes that are exactly ``(0, 0)``."""
+    a, c = I * 0.9, Quaternion(0.0, 0.3, 0.3, 0.4)
+    h = build_toy_hamiltonian(ToyModelParams(a=a, b=-a, c=c, alpha=1.3, gamma=0.8))
+    h0 = QMatrix.diag([a, -a])
+    return h0, h - h0
+
+
+def spin_split():
+    toy = spin_toy()
+    h0 = QMatrix.diag([toy.a, toy.b])
+    return h0, build_toy_hamiltonian(toy) - h0
+
+
 def test_dyson_grid_matches_scalar_calls(monkeypatch):
     # zeros and a negative time included; blocks of 7 divided differences
-    # straddle the entries and must give the bits of one unblocked call
-    h0, hp = generic_split()
+    # straddle the entries and must give the bits of one unblocked call. The
+    # share of (0, 0) nodes at the nonzero times is 4 of 64 for the generic
+    # split (the rounding residue of B_aa), all of them for the spin model and
+    # 4 of 16 for the symmetric toy
     ts = [0.3, 0.0, 1.1, -0.4, 0.9, 0.7, 0.05, 1.3, 0.6, 0.0, 0.4]
-    unblocked = dyson_second_order(h0, hp, ts)
-    monkeypatch.setattr(thermo_module, "_NODE_BLOCK", 7)
-    grid = dyson_second_order(h0, hp, ts)
-    assert isinstance(grid, list) and len(grid) == len(ts)
-    for ui, whole in zip(grid, unblocked):
-        np.testing.assert_array_equal(ui.comp, whole.comp)
-    for t, ui in zip(ts, grid):
-        single = dyson_second_order(h0, hp, t)
-        assert isinstance(single, QMatrix)
-        assert np.abs(ui.comp - single.comp).max() <= 1e-14
+    nodes, block = [], thermo_module._NODE_BLOCK
+    kernel = thermo_module._exp_divided_differences
+    monkeypatch.setattr(thermo_module, "_exp_divided_differences",
+                        lambda x, y: nodes.append((x, y)) or kernel(x, y))
+    for split, zero_share in ((generic_split, 4 / 64), (spin_split, 1.0),
+                              (symmetric_split, 4 / 16)):
+        h0, hp = split()
+        monkeypatch.setattr(thermo_module, "_NODE_BLOCK", block)
+        nodes.clear()
+        unblocked = dyson_second_order(h0, hp, ts)
+        x, y = (v.reshape(len(ts), -1)[np.array(ts) != 0.0] for v in nodes[0])
+        assert np.mean((x == 0.0) & (y == 0.0)) == zero_share
+        monkeypatch.setattr(thermo_module, "_NODE_BLOCK", 7)
+        grid = dyson_second_order(h0, hp, ts)
+        assert isinstance(grid, list) and len(grid) == len(ts)
+        for ui, whole in zip(grid, unblocked):
+            np.testing.assert_array_equal(ui.comp, whole.comp)
+        for t, ui in zip(ts, grid):
+            single = dyson_second_order(h0, hp, t)
+            assert isinstance(single, QMatrix)
+            assert np.abs(ui.comp - single.comp).max() <= 1e-14
+
+
+def own_divided_differences(x, y):
+    """Each node's ``exp[0, x, y]`` from its own 3x3 exponential."""
+    out = []
+    for xk, yk in zip(x, y):
+        node = np.array([[0, 1, 0], [0, xk, 1], [0, 0, yk]], dtype=complex)
+        out.append(_expm(node[None])[0, 0, 2])
+    return np.array(out, dtype=complex)
+
+
+@pytest.mark.parametrize("block", [1024, 3])
+def test_shared_zero_node_has_each_nodes_own_bits(monkeypatch, block):
+    monkeypatch.setattr(thermo_module, "_NODE_BLOCK", block)
+    zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    # zero and nonzero pairs alternate so that both straddle every block
+    x = np.array(zeros + [0.3j, 0j, -0.0, 1.5 - 2j, 0j, 1e-12j, complex(-0.0, 4.0),
+                          0j, 0j, -7.5j, 2.0, complex(-0.0, -0.0)])
+    y = np.array(zeros[::-1] + [0j, 0.3j, -0.0, 0j, 1.5 - 2j, 1e-12j, 0j,
+                                -0.0, 0j, 7.5j, 2.0, 0j])
+    got = thermo_module._exp_divided_differences(x, y)
+    want = own_divided_differences(x, y)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert ((x == 0) & (y == 0)).sum() == 8
+    empty = np.zeros(0, dtype=complex)  # no coupling: no node at all
+    out = thermo_module._exp_divided_differences(empty, empty)
+    assert out.shape == (0,) and out.dtype == complex
 
 
 def test_dyson_at_zero_time_is_the_exact_identity():

@@ -60,8 +60,12 @@ def _grid(rng: random.Random, hi: float, steps: int) -> str:
 
 
 def _toy(rng: random.Random) -> dict:
+    """Levels on the i-axis, coupled on the j-k plane. One toy in three has
+    ``b = -a``, whose Dyson nodes are all ``(0, 0)``, as the spin model's are."""
     theta, size = rng.uniform(0.0, 6.3), rng.uniform(0.0, 1.5)
-    return {"a": [0, rng.uniform(-2, 2), 0, 0], "b": [0, rng.uniform(-2, 2), 0, 0],
+    a = rng.uniform(-2, 2)
+    b = -a if rng.random() < 1 / 3 else rng.uniform(-2, 2)
+    return {"a": [0, a, 0, 0], "b": [0, b, 0, 0],
             "c": [0, 0, size * math.cos(theta), size * math.sin(theta)],
             "alpha": rng.uniform(0.5, 2.0), "gamma": rng.uniform(0.5, 2.0)}
 
