@@ -24,7 +24,7 @@ from typing import Sequence
 import click
 import numpy as np
 
-from .errors import EnergyOutOfRange, QuatstatError
+from .errors import EnergyOutOfRange, QuatstatError, UnphysicalZ
 from .linalg import (QMatrix, energies_by_continuity, exp_re_trace, fro_norm,
                      require_finite_norm)
 from .metric import DEFAULT_REL_TOL, MetricOperator, build_metric, classification_report
@@ -47,7 +47,6 @@ from .thermo import (
     DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
-    ThermoGrid,
     ToyModelParams,
     build_toy_hamiltonian,
     closed_form_grid,
@@ -431,38 +430,20 @@ def _betas(cfg: SimpleNamespace, command: str) -> list[float]:
     return betas
 
 
-def _refuse_overflow(model: str, grid: ThermoGrid) -> None:
-    """Refuse a slice grid whose ``Z1`` is positive everywhere but where ``A``,
-    ``S``, ``U`` or ``Cv`` is not finite: a slice near the float maximum
-    overflows inside the kernel (``0 * inf`` in ``Cv``, ``mu beta`` in ``A``
-    and ``S``). ``Z1 = inf`` alone is allowed."""
-    names = ("A", "S", "U", "Cv")
-    bad = ~np.isfinite(np.array([getattr(grid, name) for name in names]))
-    if bad.any():
-        q, i = divmod(int(np.argmax(bad.T)), len(names))
-        name = names[i]
-        raise click.UsageError(
-            f"{model} slice overflows the float range: {name} = "
-            f"{_fmt(getattr(grid, name)[q])} at beta = {_fmt(grid.beta[q])}")
-
-
 def run_thermo(cfg: SimpleNamespace) -> int:
     if cfg.model == "qubit" or cfg.model == "file":
         ensemble = replace(_matrix_model(cfg)[1], n_particles=cfg.n_particles, k=cfg.k)
-        # the spectral Z1 = exp(ln Z1) is inf past the float range; A, S, U
-        # and Cv come from ln Z1 and stay finite, so the overflow is no news
-        with np.errstate(over="ignore"):
-            grid = spectral_grid(ensemble, _betas(cfg, "thermo"))
+        grid, path = spectral_grid(ensemble, _betas(cfg, "thermo")), "spectrum"
         log = None  # the spectral models have no display forms
     else:
         grid = closed_form_grid(_slice(cfg), _betas(cfg, "thermo"), cfg.n_particles, cfg.k,
                                 cfg.rederived, cfg.tolerance)
-        log = grid.discrepancies
-        if grid.error is None:
-            _refuse_overflow(cfg.model, grid)
-    if grid.error is not None:
+        path, log = "slice", grid.discrepancies
+    if isinstance(grid.error, UnphysicalZ):
         click.echo(f"unphysical branch: {grid.error}", err=True)
         return 3
+    if grid.error is not None:
+        raise click.UsageError(f"{cfg.model} {path} overflows the float range: {grid.error}")
     header = ["beta", "Z1", "A", "S", "U", "Cv"]
     _emit(cfg, header, [getattr(grid, name) for name in header], log,
           {"U": "U", "S": "S", "Cv": "Cv"})
@@ -491,6 +472,9 @@ def run_compare(cfg: SimpleNamespace) -> int:
     except QuatstatError as exc:
         click.echo(f"oracle self-check failed: {exc}", err=True)
         return 1
+    except OverflowError as exc:
+        raise click.UsageError(f"{cfg.model} trace columns overflow the float range: "
+                               f"{exc}") from exc
     rounding = SPOT_CHECK_ROUNDING * sys.float_info.epsilon * beta * fro_norm(h)
     for name, value, oracle_name, oracle, term in spot_checks:
         scale = max(1.0, abs(oracle))
@@ -519,9 +503,8 @@ def run_compare(cfg: SimpleNamespace) -> int:
             return 1
     printed = closed_form_grid(sl, betas, n, k, False, quantities=())
     rederived = closed_form_grid(sl, betas, n, k, True, quantities=())
-    with np.errstate(over="ignore"):  # a spectral Z past the float range is inf
-        z_spectral = z_spectral_grid(ensemble, betas)
-        s_two_level = spectral_grid(ensemble, betas).S
+    z_spectral = z_spectral_grid(ensemble, betas)
+    s_two_level = spectral_grid(ensemble, betas).S
 
     # per beta the log lists Z1, S (rederived report), Cv (printed report),
     # then the spin model's U and S_two_level: that order is part of the file;
@@ -531,8 +514,7 @@ def run_compare(cfg: SimpleNamespace) -> int:
               ("Cv", forms["Cv"], printed.Cv)]
     if cfg.model == "spin":
         spin = printed_spin_grid(cfg.omega, cfg.v, betas, n, k)
-        with np.errstate(over="ignore"):  # N U past the float range is inf
-            u_spectral = float(n) * spin_mean_energy_grid(cfg.omega, cfg.v, betas)
+        u_spectral = spin_mean_energy_grid(cfg.omega, cfg.v, betas, n)
         checks += [("U", spin["U"], u_spectral), ("S_two_level", spin["S"], s_two_level)]
 
     header = ["beta", "Z_spectral", "Z_formal", "Z1_printed", "Z1_rederived", "Z1_dyson"]
@@ -543,7 +525,8 @@ def run_compare(cfg: SimpleNamespace) -> int:
         ("Z1_printed - Z1_rederived|", 3, 4),
         ("Z1_dyson - Z_formal|     ", 5, 2),
     ):
-        with np.errstate(over="ignore"):  # finite columns of opposite sign near 1e308
+        # finite columns of opposite sign near 1e308 overflow, and inf - inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             gap = np.abs(np.subtract(columns[i], columns[j])).max()
         click.echo(f"max |{label} = {_fmt(gap)}", err=True)
     if slope_line:

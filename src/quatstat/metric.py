@@ -120,8 +120,9 @@ def _check_dimension(q: QMatrix, m: MetricOperator):
 def _relative_residual(h: QMatrix, m: MetricOperator, sign: float) -> float:
     """``|eta H eta^-1 + sign H^dag| / |H|``: every verdict compares it with ``tol``."""
     _check_dimension(h, m)
-    # a power of two keeps the ratio's bits and the products below the float range
-    h = h * 2.0 ** -math.frexp(np.abs(h.comp).max())[1]
+    # a power of two keeps the ratio's bits and the products below the float
+    # range; ldexp scales exactly where the power itself would overflow
+    h = QMatrix(np.ldexp(h.comp, -math.frexp(np.abs(h.comp).max())[1]))
     lhs = mat_mul(m.eta, mat_mul(h, m.eta_inv))
     return fro_norm(lhs + sign * dagger(h)) / max(fro_norm(h), 1e-300)
 

@@ -288,11 +288,13 @@ def qubit_negative_temperature(n_particles: int = 1) -> TwoLevelGas:
     return TwoLevelGas(n_particles, *QUBIT_LEVELS)
 
 
-def spin_mean_energy_grid(omega: float, v: float, beta: Sequence[float]) -> np.ndarray:
-    """Mean energy per particle from the spectral path, ``omega/2 - v tanh(beta v)``,
-    at each beta; every ``tanh`` is ``math``'s."""
+def spin_mean_energy_grid(omega: float, v: float, beta: Sequence[float],
+                          n_particles: float = 1) -> np.ndarray:
+    """Mean energy of ``N`` particles from the spectral path, ``N (omega/2 - v tanh(beta v))``,
+    at each beta (``inf`` past the float range); every ``tanh`` is ``math``'s."""
     with np.errstate(all="ignore"):
-        return omega / 2.0 - v * _math_each(math.tanh, np.asarray(beta, dtype=float) * v)
+        return float(n_particles) * (
+            omega / 2.0 - v * _math_each(math.tanh, np.asarray(beta, dtype=float) * v))
 
 
 def spin_mean_energy(omega: float, v: float, beta: float) -> float:

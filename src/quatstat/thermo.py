@@ -219,8 +219,11 @@ class ThermoGrid:
     """The quantities of :class:`ThermoReport` over a beta grid, one list of
     Python floats per column, with the log of every beta's records.
 
-    Where ``Z1`` is not positive a row holds NaN in ``A``, ``S``, ``U`` and
-    ``Cv``, and ``error`` is the :class:`UnphysicalZ` of the first such beta.
+    Builders keep overflow and NaN as data, and ``error``, set here, judges
+    them for every path: the :class:`UnphysicalZ` a builder passes where ``Z1``
+    is not positive (a row of NaN in ``A``, ``S``, ``U`` and ``Cv``), else an
+    ``OverflowError`` naming the first beta and quantity where one of those
+    is not finite. ``Z1 = inf`` alone is none: they come from ``ln Z1``.
     """
 
     beta: list[float]
@@ -230,7 +233,16 @@ class ThermoGrid:
     U: list[float]
     Cv: list[float]
     discrepancies: DiscrepancyLog = field(default_factory=DiscrepancyLog)
-    error: UnphysicalZ | None = None
+    error: UnphysicalZ | OverflowError | None = None
+
+    def __post_init__(self):
+        columns = {"A": self.A, "S": self.S, "U": self.U, "Cv": self.Cv}
+        # a finite total has no cell that is not finite: cells are read one
+        # by one only where it is inf or NaN
+        if self.error is None and not math.isfinite(sum(map(sum, columns.values()))):
+            bad = next(((name, value, beta) for beta, *row in zip(self.beta, *columns.values())
+                        for name, value in zip(columns, row) if not math.isfinite(value)), None)
+            self.error = bad and OverflowError("%s = %.17g at beta = %.17g" % bad)
 
     def rows(self) -> list[tuple[float, ...]]:
         """``(beta, Z1, A, S, U, Cv)`` per beta."""
@@ -346,6 +358,7 @@ def _check_diagonal(m: QMatrix):
         raise ConstraintViolation("reference matrix must be diagonal")
 
 
+@np.errstate(all="ignore")
 def _interaction_terms(h0: QMatrix, hp: QMatrix, ts: np.ndarray):
     """``-int H_I + int int H_I H_I`` at each ``t``, in the eigenbasis of ``chi(H0)``.
 
@@ -354,7 +367,8 @@ def _interaction_terms(h0: QMatrix, hp: QMatrix, ts: np.ndarray):
     interaction-picture generator is ``exp(g_ab s) B_ab`` and both integrals
     are closed forms:
 
-    * first order, ``t phi1(t g_ab) B_ab`` with ``phi1(z) = expm1(z)/z``;
+    * first order, ``t phi1(t g_ab) B_ab`` with ``phi1(z) = expm1(z)/z``, and
+      ``phi1 = 1`` below the smallest normal ``|z|``, where the quotient overflows;
     * second order, ``t^2 sum_c B_ac B_cb exp[0, t g_ac, t g_ab]``, a divided
       difference of ``exp`` on three nodes. It is the ``(0, 2)`` entry of
       ``exp([[0, 1, 0], [0, x, 1], [0, 0, y]])`` (Opitz, ZAMM 44, 1964), which
@@ -366,9 +380,8 @@ def _interaction_terms(h0: QMatrix, hp: QMatrix, ts: np.ndarray):
     w, v, vinv = _eigenbasis(embed(h0))
     b = vinv @ embed(hp) @ v
     z = np.multiply.outer(ts, np.subtract.outer(w, w))
-    with np.errstate(invalid="ignore"):
-        phi1 = np.expm1(z) / z
-    phi1[z == 0.0] = 1.0
+    phi1 = np.expm1(z) / z
+    phi1[np.abs(z) < np.finfo(float).tiny] = 1.0
     terms = -ts[:, None, None] * phi1 * b
     a, c, e = np.nonzero(b[:, :, None] * b)
     divided = _exp_divided_differences(z[:, a, c].ravel(), z[:, a, e].ravel())
@@ -520,6 +533,7 @@ def _math_each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
             out.append(math.nan)
 
 
+@np.errstate(all="ignore")
 def _slice_kernel(p: EnergySliceParams, beta: np.ndarray, rederived: bool):
     """Shift ``m`` and ``P`` with its beta derivatives, ``Z1 = exp(-m beta) P``,
     at each ``beta``.
@@ -533,17 +547,16 @@ def _slice_kernel(p: EnergySliceParams, beta: np.ndarray, rederived: bool):
     m, x = min(p.aE, p.bE), abs(p.aE - p.bE)
     y = x * beta
     e = _math_each(math.exp, -y)
-    with np.errstate(all="ignore"):
-        f = np.where(y != 0.0, beta * (-_math_each(math.expm1, -y) / y), beta)
-        bracket = 1.0 + e + mu * beta * f
-        return m, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
+    f = np.where(y != 0.0, beta * (-_math_each(math.expm1, -y) / y), beta)
+    bracket = 1.0 + e + mu * beta * f
+    return m, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
 
 
+@np.errstate(all="ignore")
 def _shifted(m: float, beta: np.ndarray, bracket: np.ndarray) -> np.ndarray:
     """``exp(-m beta) * bracket``, or its signed infinity past the float range."""
     scale = _math_each(math.exp, -m * beta)
-    with np.errstate(all="ignore"):
-        return np.where(np.isnan(scale), np.copysign(np.inf, bracket), scale * bracket)
+    return np.where(np.isnan(scale), np.copysign(np.inf, bracket), scale * bracket)
 
 
 def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> float:
@@ -667,6 +680,7 @@ def discrepancy(
     return found.records()[0] if found else None
 
 
+@np.errstate(all="ignore")
 def closed_form_grid(
     p: EnergySliceParams,
     beta: Sequence[float],
@@ -692,23 +706,20 @@ def closed_form_grid(
     m, bracket, d1, d2 = _slice_kernel(p, beta, rederived)
     z1 = _shifted(m, beta, bracket).tolist()
     log_p = _math_each(math.log, bracket)
-    with np.errstate(all="ignore"):
-        ratio = d1 / bracket
-        a_free = -(n / beta) * (log_p - m * beta)
-        u = n * (m - ratio)
-        s = n * k * (log_p - beta * ratio)
-        cv = k * beta * beta * (d2 * bracket - d1 * d1) / (bracket * bracket)
+    ratio = d1 / bracket
+    a_free = -(n / beta) * (log_p - m * beta)
+    u = n * (m - ratio)
+    s = n * k * (log_p - beta * ratio)
+    cv = k * beta * beta * (d2 * bracket - d1 * d1) / (bracket * bracket)
     bad = np.flatnonzero(~(bracket > 0.0)).tolist()
     u[bad] = cv[bad] = np.nan  # A and S are already NaN there, through log_p
     derived = {"U": u, "S": s, "Cv": cv}
     printed = printed_grid(p, beta, n, k) if quantities else {}
     checks = [(q, printed[q], derived[q]) for q in quantities]
-    grid = ThermoGrid(beta.tolist(), z1, a_free.tolist(), s.tolist(), u.tolist(),
-                      cv.tolist(), discrepancies(checks, beta, diff_tol))
-    if bad:
-        grid.error = UnphysicalZ(
-            f"Z1 = {z1[bad[0]]:.6g} is not positive at beta = {grid.beta[bad[0]]:.6g}")
-    return grid
+    error = UnphysicalZ(f"Z1 = {z1[bad[0]]:.6g} is not positive at beta = "
+                        f"{beta[bad[0]]:.6g}") if bad else None
+    return ThermoGrid(beta.tolist(), z1, a_free.tolist(), s.tolist(), u.tolist(),
+                      cv.tolist(), discrepancies(checks, beta, diff_tol), error)
 
 
 def thermo_closed_form(p: EnergySliceParams, beta: float, *args, **kwargs) -> ThermoReport:
@@ -802,6 +813,7 @@ def _sums_at(e: SpectralEnsemble, beta: float) -> tuple[float, float, float]:
     return float(shift[0] + np.log(total[0])), float(mean[0]), float(var[0])
 
 
+@np.errstate(all="ignore")
 def z_spectral_grid(e: SpectralEnsemble, beta: Sequence[float]) -> list[float]:
     """Single-particle partition function ``sum g_r exp(-beta E_r)`` per beta."""
     shift, total, _, _ = _boltzmann_sums(e, np.asarray(beta, dtype=float))
@@ -821,6 +833,7 @@ def log_z_total(e: SpectralEnsemble, beta: float) -> float:
     return e.n_particles * log_z_spectral(e, beta)
 
 
+@np.errstate(all="ignore")
 def spectral_grid(e: SpectralEnsemble, beta: Sequence[float]) -> ThermoGrid:
     """Exact thermodynamics from the Boltzmann sum over real energies.
 

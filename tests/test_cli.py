@@ -83,12 +83,21 @@ PAST_FLOAT = {
                        '"alpha": 1e200, "gamma": 1e-200}',
 }
 
+#: A toy whose trace columns pass the float range from beta ~ 1e280 on.
+STRONG_TOY = ('{"a": [0, 0.5, 0, 0], "b": [0, -3.1, 0, 0], "c": [0, 0, -1.6, 0], '
+              '"alpha": 1, "gamma": 1}')
+
+#: A toy with a subnormal level: its Dyson nodes t g include subnormals.
+SUBNORMAL_TOY = ('{"a": [0, 0.5, 0, 0], "b": [0, 1e-310, 0, 0], "c": [0, 0, 0.5, 0], '
+                 '"alpha": 1, "gamma": 1}')
+
 #: The inputs of every configuration-error case: the files above, a valid
 #: toy model whose thermo sweep writes discrepancy records, a valid
-#: slice-only model, and a toy whose alpha is not a number.
+#: slice-only model, a toy whose alpha is not a number, and the strong toy.
 CONFIG_INPUTS = {
     **NON_FINITE,
     **PAST_FLOAT,
+    "strong_toy.json": STRONG_TOY,
     "toy.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
                 '"alpha": 1.0, "gamma": 1.0}',
     "slice.json": '{"aE": 1, "bE": -1, "kappa": -0.2}',
@@ -559,6 +568,7 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         # a slice within the float range whose A, S or Cv overflows in the kernel
         ["thermo", "--model", "spin", "--omega", "1e154", "--v", "1e154", "--beta", "0.1:5:3"],
         ["thermo", "--omega", "1e150", "--v", "1e150", "--beta", "1e3:1e4:2"],
+        ["thermo", "--model", "spin", "--omega", "1e10", "--beta", "1e299:1e300:2"],
         ["compare", "--x", "1e200", "--beta", "1:2:2"],
         ["spectrum", "--omega", "1", "--v", "1", "--x", "1e200"],
         ["spectrum", "--omega", "1e300", "--v", "1e300"],
@@ -570,6 +580,12 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         ["compare", "--model", "toy", "--params", "slice.json", "--beta", "1:2:2"],
         ["thermo", "--model", "toy", "--params", "text_alpha.json", "--beta", "1:2:2"],
         ["spectrum", "--model", "toy", "--params", "text_alpha.json"],
+        # a spectral grid whose A, S, U or Cv leaves the float range
+        ["thermo", "--model", "qubit", "--beta", "1e237:1e239:2"],
+        ["thermo", "--model", "qubit", "--n-particles", str(10**308), "--beta", "0.01:0.02:2"],
+        ["thermo", "--model", "qubit", "--k", "1e-310", "--beta", "1e-310:1e-308:2"],
+        # compare's trace columns past the float range
+        ["compare", "--model", "toy", "--params", "strong_toy.json", "--beta", "1e280:1e283:3"],
     ],
     ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} digits>" for a in argv),
 )
@@ -609,6 +625,61 @@ def test_slice_overflow_names_the_first_beta(runner, tmp_path, argv, message):
                                  str(tmp_path / "d.json")])
     assert result.exit_code == 0
     assert [row.split(",")[1] for row in result.stdout.splitlines()[1:]] == ["inf", "inf"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--beta", "1e237:1e239:2"], "Cv = nan at beta = 9.9999999999999994e+236"),
+        (["--n-particles", str(10**308), "--beta", "0.01:0.02:2"], "A = -inf at beta = 0.01"),
+        (["--k", "1e-310", "--beta", "1e-310:1e-308:2"],
+         "A = -inf at beta = 9.9999999999999694e-311"),
+    ],
+    ids=["beta-squared", "n-particles", "k"],
+)
+def test_spectrum_overflow_names_the_first_beta(runner, tmp_path, argv, message):
+    # the rule and the wording of the slice refusal, with "spectrum" for "slice"
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["thermo", "--model", "qubit"] + argv)
+        assert result.exit_code == 2 and result.stdout == "" and os.listdir() == []
+    assert f"qubit spectrum overflows the float range: {message}\n" in result.stderr
+
+
+def test_compare_past_the_trace_float_range_names_its_columns(runner, tmp_path):
+    (tmp_path / "strong.json").write_text(STRONG_TOY)
+    result = runner.invoke(cli, ["compare", "--model", "toy", "--params",
+                                 str(tmp_path / "strong.json"), "--beta", "1e280:1e283:3"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.endswith("Error: toy trace columns overflow the float range: "
+                                  "matrix exponential overflowed the floating range\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a subnormal Dyson node t g, whose phi1 is 1
+        ["compare", "--model", "toy", "--params", "subnormal.json", "--beta", "0.1:0.3:3"],
+        ["compare", "--model", "qubit", "--beta", "1e-310:1e-308:3"],
+        # a spin model whose largest entry is subnormal
+        ["spectrum", "--model", "spin", "--omega", "1e-310", "--v", "5e-324", "--x", "0.5"],
+        ["thermo", "--model", "spin", "--omega", "1e-310", "--v", "5e-324", "--x", "0.5"],
+        ["compare", "--model", "spin", "--omega", "1e-310", "--v", "5e-324", "--x", "0.5"],
+        # Z1 = inf - inf in the max-gap summary
+        ["compare", "--model", "spin", "--omega", "100000", "--v", "0.5", "--x", "0.5",
+         "--beta", "4.98:48795:4"],
+        # Z1 = inf alone, on the spectral path
+        ["thermo", "--model", "qubit", "--beta", "800:900:2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_float_range_edges_run_without_a_warning(runner, tmp_path, argv):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("subnormal.json").write_text(SUBNORMAL_TOY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is an escaped exception
+            result = runner.invoke(cli, argv)
+    assert result.exit_code == 0, result.output
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
 
 WRITER_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0.1,

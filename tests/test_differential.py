@@ -38,6 +38,21 @@ def test_compared_toys_include_symmetric_levels(differential):
     assert any(symmetric) and not all(symmetric)
 
 
+def test_a_quarter_of_thermo_and_compare_commands_is_at_a_float_range_edge(differential):
+    # thermo and compare are two kinds in five, so about one command in ten
+    def at_edge(cmd):
+        flags = dict(zip(cmd.argv[3:], cmd.argv[4:]))
+        numbers = [float(end) for end in flags["--beta"].split(":")[:2]]
+        numbers += [float(flags.get(flag, 1)) for flag in ("--k", "--n-particles", "--omega")]
+        toy = json.loads(cmd.files.get("toy.json", "{}"))
+        numbers += [toy[level][1] for level in ("a", "b") if level in toy]
+        return any(0 < abs(x) < sys.float_info.min or abs(x) > 1e280 for x in numbers)
+
+    swept = [cmd for cmd in differential.commands(5, 1000) if cmd.argv[0] in ("thermo", "compare")]
+    edges = sum(map(at_edge, swept))
+    assert 0.18 * len(swept) <= edges <= 0.32 * len(swept)
+
+
 def test_warnings_are_masked_to_their_source_file(differential):
     # the same warning from two trees differs only in the tree and the line
     base, change = Path("/a/base"), Path("/b/change")

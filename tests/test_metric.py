@@ -31,6 +31,7 @@ from quatstat import (
     vec_inner,
     vec_outer,
 )
+from quatstat.metric import _relative_residual
 
 
 def spin_hamiltonian(omega=2.0, v=0.5, x=2.0):
@@ -294,3 +295,22 @@ def test_similarity_trace_invariance():
         rho = mat_mul(b, dagger(b))
         conjugated = mat_mul(m.eta, mat_mul(rho, m.eta_inv))
         assert re_trace(conjugated) == pytest.approx(re_trace(rho), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_of_a_subnormal_matrix():
+    # the largest entry is subnormal, so the power of two that rescales it,
+    # 2**1074, is past the float range; the scaling itself is exact
+    m = build_metric(0.5, 2.0, 0.0)
+    tiny = spin_hamiltonian(omega=1e-310, v=5e-324, x=0.5)
+    assert _relative_residual(tiny, m, +1.0) <= 1e-10
+    assert is_quasi_anti_hermitian(tiny, m)
+    # where the power is a float, the scaled matrix has the same bits as before
+    rng = np.random.default_rng(3)
+    for scale in (1e-300, 1.0, 1e300):
+        h = QMatrix(rng.normal(size=(2, 2, 4)) * scale)
+        power = 2.0 ** -math.frexp(np.abs(h.comp).max())[1]
+        old = h * power
+        lhs = mat_mul(m.eta, mat_mul(old, m.eta_inv))
+        want = fro_norm(lhs + dagger(old)) / max(fro_norm(old), 1e-300)
+        assert _relative_residual(h, m, +1.0) == want

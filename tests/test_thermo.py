@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import mpmath
 import numpy as np
@@ -29,6 +29,7 @@ from quatstat import (
     bloch_propagator,
     build_qubit_model,
     build_toy_hamiltonian,
+    closed_form_grid,
     discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
@@ -47,6 +48,7 @@ from quatstat import (
     printed_specific_heat,
     re_trace,
     relative_rms,
+    spectral_grid,
     thermo_closed_form,
     thermo_spectral,
     toy_metric,
@@ -211,6 +213,22 @@ def test_dyson_error_is_third_order():
     h0 = QMatrix.diag([toy.a, toy.b])
     slope = dyson_convergence_slope(h0, h - h0)
     assert slope == pytest.approx(3.0, abs=0.2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dyson_kernel_at_subnormal_nodes():
+    # t g = 2e-310 i: expm1(z) / z overflows there, and phi1 is 1 in double precision
+    toy = spin_toy()
+    h = build_toy_hamiltonian(toy)
+    h0 = QMatrix.diag([toy.a, toy.b])
+    ui = dyson_second_order(h0, h - h0, 1e-310)
+    assert fro_norm(ui - QMatrix.identity(2)) == pytest.approx(1e-310 * fro_norm(h - h0))
+    assert dyson_trace(h0, h - h0, [1e-310, 1e-308]).tolist() == [2.0, 2.0]
+    # a subnormal level puts a subnormal gap in every node, whatever t
+    sub = ToyModelParams(a=I * 0.5, b=I * 1e-310, c=J * 0.5, alpha=1.0, gamma=1.0)
+    h = build_toy_hamiltonian(sub)
+    h0 = QMatrix.diag([sub.a, sub.b])
+    assert dyson_convergence_slope(h0, h - h0) == pytest.approx(3.0, abs=0.2)
 
 
 def test_dyson_error_is_third_order_generic_toy():
@@ -496,6 +514,12 @@ def test_z1_formula_spin_substitution():
     rederived = 2 * math.cosh(OMEGA * beta / 2) - sinh_term
     assert z1_formula(sl, beta) == pytest.approx(printed, rel=1e-14)
     assert z1_formula(sl, beta, rederived=True) == pytest.approx(rederived, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_z1_formula_past_the_float_range_is_infinite_without_a_warning():
+    # x beta and m beta overflow; the grid builders and the one-point form alike
+    assert z1_formula(EnergySliceParams.from_spin(1e10, V), 1e300) == math.inf
 
 
 def test_z1_formula_beta_zero():
@@ -870,6 +894,25 @@ def test_thermo_spectral_limits():
     assert cold.U == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         thermo_spectral(e, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("one, grid, source", [
+    (thermo_spectral, spectral_grid, SpectralEnsemble(((2.0, 1), (0.0, 1)))),
+    (thermo_closed_form, closed_form_grid, EnergySliceParams.from_spin(OMEGA, V)),
+], ids=["spectral", "closed-form"])
+def test_one_point_raises_where_its_grid_refuses(one, grid, source):
+    # beta^2 overflows in Cv from beta ~ 1.3e154 on, where the variance is 0
+    betas = [1.0, 1e237, 1e238]
+    refused = grid(source, betas).error
+    assert type(refused) is OverflowError
+    assert str(refused) == "Cv = nan at beta = 9.9999999999999994e+236"
+    assert list(astuple(one(source, 1.0))[:6]) == list(grid(source, betas).rows()[0])
+    for beta in betas[1:]:
+        with pytest.raises(OverflowError) as raised:
+            one(source, beta)
+        assert str(raised.value) == str(grid(source, [beta]).error)
+        assert str(raised.value) == f"Cv = nan at beta = {beta:.17g}"
 
 
 def test_thermo_spectral_weighs_the_levels_once(monkeypatch):

@@ -13,7 +13,11 @@ through ``thermo``, ``compare``, ``negtemp``, ``spectrum`` and
 ``--seed``; some are meant to fail (exit 2 or 3). Some ``compare --model
 spin`` grids run past the cosh range of the spin display forms and through
 the betas where their log argument is not positive, so that the forms'
-failing paths are compared. Run from the repository root::
+failing paths are compared. About one command in ten moves a setting to
+the edge of the float range (a subnormal or a huge beta, a ``--k`` or
+``--n-particles`` near the float limits, a subnormal level), so that the
+overflow refusals and the subnormal paths are compared too. Run from the
+repository root::
 
     python3 tools/differential.py --base HEAD~1 --count 200 --seed 1
 
@@ -103,6 +107,35 @@ def _model(rng: random.Random, kind: str, choices: tuple[str, ...]) -> Command:
     return cmd
 
 
+def _edge(rng: random.Random, cmd: Command) -> None:
+    """Move one setting of a ``thermo`` or ``compare`` command to the edge of
+    the float range; a level only where the model has one to move."""
+    argv = cmd.argv
+    edges = ["small beta", "huge beta", "k", "n"] + ["level"] * ("toy.json" in cmd.files
+                                                              or argv[2] == "spin")
+    edge = rng.choice(edges)
+    if edge == "level" and argv[2] == "spin":  # its largest entry subnormal too
+        argv[argv.index("--omega") + 1] = _num(rng.uniform(1e-320, 2e-308))
+        argv[argv.index("--v") + 1] = rng.choice(("5e-324", "1e-315"))
+    elif edge == "level":
+        toy = json.loads(cmd.files["toy.json"])
+        toy[rng.choice("ab")][1] = rng.choice((5e-324, -1e-310, 2e-308))
+        cmd.files["toy.json"] = json.dumps(toy)
+    elif edge == "k":
+        argv[argv.index("--k") + 1] = rng.choice(("5e-324", "1e-310", "1e300", "1e308"))
+    elif edge == "n":
+        argv[argv.index("--n-particles") + 1] = str(rng.choice((10**307, 2**1023, 10**308)))
+    else:
+        at = argv.index("--beta") + 1
+        _, hi, steps = argv[at].split(":")
+        if edge == "small beta":
+            lo = rng.choice((5e-324, 1e-310, rng.uniform(0.0, 2.2e-308)))
+        else:
+            lo = 10.0 ** rng.uniform(280.0, 307.0)
+            hi = lo * rng.uniform(1.0, 10.0)
+        argv[at] = f"{_num(lo)}:{_num(float(hi))}:{steps}"
+
+
 def _outputs(rng: random.Random, cmd: Command, log: bool):
     cmd.argv += ["--output", rng.choice(("csv", "json"))]
     if rng.random() < 0.3:
@@ -131,6 +164,8 @@ def command(rng: random.Random, kind: str) -> Command:
             cmd.argv.append("--rederived")
         if rng.random() < 0.3:
             cmd.argv += ["--tolerance", rng.choice(("0", "1e-3", "1e-12"))]
+        if rng.random() < 0.25:  # thermo and compare are two kinds in five
+            _edge(rng, cmd)
         _outputs(rng, cmd, log=True)
     elif kind == "negtemp":
         model = rng.choice(("spin", "qubit", "custom"))
