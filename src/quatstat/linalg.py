@@ -163,10 +163,13 @@ def embed(m: QMatrix | np.ndarray) -> np.ndarray:
 
 
 def unembed(x: np.ndarray) -> QMatrix:
-    """Invert :func:`embed`; raises :class:`NotSymplectic` off the subalgebra."""
+    """Invert :func:`embed`; raises ``OverflowError`` where an entry is not
+    finite and :class:`NotSymplectic` off the subalgebra."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2:
         raise DimensionMismatch(f"expected even square matrix, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise OverflowError("matrix entries overflowed the floating range")
     n = x.shape[0] // 2
     a, b = x[:n, :n], x[:n, n:]
     c, d = x[n:, :n], x[n:, n:]
@@ -284,13 +287,10 @@ def mat_exp(m: QMatrix, t: float = 1.0) -> QMatrix:
     Computed as ``unembed(_expm(chi(M)*t))``: numpy scaling and squaring
     with the degree-13 Pade approximant. It shares nothing with the
     eigendecomposition of :func:`quatstat.thermo.formal_trace`, so it stays
-    that path's oracle. Raises ``OverflowError`` when ``chi(M)*t`` or the
-    result leaves the representable range.
+    that path's oracle. :func:`unembed` raises ``OverflowError`` when
+    ``chi(M)*t`` or the result leaves the representable range.
     """
-    e = _embedded_exp(m, t)
-    if not np.isfinite(e).all():
-        raise OverflowError("matrix exponential overflowed the floating range")
-    return unembed(e)
+    return unembed(_embedded_exp(m, t))
 
 
 def exp_re_trace(m: QMatrix, t: float = 1.0) -> float:

@@ -91,11 +91,15 @@ def build_metric(x: float, y: float, z: complex) -> MetricOperator:
 
     Builds ``theta = [[x, z], [conj(z), y]]`` and ``eta = theta^2``, i.e.
     ``eta = [[x^2+|z|^2, (x+y) z], [(x+y) conj(z), y^2+|z|^2]]``. Requires
-    ``x*y != |z|^2`` so that ``theta`` is invertible.
+    ``x*y != |z|^2`` so that ``theta`` is invertible, and a finite ``eta``.
     """
     x, y, z = float(x), float(y), complex(z)
-    det = x * y - abs(z) ** 2
-    scale = max(1.0, x * x, y * y, abs(z) ** 2)
+    r = math.hypot(z.real, z.imag)  # abs(z), which raises past the float range
+    if not math.isfinite(max(x * x, y * y) + r * r):
+        raise ConstraintViolation(f"x^2 + |z|^2 or y^2 + |z|^2 passes the float range (x = "
+                                  f"{x:.3e}, y = {y:.3e}, |z| = {r:.3e})")
+    det = x * y - r ** 2
+    scale = max(1.0, x * x, y * y, r ** 2)
     if abs(det) <= 1e-12 * scale:
         raise SingularTheta(f"x*y - |z|^2 = {det:.3e} is numerically zero")
     theta = QMatrix.from_complex(np.array([[x, z], [np.conj(z), y]]))

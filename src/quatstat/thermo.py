@@ -214,6 +214,16 @@ class ThermoReport:
     discrepancies: list[DiscrepancyRecord] = field(default_factory=list)
 
 
+def first_non_finite(beta: list[float], columns: dict[str, list[float]]) -> OverflowError | None:
+    """The ``OverflowError`` naming the first beta where one of ``columns``
+    (lists of Python floats) is not finite, and the first such column there."""
+    # cells are read one by one only where their total is not finite
+    if not math.isfinite(sum(map(sum, columns.values()))):
+        bad = next(((name, value, b) for b, *row in zip(beta, *columns.values())
+                    for name, value in zip(columns, row) if not math.isfinite(value)), None)
+        return bad and OverflowError("%s = %.17g at beta = %.17g" % bad)
+
+
 @dataclass
 class ThermoGrid:
     """The quantities of :class:`ThermoReport` over a beta grid, one list of
@@ -236,13 +246,8 @@ class ThermoGrid:
     error: UnphysicalZ | OverflowError | None = None
 
     def __post_init__(self):
-        columns = {"A": self.A, "S": self.S, "U": self.U, "Cv": self.Cv}
-        # a finite total has no cell that is not finite: cells are read one
-        # by one only where it is inf or NaN
-        if self.error is None and not math.isfinite(sum(map(sum, columns.values()))):
-            bad = next(((name, value, beta) for beta, *row in zip(self.beta, *columns.values())
-                        for name, value in zip(columns, row) if not math.isfinite(value)), None)
-            self.error = bad and OverflowError("%s = %.17g at beta = %.17g" % bad)
+        self.error = self.error or first_non_finite(
+            self.beta, {"A": self.A, "S": self.S, "U": self.U, "Cv": self.Cv})
 
     def rows(self) -> list[tuple[float, ...]]:
         """``(beta, Z1, A, S, U, Cv)`` per beta."""
@@ -324,10 +329,7 @@ def _phase_trace(ts: np.ndarray, w: np.ndarray, diagonals=1.0) -> np.ndarray:
     """``1/2 Re sum_a exp(-t w_a) X_aa`` for each ``t``; ``diagonals[k]`` holds
     the diagonal of ``X`` at ``ts[k]``, and ``X = 1`` without it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = 0.5 * (np.exp(-np.multiply.outer(ts, w)) * diagonals).sum(axis=-1).real
-    if not np.all(np.isfinite(values)):
-        raise OverflowError("matrix exponential overflowed the floating range")
-    return values
+        return 0.5 * (np.exp(-np.multiply.outer(ts, w)) * diagonals).sum(axis=-1).real
 
 
 def _times(t: float | Sequence[float]) -> np.ndarray:
@@ -344,8 +346,8 @@ def formal_trace(h: QMatrix, t: float | Sequence[float]) -> float | np.ndarray:
     for a quasi-anti-Hermitian ``H``, whose ``w`` are ``+-i E_r``, that is the
     cosine sum ``sum_r cos(t E_r)``. ``t`` is a number or a 1-D sequence; a
     float or an array is returned. :func:`mat_exp` is the oracle. Raises
-    :class:`NotNormal` when ``chi(H)`` cannot be diagonalised reliably and
-    ``OverflowError`` when the result leaves the floating range.
+    :class:`NotNormal` when ``chi(H)`` cannot be diagonalised reliably; a
+    result past the floating range is not finite.
     """
     values = _phase_trace(_times(t), _eigenbasis(embed(h))[0])
     return float(values[0]) if np.ndim(t) == 0 else values
@@ -440,6 +442,7 @@ def dyson_second_order(
     diagonal ``H0`` (:func:`_interaction_terms`); :func:`van_loan_trace` is the
     oracle. ``t`` may be a 1-D sequence, for which a list with one propagator
     per entry is returned, and ``H0`` is diagonalised once for all of them.
+    A propagator past the floating range raises ``OverflowError``.
     """
     ts = _times(t)
     _, v, vinv, terms = _interaction_terms(h0, hp, ts)
@@ -455,8 +458,8 @@ def dyson_trace(
 
     It sums ``1/2 Re sum_a exp(-t w_a) (1 + T_aa)`` over the terms ``T`` of
     :func:`dyson_second_order` in the eigenbasis of ``chi(H0)``, so no
-    propagator leaves that basis. Raises ``OverflowError`` when the result
-    leaves the floating range.
+    propagator leaves that basis. A result past the floating range is not
+    finite.
     """
     ts = _times(t)
     w, _, _, terms = _interaction_terms(h0, hp, ts)
@@ -505,7 +508,8 @@ def dyson_convergence_slope(h0: QMatrix, hp: QMatrix) -> float:
         ui = dyson_second_order(h0, hps, t)
         exact = bloch_propagator(h0 + hps, t)
         errors.append(fro_norm(mat_mul(u0, ui) - exact))
-    slope, _ = np.polyfit(np.log(np.array(scales)), np.log(np.array(errors)), 1)
+    with np.errstate(divide="ignore"):  # an error of exactly 0 gives a NaN slope
+        slope, _ = np.polyfit(np.log(np.array(scales)), np.log(np.array(errors)), 1)
     return float(slope)
 
 

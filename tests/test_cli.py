@@ -62,6 +62,10 @@ TOY_DECOUPLED = {
 }
 
 
+#: A ``file`` model's params with the metric object left to fill in.
+WITH_METRIC = ('{"matrix": {"n": 2, "entries": [[[0, 1, 0, 0], [0, 0, 0.5, 0]], '
+               '[[0, 0, 0.5, 0], [0, -1, 0, 0]]]}, "metric": %s}')
+
 #: Params files whose numbers are not finite floats: NaN, infinities and
 #: literals past the float range are rejected when the file is read.
 NON_FINITE = {
@@ -71,8 +75,7 @@ NON_FINITE = {
                       '"alpha": Infinity, "gamma": 1.0}',
     "huge_n.json": '{"e_plus": 1, "e_minus": 0, "n_particles": 1e400}',
     "past_float_n.json": f'{{"e_plus": 1, "e_minus": 0, "n_particles": {10**309}}}',
-    "inf_metric.json": '{"matrix": {"n": 2, "entries": [[[0, 1, 0, 0], [0, 0, 0.5, 0]], '
-                       '[[0, 0, 0.5, 0], [0, -1, 0, 0]]]}, "metric": {"x": Infinity, "y": 1}}',
+    "inf_metric.json": WITH_METRIC % '{"x": Infinity, "y": 1}',
 }
 
 #: Params files of finite numbers whose model passes the float range.
@@ -81,6 +84,9 @@ PAST_FLOAT = {
     "huge_c.json": '{"a": [0, 0.5, 0, 0], "b": [0, -0.5, 0, 0], "c": [0, 0, 1e200, 0]}',
     "huge_ratio.json": '{"a": [0, 0.5, 0, 0], "b": [0, -0.5, 0, 0], "c": [0, 0, 1, 0], '
                        '"alpha": 1e200, "gamma": 1e-200}',
+    "huge_metric_z.json": WITH_METRIC % '{"x": 1, "y": 1, "z": [1e200, 0]}',
+    "huge_metric_x.json": WITH_METRIC % '{"x": 1e200, "y": 1}',
+    "huge_metric_xy.json": WITH_METRIC % '{"x": 1e160, "y": 1e160}',
 }
 
 #: A toy whose trace columns pass the float range from beta ~ 1e280 on.
@@ -575,6 +581,11 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         ["spectrum", "--omega", "1", "--v", "1e300", "--x", "1e-10"],
         ["spectrum", "--model", "toy", "--params", "huge_c.json"],
         ["spectrum", "--model", "toy", "--params", "huge_ratio.json"],
+        ["validate", "--params", "huge_metric_z.json"],
+        ["thermo", "--model", "file", "--params", "huge_metric_z.json", "--beta", "1:2:2"],
+        ["spectrum", "--model", "file", "--params", "huge_metric_z.json"],
+        ["validate", "--params", "huge_metric_x.json"],
+        ["spectrum", "--model", "file", "--params", "huge_metric_xy.json"],
         # a slice alone determines no Hamiltonian; a toy's alpha is a number
         ["spectrum", "--model", "toy", "--params", "slice.json"],
         ["compare", "--model", "toy", "--params", "slice.json", "--beta", "1:2:2"],
@@ -606,6 +617,16 @@ def test_configuration_errors_exit_2(runner, tmp_path, argv):
         # exit 2 means nothing was written, the inputs included
         assert result.stdout == ""
         assert {name: Path(name).read_text() for name in os.listdir()} == CONFIG_INPUTS
+
+
+def test_metric_past_the_float_range_is_named(runner, tmp_path):
+    # x^2 = inf was refused as a "numerically zero" x*y - |z|^2 before
+    (tmp_path / "m.json").write_text(CONFIG_INPUTS["huge_metric_x.json"])
+    result = runner.invoke(cli, ["validate", "--params", str(tmp_path / "m.json")])
+    assert result.exit_code == 2
+    assert result.stderr.endswith("Error: metric rejected: x^2 + |z|^2 or y^2 + |z|^2 passes "
+                                  "the float range (x = 1.000e+200, y = 1.000e+00, "
+                                  "|z| = 0.000e+00)\n")
 
 
 @pytest.mark.parametrize(
@@ -651,7 +672,20 @@ def test_compare_past_the_trace_float_range_names_its_columns(runner, tmp_path):
                                  str(tmp_path / "strong.json"), "--beta", "1e280:1e283:3"])
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr.endswith("Error: toy trace columns overflow the float range: "
-                                  "matrix exponential overflowed the floating range\n")
+                                  "Z_formal = nan at beta = 1e+280\n")
+
+
+def test_compare_names_the_first_trace_column_past_the_float_range(runner, tmp_path):
+    # at the first beta the formal trace is still finite, and the Dyson trace,
+    # which grows like (beta |Hp|)^2, is the column named
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, [
+            "compare", "--model", "spin", "--omega", "2.9104924649109383",
+            "--v", "1.2121464591447773", "--x", "0.7359355920825832",
+            "--beta", "1.5076059900544147e+302:1.2988998742394202e+303:40", "--log"])
+        assert result.exit_code == 2 and result.stdout == "" and os.listdir() == []
+    assert result.stderr.endswith("Error: spin trace columns overflow the float range: "
+                                  "Z1_dyson = nan at beta = 1.5076059900544147e+302\n")
 
 
 @pytest.mark.parametrize(
@@ -679,6 +713,18 @@ def test_float_range_edges_run_without_a_warning(runner, tmp_path, argv):
             warnings.simplefilter("error")  # a warning is an escaped exception
             result = runner.invoke(cli, argv)
     assert result.exit_code == 0, result.output
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
+
+def test_order_study_with_an_exact_zero_error_warns_nothing(runner, tmp_path):
+    # one truncation error of the order study is exactly 0 here, so its log is
+    # -inf and the slope NaN; the verdict is not pinned (ROADMAP item 12)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is an escaped exception
+            result = runner.invoke(cli, ["compare", "--model", "spin", "--omega", "1.47",
+                                         "--v", "0.00065", "--x", "3e-7", "--beta", "0.1:2:5"])
+    assert not isinstance(result.exception, Warning), result.exception
     assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
 

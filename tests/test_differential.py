@@ -38,6 +38,20 @@ def test_compared_toys_include_symmetric_levels(differential):
     assert any(symmetric) and not all(symmetric)
 
 
+def test_file_models_are_anti_hermitian_and_validate_sees_both(differential):
+    # the continuity walk refuses a file model that is not anti-Hermitian
+    # before any grid is built; validate classifies either kind
+    def anti_hermitian(cmd):
+        (d0, upper), (lower, d1) = json.loads(cmd.files["m.json"])["matrix"]["entries"]
+        return d0[0] == d1[0] == 0 and lower == [-upper[0], *upper[1:]]
+
+    cmds = differential.commands(2, 400)
+    files = [cmd for cmd in cmds if "file" in cmd.argv]
+    assert files and all(map(anti_hermitian, files))
+    checked = [anti_hermitian(cmd) for cmd in cmds if cmd.argv[0] == "validate"]
+    assert any(checked) and not all(checked)
+
+
 def test_a_quarter_of_thermo_and_compare_commands_is_at_a_float_range_edge(differential):
     # thermo and compare are two kinds in five, so about one command in ten
     def at_edge(cmd):

@@ -83,6 +83,17 @@ def test_build_metric_singular_theta():
         build_metric(1.0, 1.0, 1.0 + 0.0j)
 
 
+@pytest.mark.parametrize("x, y, z", [(1.0, 1.0, 1e200), (1e200, 1.0, 0.0), (1e160, 1e160, 0.0),
+                                     (1e154, 1.0, 1e154), (1.0, 1.0, complex(1.5e308, 1.5e308))])
+def test_build_metric_past_the_float_range(x, y, z):
+    # an x^2, y^2 or |z|^2, or an entry of eta, past the float range is named as
+    # such: not a float-power OverflowError, nor a theta "numerically zero"
+    with pytest.raises(ConstraintViolation, match="passes the float range"):
+        build_metric(x, y, z)
+    # just inside the range the metric is built
+    assert build_metric(9e153, 1.0, 9e153).positive
+
+
 def test_metric_square_root_invariant():
     rng = np.random.default_rng(0)
     for _ in range(20):

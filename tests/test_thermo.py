@@ -36,6 +36,7 @@ from quatstat import (
     dyson_trace,
     embed,
     energy_variance,
+    exp_re_trace,
     formal_trace,
     fro_norm,
     log_z_spectral,
@@ -229,6 +230,18 @@ def test_dyson_kernel_at_subnormal_nodes():
     h = build_toy_hamiltonian(sub)
     h0 = QMatrix.diag([sub.a, sub.b])
     assert dyson_convergence_slope(h0, h - h0) == pytest.approx(3.0, abs=0.2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dyson_kernel_past_the_float_range():
+    # the propagator raises the OverflowError of mat_exp and bloch_propagator,
+    # and the trace is a non-finite value, as the grids' are
+    toy = spin_toy()
+    h = build_toy_hamiltonian(toy)
+    h0 = QMatrix.diag([toy.a, toy.b])
+    with pytest.raises(OverflowError, match="overflowed the floating range"):
+        dyson_second_order(h0, h - h0, 1e300)
+    assert math.isnan(dyson_trace(h0, h - h0, 1e300))
 
 
 def test_dyson_error_is_third_order_generic_toy():
@@ -484,12 +497,16 @@ def test_formal_trace_rejects_defective_and_mismatched_input():
         formal_trace(h, [[0.5, 1.0]])
 
 
+@pytest.mark.filterwarnings("error")
 def test_formal_trace_overflow_is_reported():
-    # a real spectrum makes exp(-t H) grow like a Boltzmann weight
+    # a real spectrum makes exp(-t H) grow like a Boltzmann weight; past the
+    # float range the trace is data, as its oracle's is, and the propagator raises
     h = QMatrix.diag([Quaternion(-1.0), Quaternion(1.0)])
     assert formal_trace(h, 2.0) == pytest.approx(re_trace(bloch_propagator(h, 2.0)))
-    with pytest.raises(OverflowError):
-        formal_trace(h, [1.0, 800.0])
+    values = formal_trace(h, [1.0, 800.0])
+    assert math.isfinite(values[0]) and values[1] == math.inf == exp_re_trace(-h, 800.0)
+    with pytest.raises(OverflowError, match="overflowed the floating range"):
+        bloch_propagator(h, 800.0)
 
 
 # -- slice closed forms ---------------------------------------------------------

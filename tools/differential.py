@@ -74,12 +74,16 @@ def _toy(rng: random.Random) -> dict:
             "alpha": rng.uniform(0.5, 2.0), "gamma": rng.uniform(0.5, 2.0)}
 
 
-def _matrix(rng: random.Random) -> dict:
-    """A 2x2 matrix with a metric: anti-Hermitian-looking or random entries."""
+def _matrix(rng: random.Random, anti_hermitian: bool) -> dict:
+    """A 2x2 matrix with a metric. An anti-Hermitian one has imaginary diagonal
+    entries and ``-conj`` of the upper entry below, as the ``file`` models
+    need: the continuity walk refuses others before any grid is built. Else
+    the lower entry is that or random, for ``validate``, with equal odds."""
     def quat(real: bool):
         return [rng.uniform(-1, 1) if real else 0.0] + [rng.uniform(-1, 1) for _ in range(3)]
     off = quat(True)
-    lower = [-off[0], off[1], off[2], off[3]] if rng.random() < 0.5 else quat(True)
+    mirror = anti_hermitian or rng.random() < 0.5
+    lower = [-off[0], off[1], off[2], off[3]] if mirror else quat(True)
     return {"matrix": {"n": 2, "entries": [[quat(False), off], [lower, quat(False)]]},
             "metric": {"x": rng.uniform(0.5, 2.0), "y": rng.uniform(0.5, 2.0),
                        "z": [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)]}}
@@ -94,7 +98,7 @@ def _model(rng: random.Random, kind: str, choices: tuple[str, ...]) -> Command:
     elif model == "qubit":
         cmd.argv += ["--phi", _num(rng.uniform(0.0, 6.3))]
     elif model == "file":
-        cmd.files["m.json"] = json.dumps(_matrix(rng))
+        cmd.files["m.json"] = json.dumps(_matrix(rng, anti_hermitian=True))
         cmd.argv += ["--params", "m.json"]
     elif model == "toy" and kind == "thermo" and rng.random() < 0.4:
         slice_params = {"aE": rng.uniform(-2, 2), "bE": rng.uniform(-2, 2),
@@ -189,7 +193,7 @@ def command(rng: random.Random, kind: str) -> Command:
         cmd = _model(rng, "spectrum", ("spin", "qubit", "toy", "file"))
         _outputs(rng, cmd, log=False)
     else:
-        cmd = Command(["validate", "--params", "m.json"], {"m.json": json.dumps(_matrix(rng))})
+        cmd = Command(["validate", "--params", "m.json"], {"m.json": json.dumps(_matrix(rng, anti_hermitian=False))})
         if rng.random() < 0.5:
             cmd.argv += ["--tolerance", rng.choice(("1e-10", "1e-6", "0.1"))]
     return cmd
