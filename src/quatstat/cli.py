@@ -460,23 +460,23 @@ def run_compare(cfg: SimpleNamespace) -> int:
     ensemble = replace(ensemble, n_particles=n, k=k)
 
     beta = betas[-1]
+    hb = beta * fro_norm(hp)  # squared as hb * hb: the float power hb ** 2 raises past 1e154
     try:
-        # the trace columns, one eigenbasis each, are refused past the float range
-        # (where the bounds below overflow too), else checked by independent oracles
+        # refused past the float range: the trace columns or their last-beta checks
         z_formal = formal_trace(h, betas).tolist()
         z_dyson = dyson_trace(h0, hp, betas).tolist()
-        if error := first_non_finite(betas, {"Z_formal": z_formal, "Z1_dyson": z_dyson}):
+        oracles = {"mat_exp": [exp_re_trace(-h, beta)],
+                   "Van Loan": [van_loan_trace(h0, hp, beta)], "(beta |Hp|)^2": [hb * hb]}
+        if error := (first_non_finite(betas, {"Z_formal": z_formal, "Z1_dyson": z_dyson})
+                     or first_non_finite([beta], oracles)):
             raise click.UsageError(f"{cfg.model} trace columns overflow the float range: {error}")
-        spot_checks = (
-            ("Z_formal", z_formal[-1], "mat_exp", exp_re_trace(-h, beta), 1.0),
-            ("Z1_dyson", z_dyson[-1], "Van Loan", van_loan_trace(h0, hp, beta),
-             (beta * fro_norm(hp)) ** 2),
-        )
     except QuatstatError as exc:
         click.echo(f"oracle self-check failed: {exc}", err=True)
         return 1
     rounding = SPOT_CHECK_ROUNDING * sys.float_info.epsilon * beta * fro_norm(h)
-    for name, value, oracle_name, oracle, term in spot_checks:
+    for name, value, oracle_name, term in (("Z_formal", z_formal[-1], "mat_exp", 1.0),
+                                           ("Z1_dyson", z_dyson[-1], "Van Loan", hb * hb)):
+        oracle = oracles[oracle_name][0]
         scale = max(1.0, abs(oracle))
         allowed = SPOT_CHECK_TOL * scale + rounding * max(scale, term)
         # written so that a NaN gap fails too

@@ -95,11 +95,12 @@ def build_metric(x: float, y: float, z: complex) -> MetricOperator:
     """
     x, y, z = float(x), float(y), complex(z)
     r = math.hypot(z.real, z.imag)  # abs(z), which raises past the float range
-    if not math.isfinite(max(x * x, y * y) + r * r):
+    sq, r2 = max(x * x, y * y), r * r
+    if not math.isfinite(sq + r2):
         raise ConstraintViolation(f"x^2 + |z|^2 or y^2 + |z|^2 passes the float range (x = "
                                   f"{x:.3e}, y = {y:.3e}, |z| = {r:.3e})")
-    det = x * y - r ** 2
-    scale = max(1.0, x * x, y * y, r ** 2)
+    det = x * y - r2
+    scale = max(1.0, sq, r2)
     if abs(det) <= 1e-12 * scale:
         raise SingularTheta(f"x*y - |z|^2 = {det:.3e} is numerically zero")
     theta = QMatrix.from_complex(np.array([[x, z], [np.conj(z), y]]))

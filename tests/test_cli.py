@@ -93,6 +93,11 @@ PAST_FLOAT = {
 STRONG_TOY = ('{"a": [0, 0.5, 0, 0], "b": [0, -3.1, 0, 0], "c": [0, 0, -1.6, 0], '
               '"alpha": 1, "gamma": 1}')
 
+#: Zero gap and a metric ratio of 1e-8: |Hp| is 1e4 times the coupling the
+#: traces see, so (beta |Hp|)^2 leaves the float range while both are finite.
+STRETCHED_TOY = ('{"a": [0, 0, 0, 0], "b": [0, 0, 0, 0], "c": [0, 0, 1e4, 0], '
+                 '"alpha": 1e-8, "gamma": 1}')
+
 #: A toy with a subnormal level: its Dyson nodes t g include subnormals.
 SUBNORMAL_TOY = ('{"a": [0, 0.5, 0, 0], "b": [0, 1e-310, 0, 0], "c": [0, 0, 0.5, 0], '
                  '"alpha": 1, "gamma": 1}')
@@ -104,6 +109,7 @@ CONFIG_INPUTS = {
     **NON_FINITE,
     **PAST_FLOAT,
     "strong_toy.json": STRONG_TOY,
+    "stretched_toy.json": STRETCHED_TOY,
     "toy.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
                 '"alpha": 1.0, "gamma": 1.0}',
     "slice.json": '{"aE": 1, "bE": -1, "kappa": -0.2}',
@@ -597,6 +603,11 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         ["thermo", "--model", "qubit", "--k", "1e-310", "--beta", "1e-310:1e-308:2"],
         # compare's trace columns past the float range
         ["compare", "--model", "toy", "--params", "strong_toy.json", "--beta", "1e280:1e283:3"],
+        ["compare", "--model", "spin", "--omega", "2", "--v", "0.5", "--x", "1e-4",
+         "--beta", "1e152:2e152:2"],
+        # or their last-beta oracle or Dyson bound, with both columns finite
+        ["compare", "--model", "toy", "--params", "stretched_toy.json", "--beta", "1:1e149:2"],
+        ["compare", "--model", "toy", "--params", "stretched_toy.json", "--beta", "1:2e150:2"],
     ],
     ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} digits>" for a in argv),
 )
@@ -673,6 +684,23 @@ def test_compare_past_the_trace_float_range_names_its_columns(runner, tmp_path):
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr.endswith("Error: toy trace columns overflow the float range: "
                                   "Z_formal = nan at beta = 1e+280\n")
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        ("1:1e149:2", "mat_exp = nan at beta = 1e+149"),
+        ("1:2e150:2", "(beta |Hp|)^2 = inf at beta = 2e+150"),
+    ],
+)
+def test_compare_names_a_check_past_the_float_range(runner, tmp_path, beta, message):
+    # both trace columns are finite; the check at the last beta is not, and
+    # the float power (beta |Hp|) ** 2 raised OverflowError before
+    (tmp_path / "stretched.json").write_text(STRETCHED_TOY)
+    result = runner.invoke(cli, ["compare", "--model", "toy", "--params",
+                                 str(tmp_path / "stretched.json"), "--beta", beta])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.endswith(f"Error: toy trace columns overflow the float range: {message}\n")
 
 
 def test_compare_names_the_first_trace_column_past_the_float_range(runner, tmp_path):

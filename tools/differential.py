@@ -193,7 +193,8 @@ def command(rng: random.Random, kind: str) -> Command:
         cmd = _model(rng, "spectrum", ("spin", "qubit", "toy", "file"))
         _outputs(rng, cmd, log=False)
     else:
-        cmd = Command(["validate", "--params", "m.json"], {"m.json": json.dumps(_matrix(rng, anti_hermitian=False))})
+        cmd = Command(["validate", "--params", "m.json"],
+                      {"m.json": json.dumps(_matrix(rng, anti_hermitian=False))})
         if rng.random() < 0.5:
             cmd.argv += ["--tolerance", rng.choice(("1e-10", "1e-6", "0.1"))]
     return cmd
