@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -75,7 +74,8 @@ SPOT_CHECK_TOL = 1e-10
 #: Over 15000 seeded toy and spin models with ``beta |H|`` up to 1e10 and
 #: metric ratios from 0.01 to 100 the largest gap was 116 of these units. The
 #: allowance stays below ``SPOT_CHECK_TOL`` while ``beta |H|`` is under about
-#: 1e3, and below 1e-3 up to 1e10, so a wrong column still fails.
+#: 1e3, and below 1e-3 up to 1e10, so a wrong column still fails. A last beta
+#: where the factor reaches 1 (``beta |H|`` about 1.8e13) is refused.
 SPOT_CHECK_ROUNDING = 256
 
 
@@ -327,7 +327,7 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
 # ---------------------------------------------------------------------------
 
 
-_RECORD_FIELDS = [f.name for f in fields(DiscrepancyRecord)]
+_RECORD_FIELDS = list(DiscrepancyRecord._fields)
 
 
 def _json_cells(column: Sequence) -> list[str]:
@@ -433,7 +433,7 @@ def _betas(cfg: SimpleNamespace, command: str) -> list[float]:
 
 def run_thermo(cfg: SimpleNamespace) -> int:
     if cfg.model == "qubit" or cfg.model == "file":
-        ensemble = replace(_matrix_model(cfg)[1], n_particles=cfg.n_particles, k=cfg.k)
+        ensemble = SpectralEnsemble(_matrix_model(cfg)[1].levels, cfg.n_particles, cfg.k)
         grid, path = spectral_grid(ensemble, _betas(cfg, "thermo")), "spectrum"
         log = None  # the spectral models have no display forms
     else:
@@ -457,7 +457,7 @@ def run_compare(cfg: SimpleNamespace) -> int:
     betas = _betas(cfg, "compare")
     h0, hp = _split_diagonal(h)
     n, k, tol = cfg.n_particles, cfg.k, cfg.tolerance
-    ensemble = replace(ensemble, n_particles=n, k=k)
+    ensemble = SpectralEnsemble(ensemble.levels, n, k)
 
     beta = betas[-1]
     hb = beta * fro_norm(hp)  # squared as hb * hb: the float power hb ** 2 raises past 1e154
@@ -474,6 +474,10 @@ def run_compare(cfg: SimpleNamespace) -> int:
         click.echo(f"oracle self-check failed: {exc}", err=True)
         return 1
     rounding = SPOT_CHECK_ROUNDING * sys.float_info.epsilon * beta * fro_norm(h)
+    if not rounding < 1.0:  # from 1 on, a check passes whatever the column holds
+        raise click.UsageError(f"{cfg.model} spot checks cannot resolve beta = {_fmt(beta)}: "
+                               f"beta |H| = {_fmt(beta * fro_norm(h))} reaches "
+                               f"1/({SPOT_CHECK_ROUNDING} eps)")
     for name, value, oracle_name, term in (("Z_formal", z_formal[-1], "mat_exp", 1.0),
                                            ("Z1_dyson", z_dyson[-1], "Van Loan", hb * hb)):
         oracle = oracles[oracle_name][0]

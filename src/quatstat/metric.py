@@ -16,13 +16,13 @@ dynamics, and it is all the two-level models need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConstraintViolation, DimensionMismatch, NotDensity, NotPositive,
                      SingularTheta)
 from .linalg import QMatrix, dagger, embed, fro_norm, inverse, mat_mul, re_trace
+from .quaternion import Value
 
 DEFAULT_REL_TOL = 1e-10
 
@@ -31,8 +31,7 @@ def _is_complex_matrix(m: QMatrix) -> bool:
     return float(np.abs(m.comp[..., 2:]).max()) <= DEFAULT_REL_TOL * max(1.0, fro_norm(m))
 
 
-@dataclass(frozen=True)
-class MetricOperator:
+class MetricOperator(Value, frozen=True):
     """Hermitian invertible metric ``eta``, with square-root factor when positive.
 
     ``theta`` is the Hermitian factor with ``eta = theta^2``; it exists only

@@ -15,7 +15,6 @@ form of a two-qubit entangling interaction (levels ``2`` and ``0``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import ConstraintViolation, EnergyOutOfRange, InfiniteTemperature
 from .linalg import QMatrix, dagger, fro_norm, mat_vec, vec_scale_right
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
-from .quaternion import I, J, Quaternion
+from .quaternion import I, J, Quaternion, Value
 from .thermo import SpectralEnsemble, ToyModelParams, _math_each, build_toy_hamiltonian
 
 
@@ -54,8 +53,7 @@ def lgamma(x: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class TwoLevelGas:
+class TwoLevelGas(Value, frozen=True):
     """``N`` distinguishable particles on two strictly ordered levels."""
 
     n_particles: int
@@ -198,8 +196,7 @@ def temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpinModelParams:
+class SpinModelParams(Value, frozen=True):
     """Level splitting ``omega``, potential strength ``v``, metric parameter ``x``."""
 
     omega: float
@@ -398,8 +395,7 @@ def printed_spin_inverse_temperature(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QubitModelParams:
+class QubitModelParams(Value, frozen=True):
     """Phase ``phi`` of the reduced two-qubit interaction.
 
     The model is the ``zeta = (0, 0, 1)`` instance of the two-qubit coupling.

@@ -10,12 +10,58 @@ the complex matrix representation in :mod:`quatstat.linalg`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 #: Absolute tolerance used by equality and zero tests throughout the package.
 DEFAULT_TOL = 1e-12
+
+
+class Value:
+    """Base of the value classes: what the dataclass decorator gave them, with
+    no code generated. A subclass's annotated names are its ``_fields``, in
+    order, their class attributes its defaults (a class is called for each
+    instance). Arguments bind as a dataclass's do, then ``__post_init__`` runs;
+    ``repr`` and ``==`` (same class only) read the fields. ``frozen=True``
+    refuses assignment and hashes the fields; others are unhashable."""
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {key: vars(cls)[key] for key in cls._fields if key in vars(cls)}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Value._refuse
+            cls.__hash__ = lambda self: hash(tuple(self._asdict().values()))
+
+    def __init__(self, *args, **kwargs):
+        name, given = type(self).__qualname__, dict(zip(self._fields, args))
+        extra = [*args[len(given):],
+                 *(key for key in kwargs if key in given or key not in self._fields)]
+        if extra:
+            raise TypeError(f"{name}() got extra, repeated or unknown arguments {extra!r}")
+        given.update(kwargs)
+        for key in self._fields:
+            if key not in given:
+                if key not in self._defaults:
+                    raise TypeError(f"{name}() missing argument {key!r}")
+                default = self._defaults[key]
+                given[key] = default() if isinstance(default, type) else default
+        vars(self).update(given)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _refuse(self, key, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {key!r}")
+
+    def _asdict(self) -> dict:
+        return {key: getattr(self, key) for key in self._fields}
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._asdict() == other._asdict() if same else NotImplemented
 
 
 def hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -39,8 +85,7 @@ def hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Value, frozen=True):
     """Immutable quaternion with real components ``q0, q1, q2, q3``."""
 
     q0: float = 0.0

@@ -25,7 +25,6 @@ Both paths are evaluated over a whole beta grid at once (:func:`closed_form_grid
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
 from .linalg import (QMatrix, _expm, embed, fro_norm, mat_exp, mat_mul,
                      require_finite_norm, unembed)
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
-from .quaternion import Quaternion, is_imaginary, qconj, qmul
+from .quaternion import Quaternion, Value, is_imaginary, qconj, qmul
 
 #: Two slice energies closer than this have no display form (:class:`DegenerateLevels`).
 DEGENERACY_TOL = 1e-9
@@ -53,8 +52,7 @@ DEGENERACY_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToyModelParams:
+class ToyModelParams(Value, frozen=True):
     """General quaternionic two-level model with a diagonal metric.
 
     The Hamiltonian is ``[[a, c], [d, b]]`` with ``d`` fixed by the
@@ -83,8 +81,7 @@ class ToyModelParams:
         return qconj(self.c) * (-self.alpha / self.gamma)
 
 
-@dataclass(frozen=True)
-class EnergySliceParams:
+class EnergySliceParams(Value, frozen=True):
     """Commuting-scalar slice of the two-level model.
 
     ``aE`` and ``bE`` are real energy parameters and ``kappa`` the real
@@ -134,8 +131,7 @@ class EnergySliceParams:
         return cls(aE=omega / 2.0, bE=-omega / 2.0, kappa=-(v * v))
 
 
-@dataclass(frozen=True)
-class SpectralEnsemble:
+class SpectralEnsemble(Value, frozen=True):
     """Real energy levels with multiplicities; the canonical-ensemble input.
 
     ``levels`` is a sorted tuple of ``(energy, multiplicity)`` pairs,
@@ -166,8 +162,7 @@ class SpectralEnsemble:
         return np.array([g for _, g in self.levels], dtype=float)
 
 
-@dataclass(frozen=True)
-class DiscrepancyRecord:
+class DiscrepancyRecord(Value, frozen=True):
     """One printed-vs-derived disagreement at a single inverse temperature."""
 
     quantity: str
@@ -176,16 +171,15 @@ class DiscrepancyRecord:
     beta: float
 
 
-@dataclass
-class DiscrepancyLog:
+class DiscrepancyLog(Value):
     """Discrepancy records as columns, in grid order; ``at`` holds the index
     of each record's beta in the grid."""
 
-    quantity: list[str] = field(default_factory=list)
-    printed_value: list[float] = field(default_factory=list)
-    derived_value: list[float] = field(default_factory=list)
-    beta: list[float] = field(default_factory=list)
-    at: list[int] = field(default_factory=list)
+    quantity: list[str] = list
+    printed_value: list[float] = list
+    derived_value: list[float] = list
+    beta: list[float] = list
+    at: list[int] = list
 
     def __len__(self) -> int:
         return len(self.at)
@@ -196,8 +190,7 @@ class DiscrepancyLog:
                         self.derived_value, self.beta))
 
 
-@dataclass
-class ThermoReport:
+class ThermoReport(Value):
     """Thermodynamic quantities at one inverse temperature.
 
     ``A``, ``S`` and ``U`` are extensive (carry the particle number); ``Cv``
@@ -211,7 +204,7 @@ class ThermoReport:
     S: float
     U: float
     Cv: float
-    discrepancies: list[DiscrepancyRecord] = field(default_factory=list)
+    discrepancies: list[DiscrepancyRecord] = list
 
 
 def first_non_finite(beta: list[float], columns: dict[str, list[float]]) -> OverflowError | None:
@@ -224,8 +217,7 @@ def first_non_finite(beta: list[float], columns: dict[str, list[float]]) -> Over
         return bad and OverflowError("%s = %.17g at beta = %.17g" % bad)
 
 
-@dataclass
-class ThermoGrid:
+class ThermoGrid(Value):
     """The quantities of :class:`ThermoReport` over a beta grid, one list of
     Python floats per column, with the log of every beta's records.
 
@@ -242,7 +234,7 @@ class ThermoGrid:
     S: list[float]
     U: list[float]
     Cv: list[float]
-    discrepancies: DiscrepancyLog = field(default_factory=DiscrepancyLog)
+    discrepancies: DiscrepancyLog = DiscrepancyLog
     error: UnphysicalZ | OverflowError | None = None
 
     def __post_init__(self):
@@ -260,8 +252,7 @@ class ThermoGrid:
         return ThermoReport(*self.rows()[0], self.discrepancies.records())
 
 
-@dataclass
-class VolumeModel:
+class VolumeModel(Value):
     """Slice parameters as functions of volume, for pressure evaluation.
 
     ``h`` is the finite-difference step used for the parameter derivatives;

@@ -98,6 +98,11 @@ STRONG_TOY = ('{"a": [0, 0.5, 0, 0], "b": [0, -3.1, 0, 0], "c": [0, 0, -1.6, 0],
 STRETCHED_TOY = ('{"a": [0, 0, 0, 0], "b": [0, 0, 0, 0], "c": [0, 0, 1e4, 0], '
                  '"alpha": 1e-8, "gamma": 1}')
 
+#: Zero gap and unit coupling: |H| = sqrt(2), so beta |H| reaches the spot
+#: checks' resolution 1/(256 eps) ~ 1.76e13 between beta = 1.2e13 and 1.3e13.
+ZERO_GAP_TOY = ('{"a": [0, 0, 0, 0], "b": [0, 0, 0, 0], "c": [0, 0, 1, 0], '
+                '"alpha": 1, "gamma": 1}')
+
 #: A toy with a subnormal level: its Dyson nodes t g include subnormals.
 SUBNORMAL_TOY = ('{"a": [0, 0.5, 0, 0], "b": [0, 1e-310, 0, 0], "c": [0, 0, 0.5, 0], '
                  '"alpha": 1, "gamma": 1}')
@@ -110,6 +115,7 @@ CONFIG_INPUTS = {
     **PAST_FLOAT,
     "strong_toy.json": STRONG_TOY,
     "stretched_toy.json": STRETCHED_TOY,
+    "zero_gap_toy.json": ZERO_GAP_TOY,
     "toy.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
                 '"alpha": 1.0, "gamma": 1.0}',
     "slice.json": '{"aE": 1, "bE": -1, "kappa": -0.2}',
@@ -608,6 +614,11 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
         # or their last-beta oracle or Dyson bound, with both columns finite
         ["compare", "--model", "toy", "--params", "stretched_toy.json", "--beta", "1:1e149:2"],
         ["compare", "--model", "toy", "--params", "stretched_toy.json", "--beta", "1:2e150:2"],
+        # a last beta past the spot checks' resolution, with every check finite
+        ["compare", "--model", "spin", "--omega", "2.028194642310593", "--v", "1.005896909426147",
+         "--x", "0.9629032177959622", "--beta", "1e17:2e17:3"],
+        ["compare", "--model", "toy", "--params", "zero_gap_toy.json", "--beta", "9e153:9e153:1"],
+        ["compare", "--model", "toy", "--params", "zero_gap_toy.json", "--beta", "1e14:1e14:1"],
     ],
     ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} digits>" for a in argv),
 )
@@ -701,6 +712,22 @@ def test_compare_names_a_check_past_the_float_range(runner, tmp_path, beta, mess
                                  str(tmp_path / "stretched.json"), "--beta", beta])
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr.endswith(f"Error: toy trace columns overflow the float range: {message}\n")
+
+
+@pytest.mark.parametrize("beta, code", [("1.2e13", 0), ("1.3e13", 2)])
+def test_compare_refuses_a_last_beta_past_the_spot_checks_resolution(runner, tmp_path, beta,
+                                                                      code):
+    # 256 eps beta |H| is 0.96 at beta = 1.2e13 and 1.04 at 1.3e13; from 1 on,
+    # the allowance of a check is at least the size of the column it checks
+    (tmp_path / "zero_gap.json").write_text(ZERO_GAP_TOY)
+    result = runner.invoke(cli, ["compare", "--model", "toy", "--params",
+                                 str(tmp_path / "zero_gap.json"), "--beta", f"1:{beta}:3"])
+    assert result.exit_code == code, result.output
+    if code:
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            "Error: toy spot checks cannot resolve beta = 13000000000000: "
+            "beta |H| = 18384776310850.238 reaches 1/(256 eps)\n")
 
 
 def test_compare_names_the_first_trace_column_past_the_float_range(runner, tmp_path):
@@ -1439,8 +1466,8 @@ def test_cli_subprocess_imports_the_package_under_test(tmp_path, cli_env):
 
 
 #: Run in a fresh interpreter with a command's arguments: import the CLI, run
-#: the command in-process, then report its exit code and the scipy and
-#: quatstat modules loaded on the last line of stderr.
+#: the command in-process, then report its exit code and the scipy, dataclasses
+#: and quatstat modules loaded on the last line of stderr.
 SCIPY_PROBE = """
 import json, sys
 from quatstat.cli import cli
@@ -1451,7 +1478,7 @@ if sys.argv[1:]:
     except SystemExit as exc:
         code = exc.code
 loaded = {prefix: sorted(name for name in sys.modules if name.split(".")[0] == prefix)
-          for prefix in ("scipy", "quatstat")}
+          for prefix in ("scipy", "dataclasses", "quatstat")}
 sys.stderr.write("\\n" + json.dumps({"code": code, **loaded}))
 """
 
@@ -1491,6 +1518,8 @@ def scipy_probe(tmp_path, cli_env, argv):
 def test_import_and_scipy_free_commands_load_no_scipy(tmp_path, cli_env, argv):
     report = scipy_probe(tmp_path, cli_env, argv)
     assert (report["code"], report["scipy"]) == (0 if argv else None, [])
+    # the value classes generate no code at import, so nothing loads dataclasses
+    assert report["dataclasses"] == []
     if not argv:
         # perfbench's traced run times the modules that `import quatstat.cli`
         # loads and looks up each of these; a lazy import would lose one
@@ -1507,3 +1536,11 @@ def test_scipy_probe_sees_a_scipy_import(tmp_path, cli_env):
     env = {**cli_env, "PYTHONPATH": os.pathsep.join([str(site), cli_env["PYTHONPATH"]])}
     report = scipy_probe(tmp_path, env, ["spectrum"])
     assert report["code"] == 0 and "scipy.optimize" in report["scipy"]
+
+
+def test_scipy_probe_sees_a_dataclasses_import(tmp_path, cli_env):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text("import dataclasses\n")
+    env = {**cli_env, "PYTHONPATH": os.pathsep.join([str(site), cli_env["PYTHONPATH"]])}
+    assert scipy_probe(tmp_path, env, [])["dataclasses"] == ["dataclasses"]

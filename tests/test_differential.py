@@ -67,6 +67,16 @@ def test_a_quarter_of_thermo_and_compare_commands_is_at_a_float_range_edge(diffe
     assert 0.18 * len(swept) <= edges <= 0.32 * len(swept)
 
 
+def test_compare_grids_end_on_both_sides_of_the_spot_check_resolution(differential):
+    # compare refuses a last beta |H| from 1/(256 eps) ~ 1.8e13 on; |H| of the
+    # seeded models is between about 1 and 6
+    for seed in (7, 11):
+        ends = [float(cmd.argv[cmd.argv.index("--beta") + 1].split(":")[1])
+                for cmd in differential.commands(seed, 200) if cmd.argv[0] == "compare"]
+        assert any(1e11 <= end < 1e12 for end in ends)
+        assert any(1e14 < end <= 1e15 for end in ends)
+
+
 def test_warnings_are_masked_to_their_source_file(differential):
     # the same warning from two trees differs only in the tree and the line
     base, change = Path("/a/base"), Path("/b/change")

@@ -13,7 +13,9 @@ through ``thermo``, ``compare``, ``negtemp``, ``spectrum`` and
 ``--seed``; some are meant to fail (exit 2 or 3). Some ``compare --model
 spin`` grids run past the cosh range of the spin display forms and through
 the betas where their log argument is not positive, so that the forms'
-failing paths are compared. About one command in ten moves a setting to
+failing paths are compared. One ``compare`` grid in five ends between
+beta = 1e11 and 1e15, on both sides of where its spot checks stop
+resolving and it refuses the grid. About one command in ten moves a setting to
 the edge of the float range (a subnormal or a huge beta, a ``--k`` or
 ``--n-particles`` near the float limits, a subnormal level), so that the
 overflow refusals and the subnormal paths are compared too. Run from the
@@ -159,6 +161,11 @@ def command(rng: random.Random, kind: str) -> Command:
         if kind == "compare" and cmd.argv[2] == "spin" and rng.random() < 0.5:
             # past the cosh range of the spin display forms, beta ~ 1420/omega
             hi = rng.uniform(1500.0, 3000.0) / float(cmd.argv[4])
+            beta = f"{beta.split(':')[0]}:{_num(hi)}:{rng.randint(1, steps)}"
+        if kind == "compare" and rng.random() < 0.2:
+            # a last beta |H| on both sides of 1/(256 eps) ~ 1.8e13, from
+            # which compare's spot checks cannot resolve and it refuses the grid
+            hi = 10.0 ** rng.uniform(11.0, 15.0)
             beta = f"{beta.split(':')[0]}:{_num(hi)}:{rng.randint(1, steps)}"
         cmd.argv += ["--beta", beta]
         if rng.random() < 0.3:
