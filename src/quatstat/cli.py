@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -343,13 +344,15 @@ def _json_cells(column: Sequence) -> list[str]:
 def _json_table(names: list[str], cells: list[list[str]]) -> str:
     """Columns of :func:`_json_cells` as a JSON list of objects named by
     ``names``, laid out as ``json.dumps`` does with an indent of 2, plus a
-    newline. Every row fills one template; the pure-Python indent encoder is
-    several times slower."""
+    newline, from one join of the cells, row by row, each after its key; the
+    pure-Python indent encoder is several times slower."""
     if not cells or not cells[0]:
         return "[]\n"
-    template = "  {\n" + ",\n".join(
-        f"    {json.dumps(name).replace('%', '%%')}: %s" for name in names) + "\n  }"
-    return "[\n" + ",\n".join(template % row for row in zip(*cells)) + "\n]\n"
+    key = [f"\n    {json.dumps(name)}: " for name in names]
+    separators = ["\n  },\n  {" + key[0], *("," + k for k in key[1:])] * len(cells[0])
+    separators[0] = "[\n  {" + key[0]
+    pieces = chain.from_iterable(zip(separators, chain.from_iterable(zip(*cells))))
+    return "".join(pieces) + "\n  }\n]\n"
 
 
 def _log_cells(log: DiscrepancyLog, beta_cells: list[str],
@@ -362,17 +365,19 @@ def _log_cells(log: DiscrepancyLog, beta_cells: list[str],
                             if q not in shared]))
     derived = [shared[q][i] if q in shared else next(own)
                for q, i in zip(log.quantity, log.at)]
-    return [_json_cells(log.quantity), _json_cells(log.printed_value), derived,
-            list(map(beta_cells.__getitem__, log.at))]
+    names = {q: encode_basestring_ascii(q) for q in set(log.quantity)}
+    return [list(map(names.__getitem__, log.quantity)), _json_cells(log.printed_value),
+            derived, list(map(beta_cells.__getitem__, log.at))]
 
 
 def _csv_table(header: list[str], columns: list[Sequence]) -> str:
-    """The header and columns as CSV, numbers at 17 significant digits. Every
-    row fills one template, ``%s`` for a column of strings (negtemp's ``T``)
-    and ``%.17g`` for any other."""
-    template = ",".join("%s" if set(map(type, column)) == {str} else "%.17g"
-                        for column in columns)
-    return "\n".join([",".join(header), *(template % row for row in zip(*columns))]) + "\n"
+    """The header and columns as CSV, numbers at 17 significant digits. One
+    template of every row, ``%s`` for a column of strings (negtemp's ``T``)
+    and ``%.17g`` for any other, is filled by a single ``%`` over the cells."""
+    row = ",".join("%s" if set(map(type, column)) == {str} else "%.17g"
+                   for column in columns)
+    template = "\n".join([",".join(header).replace("%", "%%"), *[row] * len(columns[0])])
+    return template % tuple(chain.from_iterable(zip(*columns))) + "\n"
 
 
 def _emit(cfg: SimpleNamespace, header: list[str], columns: list[Sequence],

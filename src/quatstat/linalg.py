@@ -155,11 +155,16 @@ class QMatrix:
 def embed(m: QMatrix | np.ndarray) -> np.ndarray:
     """``chi(M)`` as a ``(2n, 2n)`` complex array; an algebra homomorphism.
 
-    A ``(..., n, n, 4)`` stack of components is embedded matrix by matrix.
+    A ``(..., n, n, 4)`` stack of components is embedded matrix by matrix,
+    into one result: ``np.block`` takes twice as long for the same values.
     """
     comp = m.comp if isinstance(m, QMatrix) else np.asarray(m, dtype=float)
     z1, z2 = _complex_pair(comp)
-    return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
+    n = z1.shape[-1]
+    out = np.empty(z1.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n], out[..., :n, n:] = z1, z2
+    out[..., n:, :n], out[..., n:, n:] = -z2.conj(), z1.conj()
+    return out
 
 
 def unembed(x: np.ndarray) -> QMatrix:
@@ -273,9 +278,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _embedded_exp(m: QMatrix, t: float) -> np.ndarray:
-    """``_expm(chi(M)*t)``; non-finite where ``chi(M)*t`` or the result
-    leaves the representable range."""
+def _embedded_exp(m: QMatrix | np.ndarray, t: float) -> np.ndarray:
+    """``_expm(chi(M)*t)``, of each ``M`` of a stack too; non-finite where
+    ``chi(M)*t`` or the result leaves the representable range."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = embed(m) * float(t)
         return _expm(a) if np.isfinite(a).all() else a
@@ -426,10 +431,9 @@ def energies_by_continuity(h0: QMatrix, hp: QMatrix) -> list[float]:
         current.extend([lam] * mult)
     n = len(current)
     velocity = [0j] * n
-    e0, ep = embed(h0), embed(hp)
-    for step in range(1, 17):
-        tau = step / 16
-        eig = sorted(np.linalg.eigvals(e0 + tau * ep).tolist(), key=lambda z: z.imag)
+    taus = np.arange(1, 17) / 16
+    for eig in np.linalg.eigvals(embed(h0) + taus[:, None, None] * embed(hp)).tolist():
+        eig = sorted(eig, key=lambda z: z.imag)
         classes = list(zip(sorted(eig[n:], key=_class_order),
                            sorted(eig[:n], key=_class_order)))
         near = [[_nearer(now + move, up, lo) for up, lo in classes]

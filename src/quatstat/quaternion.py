@@ -33,19 +33,21 @@ class Value:
             cls.__hash__ = lambda self: hash(tuple(self._asdict().values()))
 
     def __init__(self, *args, **kwargs):
-        name, given = type(self).__qualname__, dict(zip(self._fields, args))
-        extra = [*args[len(given):],
-                 *(key for key in kwargs if key in given or key not in self._fields)]
-        if extra:
-            raise TypeError(f"{name}() got extra, repeated or unknown arguments {extra!r}")
-        given.update(kwargs)
-        for key in self._fields:
-            if key not in given:
-                if key not in self._defaults:
-                    raise TypeError(f"{name}() missing argument {key!r}")
-                default = self._defaults[key]
-                given[key] = default() if isinstance(default, type) else default
-        vars(self).update(given)
+        if kwargs or len(args) != len(self._fields):  # else nothing to check or fill
+            name, given = type(self).__qualname__, dict(zip(self._fields, args))
+            extra = [*args[len(given):],
+                     *(key for key in kwargs if key in given or key not in self._fields)]
+            if extra:
+                raise TypeError(f"{name}() got extra, repeated or unknown arguments {extra!r}")
+            given.update(kwargs)
+            for key in self._fields:
+                if key not in given:
+                    if key not in self._defaults:
+                        raise TypeError(f"{name}() missing argument {key!r}")
+                    default = self._defaults[key]
+                    given[key] = default() if isinstance(default, type) else default
+            args = [given[key] for key in self._fields]
+        vars(self).update(zip(self._fields, args))
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 

@@ -38,7 +38,7 @@ from .errors import (
     UnphysicalZ,
     ZeroMeanEnergy,
 )
-from .linalg import (QMatrix, _expm, embed, fro_norm, mat_exp, mat_mul,
+from .linalg import (QMatrix, _embedded_exp, _expm, embed, fro_norm, mat_exp, mat_mul,
                      require_finite_norm, unembed)
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import Quaternion, Value, is_imaginary, qconj, qmul
@@ -352,60 +352,67 @@ def _check_diagonal(m: QMatrix):
 
 
 @np.errstate(all="ignore")
-def _interaction_terms(h0: QMatrix, hp: QMatrix, ts: np.ndarray):
+def _interaction_terms(h0: QMatrix, hps: Sequence[QMatrix], ts: np.ndarray):
     """``-int H_I + int int H_I H_I`` at each ``t``, in the eigenbasis of ``chi(H0)``.
 
-    Returns ``w``, ``V``, ``V^-1`` and the terms. With ``chi(H0) = V diag(w)
-    V^-1``, gaps ``g_ab = w_a - w_b`` and ``B = V^-1 chi(Hp) V``, the
-    interaction-picture generator is ``exp(g_ab s) B_ab`` and both integrals
-    are closed forms:
+    Returns ``w``, ``V``, ``V^-1`` and the terms of each ``Hp`` of ``hps``. With
+    ``chi(H0) = V diag(w) V^-1``, gaps ``g_ab = w_a - w_b`` and ``B = V^-1
+    chi(Hp) V``, the interaction-picture generator is ``exp(g_ab s) B_ab`` and
+    both integrals are closed forms:
 
     * first order, ``t phi1(t g_ab) B_ab`` with ``phi1(z) = expm1(z)/z``, and
       ``phi1 = 1`` below the smallest normal ``|z|``, where the quotient overflows;
     * second order, ``t^2 sum_c B_ac B_cb exp[0, t g_ac, t g_ab]``, a divided
       difference of ``exp`` on three nodes. It is the ``(0, 2)`` entry of
       ``exp([[0, 1, 0], [0, x, 1], [0, 0, y]])`` (Opitz, ZAMM 44, 1964), which
-      stays accurate where nodes coincide or nearly do, and is evaluated only
-      for the triples with ``B_ac B_cb != 0``.
+      stays accurate where nodes coincide or nearly do, and is evaluated once
+      for the triples where some ``Hp`` has ``B_ac B_cb != 0``.
     """
-    h0._check_same_dim(hp)
+    for hp in hps:
+        h0._check_same_dim(hp)
     _check_diagonal(h0)
     w, v, vinv = _eigenbasis(embed(h0))
-    b = vinv @ embed(hp) @ v
+    bs = [vinv @ embed(hp) @ v for hp in hps]
     z = np.multiply.outer(ts, np.subtract.outer(w, w))
     phi1 = np.expm1(z) / z
     phi1[np.abs(z) < np.finfo(float).tiny] = 1.0
-    terms = -ts[:, None, None] * phi1 * b
-    a, c, e = np.nonzero(b[:, :, None] * b)
+    kept = [(b[:, :, None] * b) != 0 for b in bs]
+    a, c, e = np.nonzero(np.logical_or.reduce(kept))
     divided = _exp_divided_differences(z[:, a, c].ravel(), z[:, a, e].ravel())
-    second = (ts * ts)[:, None] * (b[a, c] * b[c, e]) * divided.reshape(len(ts), len(a))
-    np.add.at(terms, (slice(None), a, e), second)
+    terms = [-ts[:, None, None] * phi1 * b for b in bs]
+    for term, b, keep in zip(terms, bs, kept):
+        own = keep[a, c, e]
+        second = (ts * ts)[:, None] * (b[a[own], c[own]] * b[c[own], e[own]])
+        np.add.at(term, (slice(None), a[own], e[own]),
+                  second * divided.reshape(len(ts), len(a))[:, own])
     return w, v, vinv, terms
 
 
 #: 3x3 exponentials per :func:`_expm` call in :func:`_exp_divided_differences`.
 #: Each of its ~15 temporaries then holds at most 144 KiB, whatever the grid.
 _NODE_BLOCK = 1024
+#: ``exp[0, 0, 0] = 1/2``, which :func:`_node_exps` gives exactly.
+_ZERO_NODE_EXP = 0.5 + 0j
 
 
 def _exp_divided_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``exp[0, x_k, y_k]``, the ``(0, 2)`` entry of ``exp([[0, 1, 0], [0, x_k, 1],
     [0, 0, y_k]])``, for 1-D ``x`` and ``y``.
 
-    The pairs that are exactly ``(0, 0)``, signed zeros included, share one
-    exponential; the others go through :func:`_expm` in blocks of
-    :data:`_NODE_BLOCK`. Each exponential of a stack has the bits it has
-    alone, so the result does not depend on the split. The nodes are
-    ``t g`` for gaps ``g`` of ``chi(H0)``, so across distinct ``t`` they
-    repeat only where both gaps are 0, as every node does for a j-k coupling
-    between levels with ``b = -a``. A mask finds those. ``np.unique`` over
-    the pairs would find no other repeat, and on 800 distinct pairs it costs
-    about a seventh of their exponentials.
+    The pairs that are exactly ``(0, 0)``, signed zeros included, take
+    :data:`_ZERO_NODE_EXP` with no exponential; the others go through
+    :func:`_expm` in blocks of :data:`_NODE_BLOCK`. Each exponential of a
+    stack has the bits it has alone, so the result does not depend on the
+    split or on the other pairs. The nodes are ``t g`` for gaps ``g`` of
+    ``chi(H0)``, so across distinct ``t`` they repeat only where both gaps
+    are 0, as every node does for a j-k coupling between levels with ``b =
+    -a``. A mask finds those. ``np.unique`` over the pairs would find no
+    other repeat, and on 800 distinct pairs it costs about a seventh of their
+    exponentials.
     """
     out = np.empty(x.shape, dtype=complex)
     zero = (x == 0.0) & (y == 0.0)
-    if zero.any():
-        out[zero] = _node_exps(np.zeros(1), np.zeros(1))[0]
+    out[zero] = _ZERO_NODE_EXP
     rest = np.flatnonzero(~zero)
     for lo in range(0, len(rest), _NODE_BLOCK):
         block = rest[lo:lo + _NODE_BLOCK]
@@ -436,7 +443,7 @@ def dyson_second_order(
     A propagator past the floating range raises ``OverflowError``.
     """
     ts = _times(t)
-    _, v, vinv, terms = _interaction_terms(h0, hp, ts)
+    _, v, vinv, (terms,) = _interaction_terms(h0, [hp], ts)
     ident = np.eye(len(v))
     results = [unembed(ident + v @ term @ vinv) for term in terms]
     return results[0] if np.ndim(t) == 0 else results
@@ -453,7 +460,7 @@ def dyson_trace(
     finite.
     """
     ts = _times(t)
-    w, _, _, terms = _interaction_terms(h0, hp, ts)
+    w, _, _, (terms,) = _interaction_terms(h0, [hp], ts)
     values = _phase_trace(ts, w, 1.0 + np.diagonal(terms, axis1=1, axis2=2))
     return float(values[0]) if np.ndim(t) == 0 else values
 
@@ -469,11 +476,12 @@ def van_loan_trace(h0: QMatrix, hp: QMatrix, t: float) -> float:
     not an exception.
     """
     a, p = -embed(h0), -embed(hp)
-    zero = np.zeros_like(a)
-    block = float(t) * np.block([[a, p, zero], [zero, a, p], [zero, zero, a]])
+    d = len(a)
+    block = np.zeros((3, d, 3, d), dtype=complex)  # block row, row, block column, column
+    block[[0, 1, 2], :, [0, 1, 2]], block[[0, 1], :, [1, 2]] = a, p
+    block = float(t) * block.reshape(3 * d, 3 * d)
     with np.errstate(over="ignore", invalid="ignore"):
         e = _expm(block) if np.isfinite(block).all() else block
-    d = len(a)
     return float(0.5 * np.trace(e[:d, :d] + e[:d, d:2 * d] + e[:d, 2 * d:]).real)
 
 
@@ -485,20 +493,23 @@ def dyson_convergence_slope(h0: QMatrix, hp: QMatrix) -> float:
     log-log slope. A value near 3 certifies the second-order truncation.
     ``t = 1`` unless ``|H0|`` exceeds ``1e3``; then ``t |H0| = 1e3``, which
     keeps the rounding of the exponentials, about ``eps t |H0|``, far below
-    the smallest truncation error, about ``1e-10``.
+    the smallest truncation error, about ``1e-10``. The scales share one frame
+    of ``H0``, and ``U0`` and the exact propagators are one stack of Pade
+    exponentials, so each error is that of :func:`dyson_second_order` and
+    :func:`bloch_propagator` at its scale, bit for bit.
     """
     base = fro_norm(hp)
     if base == 0.0:
         raise ConstraintViolation("perturbation must be nonzero for the order study")
     t = 1.0 / max(1.0, fro_norm(h0) / 1e3)
-    u0 = bloch_propagator(h0, t)
     scales = (1e-1, 1e-2, 1e-3)
-    errors = []
-    for scale in scales:
-        hps = hp * (scale / (base * t))
-        ui = dyson_second_order(h0, hps, t)
-        exact = bloch_propagator(h0 + hps, t)
-        errors.append(fro_norm(mat_mul(u0, ui) - exact))
+    hps = [hp * (scale / (base * t)) for scale in scales]
+    exps = _embedded_exp(np.stack([(-h0).comp] + [(-(h0 + x)).comp for x in hps]), t)
+    u0 = unembed(exps[0])
+    _, v, vinv, terms = _interaction_terms(h0, hps, np.array([t]))
+    ident = np.eye(len(v))  # at each scale U_I is unembedded before the exact side
+    errors = [fro_norm(mat_mul(u0, unembed(ident + v @ term[0] @ vinv)) - unembed(exact))
+              for term, exact in zip(terms, exps[1:])]
     with np.errstate(divide="ignore"):  # an error of exactly 0 gives a NaN slope
         slope, _ = np.polyfit(np.log(np.array(scales)), np.log(np.array(errors)), 1)
     return float(slope)

@@ -6,7 +6,9 @@ These are the one-point implementations that ``quatstat.thermo`` and
 forms and mean energy included), kept verbatim
 (only the imports are new) so that ``tests/test_grid.py`` can require the grid
 path to reproduce every value, every discrepancy record and every error bit
-for bit. Nothing in the package imports this module.
+for bit. The Dyson order study and Van Loan's trace, as they were before
+``compare`` shared their small-matrix work (one call per scale, ``np.block``),
+are kept here the same way. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from quatstat.errors import (
+    ConstraintViolation,
     DegenerateLevels,
     EnergyOutOfRange,
     InfiniteTemperature,
     QuatstatError,
     UnphysicalZ,
 )
+from quatstat.linalg import QMatrix, _expm, embed, fro_norm, mat_mul
 from quatstat.models import TwoLevelGas, lgamma, xlogy
 from quatstat.thermo import (
     DEGENERACY_TOL,
@@ -31,6 +35,8 @@ from quatstat.thermo import (
     EnergySliceParams,
     SpectralEnsemble,
     ThermoReport,
+    bloch_propagator,
+    dyson_second_order,
 )
 
 
@@ -388,3 +394,40 @@ def printed_spin_internal_energy(
     )
     den = 2.0 * omega * math.cosh(half) - 2.0 * beta * v * v * math.sinh(half)
     return n_particles * num / den
+
+
+# ---------------------------------------------------------------------------
+# The Dyson order study and Van Loan's trace
+# ---------------------------------------------------------------------------
+
+
+def dyson_convergence_slope(h0: QMatrix, hp: QMatrix) -> float:
+    """Order of the truncation error against the exact propagator, one
+    :func:`dyson_second_order` and one :func:`bloch_propagator` per scale."""
+    base = fro_norm(hp)
+    if base == 0.0:
+        raise ConstraintViolation("perturbation must be nonzero for the order study")
+    t = 1.0 / max(1.0, fro_norm(h0) / 1e3)
+    u0 = bloch_propagator(h0, t)
+    scales = (1e-1, 1e-2, 1e-3)
+    errors = []
+    for scale in scales:
+        hps = hp * (scale / (base * t))
+        ui = dyson_second_order(h0, hps, t)
+        exact = bloch_propagator(h0 + hps, t)
+        errors.append(fro_norm(mat_mul(u0, ui) - exact))
+    with np.errstate(divide="ignore"):  # an error of exactly 0 gives a NaN slope
+        slope, _ = np.polyfit(np.log(np.array(scales)), np.log(np.array(errors)), 1)
+    return float(slope)
+
+
+def van_loan_trace(h0: QMatrix, hp: QMatrix, t: float) -> float:
+    """``Re Tr U0(t) U_I(t)`` from Van Loan's block exponential, laid out by
+    ``np.block``."""
+    a, p = -embed(h0), -embed(hp)
+    zero = np.zeros_like(a)
+    block = float(t) * np.block([[a, p, zero], [zero, a, p], [zero, zero, a]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _expm(block) if np.isfinite(block).all() else block
+    d = len(a)
+    return float(0.5 * np.trace(e[:d, :d] + e[:d, d:2 * d] + e[:d, 2 * d:]).real)

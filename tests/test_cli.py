@@ -1544,3 +1544,40 @@ def test_scipy_probe_sees_a_dataclasses_import(tmp_path, cli_env):
     (site / "sitecustomize.py").write_text("import dataclasses\n")
     env = {**cli_env, "PYTHONPATH": os.pathsep.join([str(site), cli_env["PYTHONPATH"]])}
     assert scipy_probe(tmp_path, env, [])["dataclasses"] == ["dataclasses"]
+
+
+#: A toy whose j-k coupling joins levels with ``b = -a``: every Dyson node is
+#: exactly ``(0, 0)``, as for the spin model, so no node needs an exponential.
+JK_TOY = {"a": [0, 0.9, 0, 0], "b": [0, -0.9, 0, 0], "c": [0, 0, 0.3, 0.4],
+          "alpha": 1.3, "gamma": 0.8}
+
+
+@pytest.mark.parametrize("model", ["spin", "toy"])
+def test_compare_does_each_small_matrix_computation_once(monkeypatch, tmp_path, model):
+    # a structural guard in place of a timing test: the diagonalisations of
+    # formal_trace, dyson_trace and the order study; the exponentials of the
+    # mat_exp and Van Loan oracles and one stack for the order study; one
+    # eigvals for the toy's standard spectrum and one for its continuation
+    from quatstat import linalg, thermo
+
+    counts = {"_eigenbasis": 0, "_expm": 0, "eigvals": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((thermo, "_eigenbasis"), (thermo, "_expm"), (linalg, "_expm"),
+                         (np.linalg, "eigvals")):
+        count(module, name)
+    params = tmp_path / "toy.json"
+    params.write_text(json.dumps(JK_TOY))
+    argv = ["compare", "--model", model, "--beta", "0.1:2:200",
+            "--discrepancies", str(tmp_path / "d.json")]
+    result = CliRunner().invoke(cli, argv + ["--params", str(params)] * (model == "toy"))
+    assert result.exit_code == 0, result.output
+    assert counts["_eigenbasis"] <= 3 and counts["_expm"] <= 4
+    assert counts["eigvals"] <= (2 if model == "toy" else 0)

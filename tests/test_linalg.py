@@ -124,6 +124,24 @@ def test_embed_takes_a_stack_of_components():
         np.testing.assert_array_equal(chi, embed(m))
 
 
+def block_embedding(comp):
+    """``chi(M)`` laid out by ``np.block``, of one matrix or a stack."""
+    z1, z2 = comp[..., 0] + 1j * comp[..., 1], comp[..., 2] + 1j * comp[..., 3]
+    return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
+
+
+def test_embed_is_the_block_layout_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3, 5):
+        # signed zeros in every component, so the bits of each block show
+        comp = rng.normal(size=(4, n, n, 4)) * rng.choice([0.0, -0.0, 1.0], size=(4, n, n, 4))
+        for m in (QMatrix(comp[0]), comp[0], comp, comp[None, :2]):
+            got = embed(m)
+            want = block_embedding(m.comp if isinstance(m, QMatrix) else m)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_embedding_homomorphism_random():
     rng = np.random.default_rng(2)
     for n in (2, 3):
@@ -183,6 +201,21 @@ def test_re_trace_matches_embedding_trace():
 
 
 # -- exponential -------------------------------------------------------------
+
+
+def test_stacked_expm_has_each_matrix_own_bits():
+    # skew-Hermitian parts of norm 1e-3 to 1e3, so the matrices of one stack
+    # take different numbers of squarings, plus general parts that keep the
+    # exponentials within the float range
+    rng = np.random.default_rng(26)
+    for _ in range(30):
+        g, k = (rng.normal(size=(2, 30, 4, 4)) + 1j * rng.normal(size=(2, 30, 4, 4)))
+        skew = (k - k.conj().transpose(0, 2, 1)) * 10.0 ** rng.uniform(-3, 3, size=(30, 1, 1))
+        stack = skew + g * 10.0 ** rng.uniform(-3, 1, size=(30, 1, 1))
+        together = quatstat.linalg._expm(stack)
+        for a, got in zip(stack, together):
+            want = quatstat.linalg._expm(a)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mat_exp_zero_matrix():
@@ -404,6 +437,54 @@ def reference_energies_by_continuity(h0, hp):
         new[rows] = candidates[cols]
         velocity, current = new - current, new
     return [float(v) for v in current.imag]
+
+
+def per_step_energies_by_continuity(h0, hp):
+    """:func:`energies_by_continuity` with one ``eigvals`` call per step."""
+    linalg = quatstat.linalg
+    current = [lam for lam, mult in standard_spectrum(h0) for _ in range(mult)]
+    n = len(current)
+    velocity = [0j] * n
+    e0, ep = embed(h0), embed(hp)
+    for step in range(1, 17):
+        tau = step / 16
+        eig = sorted(np.linalg.eigvals(e0 + tau * ep).tolist(), key=lambda z: z.imag)
+        classes = list(zip(sorted(eig[n:], key=linalg._class_order),
+                           sorted(eig[:n], key=linalg._class_order)))
+        near = [[linalg._nearer(now + move, up, lo) for up, lo in classes]
+                for now, move in zip(current, velocity)]
+        cost = [[distance for distance, _ in row] for row in near]
+        new = [row[k][1] for row, k in zip(near, linalg._assign(cost))]
+        velocity = [z - now for z, now in zip(new, current)]
+        current = new
+    return [z.imag for z in current]
+
+
+def continuity_models():
+    """Seeded toys (levels near zero, couplings on the j-k plane) and dense
+    anti-Hermitian ``file``-like matrices of sizes 2 to 7, split into ``H0``
+    and ``Hp``."""
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        p, q = rng.uniform(-0.3, 0.3, size=2)
+        theta, size = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 3.0)
+        toy = ToyModelParams(a=Quaternion(0.0, p, 0.0, 0.0), b=Quaternion(0.0, q, 0.0, 0.0),
+                             c=Quaternion(0.0, 0.0, size * np.cos(theta), size * np.sin(theta)),
+                             alpha=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.5, 2.0))
+        h0 = QMatrix.diag([toy.a, toy.b])
+        yield h0, build_toy_hamiltonian(toy) - h0
+    for n in range(2, 8):
+        for _ in range(5):
+            b = random_qmatrix(rng, n)
+            h = b - dagger(b)
+            h0 = QMatrix.diag([h.entry(i, i) for i in range(n)])
+            yield h0, h - h0
+
+
+def test_stacked_continuation_is_the_per_step_walk():
+    for h0, hp in continuity_models():
+        got = energies_by_continuity(h0, hp)
+        assert repr(got) == repr(per_step_energies_by_continuity(h0, hp))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scalar_oracle as oracle
 from click.testing import CliRunner
 from scipy.linalg import expm
 
@@ -390,6 +391,36 @@ def test_shared_zero_node_has_each_nodes_own_bits(monkeypatch, block):
     empty = np.zeros(0, dtype=complex)  # no coupling: no node at all
     out = thermo_module._exp_divided_differences(empty, empty)
     assert out.shape == (0,) and out.dtype == complex
+
+
+def test_zero_node_constant_is_the_nodes_own_exponential():
+    got = thermo_module._node_exps(np.zeros(1), np.zeros(1))
+    want = np.array([thermo_module._ZERO_NODE_EXP])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def order_study_models():
+    """Seeded spin models (x from 1e-3 to 1e3, |H0| past 1e3 included) and
+    generic quaternionic toys, each split into ``H0`` and ``Hp``."""
+    rng = np.random.default_rng(26)
+    for _ in range(12):
+        toy = spin_toy(omega=10.0 ** rng.uniform(-1, 4), v=10.0 ** rng.uniform(-2, 1),
+                       x=10.0 ** rng.uniform(-3, 3))
+        h0 = QMatrix.diag([toy.a, toy.b])
+        yield h0, build_toy_hamiltonian(toy) - h0
+    for seed in range(12):
+        yield generic_split(scale=10.0 ** rng.uniform(-2, 1), seed=seed)
+    yield symmetric_split()
+    yield random_split(3, 1e-9, rng)
+
+
+def test_order_study_and_van_loan_keep_the_per_scale_bits():
+    # one frame, one stack of exponentials and no np.block give the floats
+    # of one dyson_second_order and bloch_propagator per scale
+    for h0, hp in order_study_models():
+        assert repr(dyson_convergence_slope(h0, hp)) == repr(oracle.dyson_convergence_slope(h0, hp))
+        for t in (0.3, 2.0, 17.0):
+            assert repr(van_loan_trace(h0, hp, t)) == repr(oracle.van_loan_trace(h0, hp, t))
 
 
 def test_dyson_at_zero_time_is_the_exact_identity():

@@ -187,3 +187,39 @@ def test_post_init_still_refuses_and_normalises():
     with pytest.raises(Exception, match="multiplicities"):
         SpectralEnsemble(((1.0, 0),))
     assert Quaternion(1).q0 == 1.0 and type(Quaternion(1).q0) is float
+
+
+@pytest.mark.parametrize("cls, frozen, spec", DEFINITIONS, ids=[d[0].__name__ for d in DEFINITIONS])
+def test_a_full_positional_call_is_the_keyword_call(cls, frozen, spec):
+    # every field given positionally binds with no check to make; the
+    # instance is the one the same values by keyword build, and compares
+    # with it as the dataclass's two instances do (a NaN or an error object
+    # of ThermoGrid makes two grids unequal)
+    dc = oracle(cls, frozen, spec)
+    rng = random.Random(len(cls.__name__) + 26)
+    for _ in range(20):
+        values = ARGUMENTS[cls](rng)
+        keywords = dict(zip(cls._fields, values))
+        positional, keyword = cls(*values), cls(**keywords)
+        assert repr(positional) == repr(keyword)
+        assert (positional == keyword) == (dc(*values) == dc(**keywords))
+        assert both(lambda: hash(positional)) == both(lambda: hash(keyword))
+        assert list(vars(positional)) == list(cls._fields)
+        if frozen:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(positional, cls._fields[0], values[0])
+    name = cls.__qualname__
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got extra, repeated or unknown "):
+        cls(*values, values[0])
+    required = sum(isinstance(s, str) for s in spec)
+    if required:
+        missing = repr(cls._fields[required - 1])
+        with pytest.raises(TypeError, match=rf"^{name}\(\) missing argument {missing}$"):
+            cls(*values[:required - 1])
+
+
+def test_a_full_positional_call_runs_post_init():
+    with pytest.raises(Exception, match="particle count must be at least 1"):
+        TwoLevelGas(0, 1.0, 0.0)
+    assert type(Quaternion(1, 2, 3, 4).q3) is float
+    assert SpectralEnsemble([(2, 1), (0, 1)], 1, 1.0).levels == ((0.0, 1), (2.0, 1))
