@@ -20,17 +20,14 @@ from quatstat import (
     EnergySliceParams,
     QMatrix,
     SpinModelParams,
-    bloch_propagator,
     build_spin_model,
-    dyson_second_order,
-    mat_mul,
-    printed_spin_internal_energy,
-    re_trace,
-    spin_mean_energy,
-    thermo_spectral,
-    z1_formula,
-    z_spectral,
+    closed_form_grid,
+    dyson_trace,
+    formal_trace,
+    spectral_grid,
+    z_spectral_grid,
 )
+from quatstat.models import printed_spin_grid, spin_mean_energy_grid
 
 omega, v, x = 2.0, 0.5, 1.0
 h, metric, ensemble = build_spin_model(SpinModelParams(omega, v, x))
@@ -43,13 +40,16 @@ print(f"energies: {[e for e, _ in ensemble.levels]}")
 print()
 print(f"{'beta':>5} {'Z_spectral':>11} {'Z_formal':>11} {'Z1_printed':>11} "
       f"{'Z1_rederived':>13} {'Z1_dyson':>11}")
-for beta in np.linspace(0.25, 2.5, 10):
-    z_sp = z_spectral(ensemble, beta)
-    z_formal = re_trace(bloch_propagator(h, beta))
-    z_printed = z1_formula(sl, beta)
-    z_rederived = z1_formula(sl, beta, rederived=True)
-    ui = dyson_second_order(h0, hp, beta)
-    z_dyson = re_trace(mat_mul(bloch_propagator(h0, beta), ui))
+# each path is one call over the whole grid
+betas = np.linspace(0.25, 2.5, 10).tolist()
+columns = (
+    z_spectral_grid(ensemble, betas),
+    formal_trace(h, betas),
+    closed_form_grid(sl, betas, quantities=()).Z1,
+    closed_form_grid(sl, betas, rederived=True, quantities=()).Z1,
+    dyson_trace(h0, hp, betas),
+)
+for beta, z_sp, z_formal, z_printed, z_rederived, z_dyson in zip(betas, *columns):
     print(f"{beta:5.2f} {z_sp:11.6f} {z_formal:11.6f} {z_printed:11.6f} "
           f"{z_rederived:13.6f} {z_dyson:11.6f}")
 
@@ -62,9 +62,9 @@ print("   coupling term, the reproducible sign-branch finding.")
 
 print()
 print("internal energy per particle at beta = 1:")
-beta = 1.0
-print(f"  spectral path          : {thermo_spectral(ensemble, beta).U:+.6f}")
-print(f"  closed form (rederived): {spin_mean_energy(omega, v, beta):+.6f}")
-print(f"  display form           : {printed_spin_internal_energy(omega, v, beta):+.6f}")
+beta = [1.0]
+print(f"  spectral path          : {spectral_grid(ensemble, beta).U[0]:+.6f}")
+print(f"  closed form (rederived): {spin_mean_energy_grid(omega, v, beta)[0]:+.6f}")
+print(f"  display form           : {printed_spin_grid(omega, v, beta)['U'][0]:+.6f}")
 print("the display form mixes a trigonometric term into a hyperbolic")
 print("expression; the spectral path is the oracle.")

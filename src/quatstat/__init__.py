@@ -65,9 +65,7 @@ from .models import (
     build_qubit_model,
     build_spin_model,
     entropy_stirling,
-    inverse_temperature,
     log_multiplicity,
-    occupation_numbers,
     printed_spin_entropy,
     printed_spin_entropy_combinatorial,
     printed_spin_internal_energy,
@@ -76,7 +74,6 @@ from .models import (
     qubit_negative_temperature,
     spin_eigenvectors,
     spin_entropy_per_particle,
-    spin_mean_energy,
     spin_negative_temperature,
     spin_toy_params,
     temperature,
@@ -95,7 +92,6 @@ from .quaternion import (
 )
 from .thermo import (
     DiscrepancyLog,
-    DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
     ThermoGrid,
@@ -106,14 +102,11 @@ from .thermo import (
     build_toy_hamiltonian,
     closed_form_grid,
     discrepancies,
-    discrepancy,
     dyson_convergence_slope,
     dyson_second_order,
     dyson_trace,
     energy_variance,
     formal_trace,
-    log_z_spectral,
-    log_z_total,
     pressure,
     printed_entropy,
     printed_internal_energy,

@@ -44,7 +44,6 @@ from .models import (
 from .quaternion import Quaternion
 from .thermo import (
     DiscrepancyLog,
-    DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
     ToyModelParams,
@@ -328,7 +327,8 @@ def _negtemp_gas(cfg: SimpleNamespace) -> TwoLevelGas:
 # ---------------------------------------------------------------------------
 
 
-_RECORD_FIELDS = list(DiscrepancyRecord._fields)
+#: The JSON keys of a record; the log's last field, ``at``, indexes the grid.
+_RECORD_FIELDS = list(DiscrepancyLog._fields[:4])
 
 
 def _json_cells(column: Sequence) -> list[str]:
@@ -464,8 +464,8 @@ def run_compare(cfg: SimpleNamespace) -> int:
     n, k, tol = cfg.n_particles, cfg.k, cfg.tolerance
     ensemble = SpectralEnsemble(ensemble.levels, n, k)
 
-    beta = betas[-1]
-    hb = beta * fro_norm(hp)  # squared as hb * hb: the float power hb ** 2 raises past 1e154
+    beta, h_norm, hp_norm = betas[-1], fro_norm(h), fro_norm(hp)
+    hb = beta * hp_norm  # squared as hb * hb: the float power hb ** 2 raises past 1e154
     try:
         # refused past the float range: the trace columns or their last-beta checks
         z_formal = formal_trace(h, betas).tolist()
@@ -478,10 +478,10 @@ def run_compare(cfg: SimpleNamespace) -> int:
     except QuatstatError as exc:
         click.echo(f"oracle self-check failed: {exc}", err=True)
         return 1
-    rounding = SPOT_CHECK_ROUNDING * sys.float_info.epsilon * beta * fro_norm(h)
+    rounding = SPOT_CHECK_ROUNDING * sys.float_info.epsilon * beta * h_norm
     if not rounding < 1.0:  # from 1 on, a check passes whatever the column holds
         raise click.UsageError(f"{cfg.model} spot checks cannot resolve beta = {_fmt(beta)}: "
-                               f"beta |H| = {_fmt(beta * fro_norm(h))} reaches "
+                               f"beta |H| = {_fmt(beta * h_norm)} reaches "
                                f"1/({SPOT_CHECK_ROUNDING} eps)")
     for name, value, oracle_name, term in (("Z_formal", z_formal[-1], "mat_exp", 1.0),
                                            ("Z1_dyson", z_dyson[-1], "Van Loan", hb * hb)):
@@ -498,7 +498,7 @@ def run_compare(cfg: SimpleNamespace) -> int:
             )
             return 1
     slope_line = None
-    if fro_norm(hp) > 0.0:
+    if hp_norm > 0.0:
         try:
             slope = dyson_convergence_slope(h0, hp)
         except QuatstatError as exc:

@@ -118,11 +118,12 @@ def _stirling_log_multiplicity(n: float, n_plus: float, n_minus: float) -> float
 def negtemp_grid(g: TwoLevelGas, energies, k: float = 1.0) -> list[tuple]:
     """Rows ``(E, N+, N-, S_stirling, S_exact, 1/T, T)`` at each energy, in order.
 
-    Each column is its one-point function below, bit for bit; ``S_exact`` is
-    ``k ln Omega`` and ``T`` is None where :func:`temperature` raises. The
-    gas's constants are computed once, each energy's populations serve both
-    entropies, and every ``log`` and ``lgamma`` is ``math``'s (numpy's differ
-    in the last bit). The first energy outside the band raises EnergyOutOfRange.
+    ``N+ + N- = N`` exactly; ``S_exact`` is ``k ln Omega``; ``1/T = dS/dE`` is
+    zero at the midpoint, positive below it, negative above it and ``+-inf``
+    at the edges, and ``T`` is None where it is zero. The gas's constants are
+    computed once, each energy's populations serve both entropies, and every
+    ``log`` and ``lgamma`` is ``math``'s (numpy's differ in the last bit). The
+    first energy outside the band raises EnergyOutOfRange.
     """
     n, e_min, e_max, mid, slack = float(g.n_particles), g.e_min, g.e_max, g.midpoint, g._slack()
     floor, ceil, low_edge, high_edge = e_min - slack, e_max + slack, e_min + slack, e_max - slack
@@ -157,12 +158,6 @@ def negtemp_grid(g: TwoLevelGas, energies, k: float = 1.0) -> list[tuple]:
     return rows
 
 
-def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:
-    """Level populations ``(N+, N-)`` at ``energy``; they sum to ``N`` exactly
-    and need not be integers."""
-    return negtemp_grid(g, [energy])[0][1:3]
-
-
 def entropy_stirling(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
     """Stirling entropy ``k [N ln N - N+ ln N+ - N- ln N-]``, exact at the band
     edges (zero) and at the midpoint (``N k ln 2``)."""
@@ -173,12 +168,6 @@ def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
     by analytic continuation, and Stirling's formula past ``N`` near 2.5e305."""
     return negtemp_grid(g, [energy])[0][4]
-
-
-def inverse_temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
-    """``1/T = dS/dE = k/(E- - E+) * ln(-(E - N E-)/(E - N E+))``: zero at the
-    midpoint, positive below it, negative above it, ``+-inf`` at the edges."""
-    return negtemp_grid(g, [energy], k)[0][5]
 
 
 def temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
@@ -292,11 +281,6 @@ def spin_mean_energy_grid(omega: float, v: float, beta: Sequence[float],
     with np.errstate(all="ignore"):
         return float(n_particles) * (
             omega / 2.0 - v * _math_each(math.tanh, np.asarray(beta, dtype=float) * v))
-
-
-def spin_mean_energy(omega: float, v: float, beta: float) -> float:
-    """:func:`spin_mean_energy_grid` at one beta."""
-    return spin_mean_energy_grid(omega, v, [beta])[0].item()
 
 
 def spin_entropy_per_particle(v: float, beta: float, k: float = 1.0) -> float:

@@ -19,7 +19,7 @@ derived quantities are collected into a structured discrepancy log rather
 than being silently corrected.
 
 Both paths are evaluated over a whole beta grid at once (:func:`closed_form_grid`,
-:func:`spectral_grid`); the one-beta functions are one-point wrappers of them.
+:func:`spectral_grid`); the few one-beta functions left are one-point wrappers.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     DegenerateLevels,
     DomainError,
     NotNormal,
-    QuatstatError,
     UnphysicalZ,
     ZeroMeanEnergy,
 )
@@ -162,15 +161,6 @@ class SpectralEnsemble(Value, frozen=True):
         return np.array([g for _, g in self.levels], dtype=float)
 
 
-class DiscrepancyRecord(Value, frozen=True):
-    """One printed-vs-derived disagreement at a single inverse temperature."""
-
-    quantity: str
-    printed_value: float
-    derived_value: float
-    beta: float
-
-
 class DiscrepancyLog(Value):
     """Discrepancy records as columns, in grid order; ``at`` holds the index
     of each record's beta in the grid."""
@@ -184,18 +174,13 @@ class DiscrepancyLog(Value):
     def __len__(self) -> int:
         return len(self.at)
 
-    def records(self) -> list[DiscrepancyRecord]:
-        """One :class:`DiscrepancyRecord` per record."""
-        return list(map(DiscrepancyRecord, self.quantity, self.printed_value,
-                        self.derived_value, self.beta))
-
 
 class ThermoReport(Value):
     """Thermodynamic quantities at one inverse temperature.
 
     ``A``, ``S`` and ``U`` are extensive (carry the particle number); ``Cv``
-    is the specific heat per particle. ``discrepancies`` collects printed
-    display values that disagree with the derivation chain.
+    is the specific heat per particle. ``discrepancies`` is the one-row grid's
+    :class:`DiscrepancyLog` of display values apart from the derivation chain.
     """
 
     beta: float
@@ -204,7 +189,7 @@ class ThermoReport(Value):
     S: float
     U: float
     Cv: float
-    discrepancies: list[DiscrepancyRecord] = list
+    discrepancies: DiscrepancyLog = DiscrepancyLog
 
 
 def first_non_finite(beta: list[float], columns: dict[str, list[float]]) -> OverflowError | None:
@@ -249,7 +234,7 @@ class ThermoGrid(Value):
         """The report of a one-beta grid; raises its error."""
         if self.error is not None:
             raise self.error
-        return ThermoReport(*self.rows()[0], self.discrepancies.records())
+        return ThermoReport(*self.rows()[0], self.discrepancies)
 
 
 class VolumeModel(Value):
@@ -672,20 +657,6 @@ def discrepancies(
                           np.asarray(beta, dtype=float)[at].tolist(), at.tolist())
 
 
-def discrepancy(
-    quantity: str, printed: Callable[[], float], derived: float, beta: float, tol: float
-) -> DiscrepancyRecord | None:
-    """One point of :func:`discrepancies`; ``printed`` is evaluated here, and a
-    display form that fails with ``OverflowError`` or a :class:`QuatstatError`
-    gives no record."""
-    try:
-        value = printed()
-    except (OverflowError, QuatstatError):
-        return None
-    found = discrepancies([(quantity, [value], [derived])], [beta], tol)
-    return found.records()[0] if found else None
-
-
 @np.errstate(all="ignore")
 def closed_form_grid(
     p: EnergySliceParams,
@@ -767,7 +738,8 @@ def pressure(
     central differences of the free energy.
 
     Its display form is :func:`printed_pressure`; a caller that logs the
-    pair passes both to :func:`discrepancy`.
+    pair passes both to :func:`discrepancies`. A free energy that
+    :func:`closed_form_grid` refuses raises its error.
     """
     h = vm.h
     if vm.domain is not None:
@@ -778,8 +750,11 @@ def pressure(
             )
 
     def free_energy(vol: float) -> float:
-        return thermo_closed_form(vm.slice_at(vol), beta, n_particles, 1.0, rederived,
-                                  quantities=()).A
+        grid = closed_form_grid(vm.slice_at(vol), [beta], n_particles, 1.0, rederived,
+                                quantities=())
+        if grid.error is not None:
+            raise grid.error
+        return grid.A[0]
 
     def central(step: float) -> float:
         return (free_energy(volume + step) - free_energy(volume - step)) / (2.0 * step)
@@ -813,10 +788,10 @@ def _boltzmann_sums(e: SpectralEnsemble, beta: np.ndarray):
     return shift, total, mean, (prob @ ((energies - mean[:, None]) ** 2)[..., None])[:, 0, 0]
 
 
-def _sums_at(e: SpectralEnsemble, beta: float) -> tuple[float, float, float]:
-    """``ln Z1``, the mean energy and the energy variance at one beta."""
-    shift, total, mean, var = _boltzmann_sums(e, np.array([float(beta)]))
-    return float(shift[0] + np.log(total[0])), float(mean[0]), float(var[0])
+def _sums_at(e: SpectralEnsemble, beta: float) -> tuple[float, float]:
+    """The mean energy and the energy variance at one beta."""
+    _, _, mean, var = _boltzmann_sums(e, np.array([float(beta)]))
+    return float(mean[0]), float(var[0])
 
 
 @np.errstate(all="ignore")
@@ -828,15 +803,6 @@ def z_spectral_grid(e: SpectralEnsemble, beta: Sequence[float]) -> list[float]:
 
 def z_spectral(e: SpectralEnsemble, beta: float) -> float:
     return z_spectral_grid(e, [beta])[0]
-
-
-def log_z_spectral(e: SpectralEnsemble, beta: float) -> float:
-    return _sums_at(e, beta)[0]
-
-
-def log_z_total(e: SpectralEnsemble, beta: float) -> float:
-    """Log partition function of N independent particles: ``N ln Z1``."""
-    return e.n_particles * log_z_spectral(e, beta)
 
 
 @np.errstate(all="ignore")
@@ -868,7 +834,7 @@ def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
 
 def energy_variance(e: SpectralEnsemble, beta: float) -> float:
     """Single-particle energy variance ``<E^2> - <E>^2`` from the weights."""
-    return _sums_at(e, beta)[2]
+    return _sums_at(e, beta)[1]
 
 
 def relative_rms(e: SpectralEnsemble, beta: float) -> float:
@@ -877,7 +843,7 @@ def relative_rms(e: SpectralEnsemble, beta: float) -> float:
     Independent particles add variances, so the ratio carries an explicit
     ``1/sqrt(N)`` prefactor: quadrupling ``N`` halves the result exactly.
     """
-    _, mean, var = _sums_at(e, beta)
+    mean, var = _sums_at(e, beta)
     scale = max(1.0, float(np.abs(e.energies).max()))
     if abs(mean) <= 1e-12 * scale:
         raise ZeroMeanEnergy("mean energy vanishes; relative fluctuation undefined")

@@ -3,10 +3,11 @@ bit-for-bit oracle.
 
 These are the one-point implementations that ``quatstat.thermo`` and
 ``quatstat.models`` evaluated before their grid functions (the spin display
-forms and mean energy included), kept verbatim
-(only the imports are new) so that ``tests/test_grid.py`` can require the grid
-path to reproduce every value, every discrepancy record and every error bit
-for bit. The Dyson order study and Van Loan's trace, as they were before
+forms and mean energy included), kept verbatim so that ``tests/test_grid.py``
+can require the grid path to reproduce every value, every discrepancy record
+and every error bit for bit. Only the imports are new, and the two record
+types below, as the package had them before its reports held the grid's
+columnar log. The Dyson order study and Van Loan's trace, as they were before
 ``compare`` shared their small-matrix work (one call per scale, ``np.block``),
 are kept here the same way. Nothing in the package imports this module.
 """
@@ -29,15 +30,36 @@ from quatstat.errors import (
 )
 from quatstat.linalg import QMatrix, _expm, embed, fro_norm, mat_mul
 from quatstat.models import TwoLevelGas, lgamma, xlogy
+from quatstat.quaternion import Value
 from quatstat.thermo import (
     DEGENERACY_TOL,
-    DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
-    ThermoReport,
     bloch_propagator,
     dyson_second_order,
 )
+
+
+class DiscrepancyRecord(Value, frozen=True):
+    """One printed-vs-derived disagreement at a single inverse temperature."""
+
+    quantity: str
+    printed_value: float
+    derived_value: float
+    beta: float
+
+
+class ThermoReport(Value):
+    """Thermodynamic quantities at one inverse temperature, with a list of
+    the records of its display forms."""
+
+    beta: float
+    Z1: float
+    A: float
+    S: float
+    U: float
+    Cv: float
+    discrepancies: list[DiscrepancyRecord] = list
 
 
 def _slice_kernel(p: EnergySliceParams, beta: float, rederived: bool):

@@ -13,9 +13,9 @@ from click.testing import CliRunner
 import quatstat
 from quatstat import (
     DiscrepancyLog,
-    DiscrepancyRecord,
     EnergySliceParams,
     SpectralEnsemble,
+    ThermoReport,
     closed_form_grid,
     spectral_grid,
     thermo_spectral,
@@ -787,8 +787,18 @@ WRITER_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.5, 0
                 np.float64(2.5), np.float64(math.nan), 7, "infinite"]
 
 
+#: The keys of a discrepancy record, in the order the log file writes them.
+RECORD_KEYS = ("quantity", "printed_value", "derived_value", "beta")
+
+
 def json_text(names, rows) -> str:
     return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+
+
+def log_records(log) -> list[dict]:
+    """A log's records as the objects of its JSON file."""
+    return [dict(zip(RECORD_KEYS, row)) for row in
+            zip(log.quantity, log.printed_value, log.derived_value, log.beta)]
 
 
 def test_discrepancy_log_template_is_jsons_indent_2():
@@ -807,14 +817,14 @@ def test_discrepancy_log_template_is_jsons_indent_2():
     for q, i, d in zip(quantities, at, derived):
         if q == "U":
             table_u[i] = d
-    records = [DiscrepancyRecord(*r) for r in zip(quantities, printed, derived,
-                                                  [grid[i] for i in at])]
+    assert _RECORD_FIELDS == list(RECORD_KEYS)
+    records = [dict(zip(RECORD_KEYS, r)) for r in zip(quantities, printed, derived,
+                                                      [grid[i] for i in at])]
     for chosen in ([], [0], list(range(11, 16)), list(range(16))):
         log = DiscrepancyLog(*([column[i] for i in chosen]
                                for column in (quantities, printed, derived)),
                              [grid[at[i]] for i in chosen], [at[i] for i in chosen])
-        assert log.records() == [records[i] for i in chosen]
-        want = json.dumps([vars(records[i]) for i in chosen], indent=2) + "\n"
+        want = json.dumps([records[i] for i in chosen], indent=2) + "\n"
         for shared in ({}, {"U": _json_cells(table_u)}):
             assert _json_table(_RECORD_FIELDS, _log_cells(log, _json_cells(grid), shared)) == want
     # --output json tables: the cells the runners emit, strings and ints included
@@ -852,9 +862,9 @@ def test_thermo_log_reuses_the_table_cells(runner, tmp_path, output):
         log = Path("discrepancies.json").read_text()
     betas = np.linspace(0.1, 4, 40).tolist()
     grid = closed_form_grid(sl, betas, 3, 1.3, True, 1e-8)
-    records = grid.discrepancies.records()
-    assert {r.quantity for r in records} == {"U", "S", "Cv"}
-    assert log == json.dumps([vars(r) for r in records], indent=2) + "\n"
+    records = log_records(grid.discrepancies)
+    assert {r["quantity"] for r in records} == {"U", "S", "Cv"}
+    assert log == json.dumps(records, indent=2) + "\n"
     if output == "json":
         assert json.loads(result.stdout) == [
             dict(zip(["beta", "Z1", "A", "S", "U", "Cv"], row)) for row in grid.rows()]
@@ -881,10 +891,12 @@ def test_compare_log_reuses_the_rederived_cells(runner, tmp_path):
     ["compare", "--beta", "0.2:2:10", "--output", "json"],
 ], ids=["thermo-csv", "thermo-json", "compare-csv", "compare-json"])
 def test_commands_build_no_record_objects(runner, tmp_path, monkeypatch, argv):
+    # each path is one grid call whose columnar log goes to the writer: no
+    # command builds a one-point report, the one per-beta record type
     def refuse(self, *args):
-        raise AssertionError("a DiscrepancyRecord was built")
+        raise AssertionError("a ThermoReport was built")
 
-    monkeypatch.setattr(DiscrepancyRecord, "__init__", refuse)
+    monkeypatch.setattr(ThermoReport, "__init__", refuse)
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(cli, argv)
         assert result.exit_code == 0, result.output

@@ -22,11 +22,9 @@ from quatstat import (
     dagger,
     entropy_stirling,
     fro_norm,
-    inverse_temperature,
     is_quasi_anti_hermitian,
     log_multiplicity,
     mat_vec,
-    occupation_numbers,
     printed_spin_entropy,
     printed_spin_entropy_combinatorial,
     printed_spin_internal_energy,
@@ -37,7 +35,6 @@ from quatstat import (
     qmul,
     spin_eigenvectors,
     spin_entropy_per_particle,
-    spin_mean_energy,
     spin_negative_temperature,
     standard_spectrum,
     temperature,
@@ -45,7 +42,7 @@ from quatstat import (
     vec_inner,
     vec_scale_right,
 )
-from quatstat.models import lgamma, xlogy
+from quatstat.models import lgamma, negtemp_grid, spin_mean_energy_grid, xlogy
 
 GAS = TwoLevelGas(n_particles=10, e_plus=1.0, e_minus=-1.0)
 
@@ -54,13 +51,13 @@ GAS = TwoLevelGas(n_particles=10, e_plus=1.0, e_minus=-1.0)
 
 
 def test_occupation_numbers():
-    assert occupation_numbers(GAS, GAS.e_min) == (0.0, 10.0)
-    assert occupation_numbers(GAS, GAS.midpoint) == (5.0, 5.0)
-    assert occupation_numbers(GAS, 4.0) == (7.0, 3.0)
-    n_plus, n_minus = occupation_numbers(GAS, 3.3)
+    # the N+ and N- columns of the negtemp grid
+    rows = negtemp_grid(GAS, [GAS.e_min, GAS.midpoint, 4.0, 3.3])
+    assert [row[1:3] for row in rows[:3]] == [(0.0, 10.0), (5.0, 5.0), (7.0, 3.0)]
+    n_plus, n_minus = rows[3][1:3]
     assert n_plus + n_minus == 10.0
     with pytest.raises(EnergyOutOfRange):
-        occupation_numbers(GAS, 11.0)
+        negtemp_grid(GAS, [11.0])
 
 
 def test_log_multiplicity():
@@ -87,8 +84,8 @@ def test_lgamma_multiplicities_stay_near_scipys_gammaln(n):
     # by 8 ulp of ln N!, the largest of the three terms
     bound = 8 * math.ulp(math.lgamma(n + 1.0))
     gas = TwoLevelGas(n_particles=n, e_plus=1.0, e_minus=-1.0)
-    for energy in np.linspace(gas.e_min, gas.e_max, 2001).tolist():
-        n_plus, n_minus = occupation_numbers(gas, energy)
+    energies = np.linspace(gas.e_min, gas.e_max, 2001).tolist()
+    for energy, n_plus, n_minus, *_ in negtemp_grid(gas, energies):
         want = gammaln(n + 1.0) - gammaln(n_plus + 1.0) - gammaln(n_minus + 1.0)
         assert abs(log_multiplicity(gas, energy) - want) <= bound, energy
     omega, v = 2.0, 0.5
@@ -120,7 +117,7 @@ def test_log_multiplicity_where_ln_n_factorial_overflows(n):
         (low, energy) for energy in (5e-324, 1e-300, 0.5, 1.0, 7.0, 99.5, 100.0, 1e3, 1e12)
     ]
     for gas, energy in cases:
-        n_plus, n_minus = occupation_numbers(gas, energy)
+        _, n_plus, n_minus, *_ = negtemp_grid(gas, [energy])[0]
         got = log_multiplicity(gas, energy)
         assert math.isfinite(got)
         with mpmath.workdps(400):
@@ -216,7 +213,7 @@ def test_inverse_temperature_is_entropy_derivative():
         fd = (
             entropy_stirling(GAS, energy + step) - entropy_stirling(GAS, energy - step)
         ) / (2 * step)
-        assert inverse_temperature(GAS, energy) == pytest.approx(fd, rel=1e-6)
+        assert negtemp_grid(GAS, [energy])[0][5] == pytest.approx(fd, rel=1e-6)
 
 
 # -- spin model --------------------------------------------------------------------
@@ -283,7 +280,7 @@ def test_spin_spectral_thermodynamics_oracle():
     _, _, ensemble = build_spin_model(SpinModelParams(omega=omega, v=v, x=1.0))
     for beta in (0.3, 1.0, 2.4):
         report = thermo_spectral(ensemble, beta)
-        assert report.U == pytest.approx(spin_mean_energy(omega, v, beta), rel=1e-12)
+        assert report.U == pytest.approx(spin_mean_energy_grid(omega, v, [beta])[0], rel=1e-12)
         assert report.S == pytest.approx(
             spin_entropy_per_particle(v, beta), rel=1e-10
         )
@@ -311,7 +308,7 @@ def test_spin_display_forms_match_generic_machinery():
         if abs(energy - gas.midpoint) > 1e-9:
             assert printed_spin_inverse_temperature(
                 omega, v, energy, n
-            ) == pytest.approx(inverse_temperature(gas, energy), rel=1e-12)
+            ) == pytest.approx(negtemp_grid(gas, [energy])[0][5], rel=1e-12)
 
 
 def test_spin_display_internal_energy_disagrees_with_spectral_path():
@@ -319,7 +316,7 @@ def test_spin_display_internal_energy_disagrees_with_spectral_path():
     # the spectral path is the oracle and the two visibly part ways
     omega, v, beta = 2.0, 0.5, 1.0
     display = printed_spin_internal_energy(omega, v, beta)
-    oracle = spin_mean_energy(omega, v, beta)
+    oracle = spin_mean_energy_grid(omega, v, [beta])[0]
     assert abs(display - oracle) > 0.05
     display_s = printed_spin_entropy(omega, v, beta)
     oracle_s = spin_entropy_per_particle(v, beta)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.linalg import expm
 from quatstat import (
     ConstraintViolation,
     DegenerateLevels,
-    DiscrepancyRecord,
+    DiscrepancyLog,
     DomainError,
     EnergySliceParams,
     I,
@@ -30,7 +31,7 @@ from quatstat import (
     build_qubit_model,
     build_toy_hamiltonian,
     closed_form_grid,
-    discrepancy,
+    discrepancies,
     dyson_convergence_slope,
     dyson_second_order,
     dyson_trace,
@@ -39,11 +40,10 @@ from quatstat import (
     exp_re_trace,
     formal_trace,
     fro_norm,
-    log_z_spectral,
-    log_z_total,
     mat_mul,
     pressure,
     printed_entropy,
+    printed_grid,
     printed_internal_energy,
     printed_pressure,
     printed_specific_heat,
@@ -711,7 +711,7 @@ def test_printed_forms_against_derivation_chain():
     beta, n = 0.8, 3
     report = thermo_closed_form(sl, beta, n_particles=n)
     assert printed_internal_energy(sl, beta, n) == pytest.approx(report.U, rel=1e-12)
-    assert [d.quantity for d in report.discrepancies] == ["Cv"]
+    assert report.discrepancies.quantity == ["Cv"]
     assert printed_specific_heat(sl, beta, n) == pytest.approx(
         -report.Cv / n, rel=1e-12
     )
@@ -723,11 +723,13 @@ def test_closed_form_checks_the_named_display_forms(monkeypatch):
     # and no quantity means no call
     sl = EnergySliceParams(aE=1.0, bE=-1.0, kappa=-0.25)
     full = thermo_closed_form(sl, 0.5, 3, 1.3, rederived=True)
-    assert [d.quantity for d in full.discrepancies] == ["U", "S", "Cv"]
-    by_quantity = {d.quantity: d for d in full.discrepancies}
+    log = full.discrepancies
+    assert log.quantity == ["U", "S", "Cv"]
     for quantities in (("Cv", "U"), ("S",), ()):
         report = thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, quantities)
-        assert report.discrepancies == [by_quantity[q] for q in quantities]
+        rows = [log.quantity.index(q) for q in quantities]
+        assert report.discrepancies == DiscrepancyLog(
+            *([column[i] for i in rows] for column in log._asdict().values()))
         assert (report.Z1, report.A, report.S, report.U, report.Cv) == (
             full.Z1, full.A, full.S, full.U, full.Cv)
     calls = []
@@ -737,8 +739,8 @@ def test_closed_form_checks_the_named_display_forms(monkeypatch):
         return {q: np.full(beta.shape, getattr(full, q)) for q in ("U", "S", "Cv")}
 
     monkeypatch.setattr(thermo_module, "printed_grid", forms)
-    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8).discrepancies == []
-    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, ()).discrepancies == []
+    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8).discrepancies == DiscrepancyLog()
+    assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, ()).discrepancies == DiscrepancyLog()
     assert calls == [(sl, [0.5], 3.0, 1.3)]
 
 
@@ -755,35 +757,21 @@ def test_printed_forms_reject_degenerate_levels():
 
 def test_discrepancy_threshold_is_strict():
     # tol * max(1, |derived|) = 0.25 * 2 = 0.5, exactly representable
-    assert discrepancy("U", lambda: 2.5, 2.0, 0.7, 0.25) is None
-    assert discrepancy("U", lambda: 1.5, 2.0, 0.7, 0.25) is None
     past = math.nextafter(2.5, math.inf)
-    assert discrepancy("U", lambda: past, 2.0, 0.7, 0.25) == DiscrepancyRecord(
-        "U", past, 2.0, 0.7
-    )
+    log = discrepancies([("U", [2.5, 1.5, past], [2.0] * 3)], [0.7, 0.8, 0.9], 0.25)
+    assert log == DiscrepancyLog(["U"], [past], [2.0], [0.9], [2])
     # below |derived| = 1 the threshold is tol itself
-    assert discrepancy("S", lambda: 0.35, 0.1, 1.0, 0.25) is None
-    assert discrepancy("S", lambda: 0.36, 0.1, 1.0, 0.25) is not None
+    log = discrepancies([("S", [0.35, 0.36], [0.1, 0.1])], [1.0, 2.0], 0.25)
+    assert log == DiscrepancyLog(["S"], [0.36], [0.1], [2.0], [1])
 
 
 def test_discrepancy_nan_is_no_record():
-    assert discrepancy("Cv", lambda: math.nan, 1.0, 1.0, 1e-8) is None
-    assert discrepancy("Cv", lambda: 1.0, math.nan, 1.0, 1e-8) is None
-    # nor is a display value past the float range
-    assert discrepancy("S", lambda: math.inf, 1.0, 1.0, 1e-8) is None
-    assert discrepancy("S", lambda: -math.inf, 1.0, 1.0, 1e-8) is None
-
-
-@pytest.mark.parametrize(
-    "error", [OverflowError("math range error"), UnphysicalZ("Z1 <= 0"),
-              DegenerateLevels("aE = bE")],
-    ids=lambda e: type(e).__name__,
-)
-def test_failing_printed_form_is_no_record(error):
-    def printed():
-        raise error
-
-    assert discrepancy("S", printed, 1.0, 1.0, 1e-8) is None
+    # a NaN printed or derived value is none, nor is a display value past the
+    # float range; the finite pair at the last beta is one
+    printed = [math.nan, 1.0, math.inf, -math.inf, 2.0]
+    derived = [1.0, math.nan, 1.0, 1.0, 1.0]
+    log = discrepancies([("S", printed, derived)], [1.0, 2.0, 3.0, 4.0, 5.0], 1e-8)
+    assert log == DiscrepancyLog(["S"], [2.0], [1.0], [5.0], [4])
 
 
 def test_discrepancy_rule_on_real_display_forms():
@@ -797,10 +785,17 @@ def test_discrepancy_rule_on_real_display_forms():
     # overflows, and the log of a negative Z1 has no value
     assert math.isnan(printed_specific_heat(sl, 800.0))
     assert math.isnan(printed_entropy(steep, 3.0))
-    for printed in (lambda: printed_specific_heat(degenerate, 1.0),
-                    lambda: printed_specific_heat(sl, 800.0),
-                    lambda: printed_entropy(steep, 3.0)):
-        assert discrepancy("Cv", printed, 0.0, 1.0, 1e-8) is None
+    # the grid of each such form is NaN there, and a NaN logs no record
+    for p, beta, quantity in ((degenerate, 1.0, "Cv"), (sl, 800.0, "Cv"), (steep, 3.0, "S")):
+        printed = printed_grid(p, [beta])[quantity]
+        assert math.isnan(printed[0])
+        assert len(discrepancies([(quantity, printed, [0.0])], [beta], 1e-8)) == 0
+
+
+def log_records(log):
+    """A log's records as the objects of its JSON file."""
+    fields = DiscrepancyLog._fields[:4]  # "at" indexes the grid and is not written
+    return [dict(zip(fields, row)) for row in zip(*(getattr(log, f) for f in fields))]
 
 
 @pytest.mark.parametrize(
@@ -838,7 +833,7 @@ def test_compare_slice_records_are_the_reports_records(tmp_path, argv, sl):
                 report = thermo_closed_form(sl, beta, n, k, rederived, diff_tol=tol)
             except UnphysicalZ:
                 continue
-            want += [r._asdict() for r in report.discrepancies if r.quantity == quantity]
+            want += [r for r in log_records(report.discrepancies) if r["quantity"] == quantity]
     got = [r for r in records if r["quantity"] in ("S", "Cv")]
     assert got == want
     assert {r["quantity"] for r in got} == {"S", "Cv"}
@@ -879,11 +874,15 @@ def test_pressure_richardson_step_halving():
     assert abs(p2 - p1) < 1e-8 * max(1.0, abs(p2))
 
 
-def pressure_record(vm, beta, volume, n=1):
-    """The pressure and its display-form record under the closed-form tolerance."""
+def pressure_log(vm, beta, volume, n=1):
+    """The pressure and the log of its display form under the closed-form
+    tolerance; a display form that raises is NaN, as in a grid."""
     value = pressure(vm, beta, volume, n_particles=n)
-    record = discrepancy("P", lambda: printed_pressure(vm, beta, volume, n), value, beta, 1e-8)
-    return value, record
+    try:
+        printed = printed_pressure(vm, beta, volume, n)
+    except DegenerateLevels:
+        printed = math.nan
+    return value, discrepancies([("P", [printed], [value])], [beta], 1e-8)
 
 
 def test_pressure_domain_and_display_log():
@@ -891,20 +890,33 @@ def test_pressure_domain_and_display_log():
     with pytest.raises(DomainError):
         pressure(vm, 1.0, 0.5)
     # the display form lands about 1e-10 from the derivation: below the tolerance
-    value, record = pressure_record(vm, 1.3, 2.0, n=2)
-    assert record is None
+    value, log = pressure_log(vm, 1.3, 2.0, n=2)
+    assert len(log) == 0
     assert printed_pressure(vm, 1.3, 2.0, 2) == pytest.approx(value, rel=1e-6)
     # a coarse step moves the display form's derivatives about 5e-6 away: a record
     coarse = two_level_volume_model(h=1e-2)
-    value, record = pressure_record(coarse, 1.3, 2.0, n=2)
-    assert (record.quantity, record.derived_value, record.beta) == ("P", value, 1.3)
-    assert record.printed_value == printed_pressure(coarse, 1.3, 2.0, 2)
+    value, log = pressure_log(coarse, 1.3, 2.0, n=2)
+    assert log == DiscrepancyLog(["P"], [printed_pressure(coarse, 1.3, 2.0, 2)], [value],
+                                 [1.3], [0])
     # a display form that cannot be evaluated gives no record, not an error
     degenerate = VolumeModel(aE=lambda vol: 0.8 / vol, bE=lambda vol: 0.8 / vol,
                              kappa=lambda vol: 0.0, h=1e-4)
     with pytest.raises(DegenerateLevels):
         printed_pressure(degenerate, 1.3, 2.0)
-    assert pressure_record(degenerate, 1.3, 2.0)[1] is None
+    assert len(pressure_log(degenerate, 1.3, 2.0)[1]) == 0
+
+
+def test_pressure_raises_where_the_printed_z1_is_not_positive():
+    # kappa > 0 drives the printed Z1 below zero at beta = 3 on both sides of
+    # the volume; the first free energy taken, at volume + h, names the error
+    vm = VolumeModel(aE=lambda vol: 1.0 / vol, bE=lambda vol: -1.0 / vol,
+                     kappa=lambda vol: 4.0, h=1e-4)
+    refused = closed_form_grid(vm.slice_at(1.0 + 1e-4), [3.0], quantities=()).error
+    assert type(refused) is UnphysicalZ
+    with pytest.raises(UnphysicalZ, match=f"^{re.escape(str(refused))}$"):
+        pressure(vm, 3.0, 1.0)
+    # the rederived branch of the same model is physical there
+    assert math.isfinite(pressure(vm, 3.0, 1.0, rederived=True))
 
 
 # -- spectral path ---------------------------------------------------------------
@@ -926,11 +938,11 @@ def test_z_spectral_examples():
 
 
 def test_z_spectral_overflow_safety():
+    # Z1 = exp(2000) is past the float range; ln Z1 = -beta A is not
     huge = SpectralEnsemble(((-1000.0, 1), (-999.0, 1)))
-    assert math.isfinite(log_z_spectral(huge, 2.0))
-    assert log_z_spectral(huge, 2.0) == pytest.approx(
-        2000.0 + math.log1p(math.exp(-2.0)), rel=1e-14
-    )
+    grid = spectral_grid(huge, [2.0])
+    assert math.isinf(grid.Z1[0]) and grid.error is None
+    assert -2.0 * grid.A[0] == pytest.approx(2000.0 + math.log1p(math.exp(-2.0)), rel=1e-14)
 
 
 def test_thermo_spectral_limits():
@@ -970,8 +982,7 @@ def test_thermo_spectral_weighs_the_levels_once(monkeypatch):
     e = SpectralEnsemble(((-0.5, 1), (1.0, 2), (3.0, 1)), n_particles=3, k=1.3)
     report = thermo_spectral(e, 0.7)
     assert calls == [[0.7]]
-    # the public sums read the same single pass, bit for bit
-    assert report.A == -(3 / 0.7) * log_z_spectral(e, 0.7)
+    # the public variance reads the same single pass, bit for bit
     assert report.Cv == 1.3 * 0.7 * 0.7 * energy_variance(e, 0.7)
 
 
@@ -1052,7 +1063,8 @@ def test_partition_function_factorizes_in_log():
         en = SpectralEnsemble(e.levels, n_particles=n)
         beta = 0.9
         direct = math.log(z_spectral(e, beta) ** n)
-        assert log_z_total(en, beta) == pytest.approx(direct, rel=1e-12)
+        # -beta A = N ln Z1
+        assert -beta * spectral_grid(en, [beta]).A[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_picture_invariance_of_formal_trace():

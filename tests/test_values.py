@@ -14,9 +14,8 @@ import pytest
 from quatstat.metric import MetricOperator, build_metric
 from quatstat.models import QubitModelParams, SpinModelParams, TwoLevelGas
 from quatstat.quaternion import Quaternion
-from quatstat.thermo import (DiscrepancyLog, DiscrepancyRecord, EnergySliceParams,
-                             SpectralEnsemble, ThermoGrid, ThermoReport, ToyModelParams,
-                             VolumeModel)
+from quatstat.thermo import (DiscrepancyLog, EnergySliceParams, SpectralEnsemble, ThermoGrid,
+                             ThermoReport, ToyModelParams, VolumeModel)
 
 COLUMNS = ("beta", "Z1", "A", "S", "U", "Cv")
 LOG = ("quantity", "printed_value", "derived_value", "beta", "at")
@@ -31,9 +30,8 @@ DEFINITIONS = [
     (ToyModelParams, True, ["a", "b", "c", "alpha", "gamma"]),
     (EnergySliceParams, True, ["aE", "bE", "kappa"]),
     (SpectralEnsemble, True, ["levels", ("n_particles", 1), ("k", 1.0)]),
-    (DiscrepancyRecord, True, ["quantity", "printed_value", "derived_value", "beta"]),
     (DiscrepancyLog, False, [(name, field(default_factory=list)) for name in LOG]),
-    (ThermoReport, False, [*COLUMNS, ("discrepancies", field(default_factory=list))]),
+    (ThermoReport, False, [*COLUMNS, ("discrepancies", field(default_factory=DiscrepancyLog))]),
     (ThermoGrid, False, [*COLUMNS, ("discrepancies", field(default_factory=DiscrepancyLog)),
                          ("error", None)]),
     (VolumeModel, False, ["aE", "bE", "kappa", ("h", 1e-5), ("domain", None)]),
@@ -81,10 +79,9 @@ ARGUMENTS = {
     EnergySliceParams: lambda rng: _floats(rng, 3),
     SpectralEnsemble: lambda rng: [((rng.choice((2.0, 1.0)), 1), (0.0, rng.randint(1, 2))),
                                    rng.randint(1, 2), rng.choice((1.0, 0.5))],
-    DiscrepancyRecord: lambda rng: [rng.choice("US"), *_floats(rng, 3)],
     DiscrepancyLog: lambda rng: [[rng.choice("US")], *([x] for x in _floats(rng, 3)), [0]],
-    ThermoReport: lambda rng: [*_floats(rng, 6), [DiscrepancyRecord("U", 1.0, 2.0, 0.5)]
-                               * rng.randint(0, 1)],
+    ThermoReport: lambda rng: [*_floats(rng, 6), rng.choice((
+        DiscrepancyLog(), DiscrepancyLog(["U"], [1.0], [2.0], [0.5], [0])))],
     ThermoGrid: lambda rng: [*([x] for x in _floats(rng, 5)), [rng.choice((1.0, math.nan))],
                              DiscrepancyLog(), None],
     VolumeModel: lambda rng: [rng.choice((math.sin, abs)), math.cos, abs,
