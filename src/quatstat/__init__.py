@@ -25,6 +25,7 @@ from .errors import (
     NotPositive,
     NotSymplectic,
     QuatstatError,
+    SelfCheckFailed,
     SingularTheta,
     UnphysicalZ,
     ZeroMeanEnergy,
@@ -118,6 +119,7 @@ from .thermo import (
     thermo_closed_form,
     thermo_spectral,
     toy_metric,
+    trace_columns,
     van_loan_trace,
     z1_formula,
     z_spectral,

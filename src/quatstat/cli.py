@@ -1,9 +1,10 @@
 """Command-line front end: sweeps, model presets, validation, oracle comparisons.
 
-Every numeric column in every output is produced by exactly one library
-operation; the CLI only parses configuration, evaluates the sweep, and
-formats rows. Output is byte-identical for identical configuration (floats
-at 17 significant digits, rows in ascending order of the sweep variable).
+Every numeric column in every output, and every check of one, is produced
+by exactly one library operation; the CLI only parses configuration,
+evaluates the sweep, maps library refusals to exit codes, and formats rows.
+Output is byte-identical for identical configuration (floats at 17
+significant digits, rows in ascending order of the sweep variable).
 
 Exit codes: 0 success (findings included), 1 oracle self-check failure,
 2 configuration error, 3 unphysical partition-function branch.
@@ -24,9 +25,8 @@ from typing import Sequence
 import click
 import numpy as np
 
-from .errors import EnergyOutOfRange, QuatstatError, UnphysicalZ
-from .linalg import (QMatrix, energies_by_continuity, exp_re_trace, fro_norm,
-                     require_finite_norm)
+from .errors import EnergyOutOfRange, QuatstatError, SelfCheckFailed, UnphysicalZ
+from .linalg import QMatrix, energies_by_continuity, require_finite_norm
 from .metric import DEFAULT_REL_TOL, MetricOperator, build_metric, classification_report
 from .models import (
     QUBIT_LEVELS,
@@ -43,40 +43,22 @@ from .models import (
 )
 from .quaternion import Quaternion
 from .thermo import (
+    ORDER_SLOPE_LINE,
     DiscrepancyLog,
     EnergySliceParams,
     SpectralEnsemble,
     ToyModelParams,
+    _split_diagonal,
     build_toy_hamiltonian,
     closed_form_grid,
     discrepancies,
-    dyson_convergence_slope,
-    dyson_trace,
-    first_non_finite,
-    formal_trace,
     printed_grid,
     spectral_grid,
-    van_loan_trace,
+    trace_columns,
     z_spectral_grid,
 )
 
 DEFAULT_TOLERANCE = 1e-8
-#: Relative bound of compare's spot checks of its two trace columns against
-#: oracles (mat_exp and Van Loan's block exponential). They check a fast path,
-#: not a display form, so ``--tolerance`` does not set it; at ordinary scale
-#: the largest gap seen is about 3e-13.
-SPOT_CHECK_TOL = 1e-10
-#: The spot checks also allow ``SPOT_CHECK_ROUNDING * eps * beta * |H|`` times
-#: the size of the terms a column sums: 1 per phase for ``Z_formal``, up to
-#: ``(beta |Hp|)^2`` for the second-order term of ``Z1_dyson``. ``beta H`` is
-#: known only to relative ``eps``, and that alone moves every phase
-#: ``exp(-beta E)`` by about ``eps * beta |E|``, on any path and in any oracle.
-#: Over 15000 seeded toy and spin models with ``beta |H|`` up to 1e10 and
-#: metric ratios from 0.01 to 100 the largest gap was 116 of these units. The
-#: allowance stays below ``SPOT_CHECK_TOL`` while ``beta |H|`` is under about
-#: 1e3, and below 1e-3 up to 1e10, so a wrong column still fails. A last beta
-#: where the factor reaches 1 (``beta |H|`` about 1.8e13) is refused.
-SPOT_CHECK_ROUNDING = 256
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +191,6 @@ def _load_matrix(path: str) -> tuple[QMatrix, MetricOperator]:
     if metric.n != h.n:
         raise click.UsageError(f"matrix is {h.n}-dim but metric is {metric.n}-dim")
     return h, metric
-
-
-def _split_diagonal(h: QMatrix) -> tuple[QMatrix, QMatrix]:
-    """``H0 = diag(H)`` and the perturbation ``H - H0``."""
-    h0 = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
-    return h0, h - h0
 
 
 def _params_file(cfg: SimpleNamespace) -> str:
@@ -460,56 +436,16 @@ def run_compare(cfg: SimpleNamespace) -> int:
     sl = _slice(cfg)
     h, ensemble = _matrix_model(cfg)
     betas = _betas(cfg, "compare")
-    h0, hp = _split_diagonal(h)
     n, k, tol = cfg.n_particles, cfg.k, cfg.tolerance
     ensemble = SpectralEnsemble(ensemble.levels, n, k)
 
-    beta, h_norm, hp_norm = betas[-1], fro_norm(h), fro_norm(hp)
-    hb = beta * hp_norm  # squared as hb * hb: the float power hb ** 2 raises past 1e154
-    try:
-        # refused past the float range: the trace columns or their last-beta checks
-        z_formal = formal_trace(h, betas).tolist()
-        z_dyson = dyson_trace(h0, hp, betas).tolist()
-        oracles = {"mat_exp": [exp_re_trace(-h, beta)],
-                   "Van Loan": [van_loan_trace(h0, hp, beta)], "(beta |Hp|)^2": [hb * hb]}
-        if error := (first_non_finite(betas, {"Z_formal": z_formal, "Z1_dyson": z_dyson})
-                     or first_non_finite([beta], oracles)):
-            raise click.UsageError(f"{cfg.model} trace columns overflow the float range: {error}")
-    except QuatstatError as exc:
-        click.echo(f"oracle self-check failed: {exc}", err=True)
+    try:  # every check of the trace columns is thermo's; a failed one writes nothing
+        z_formal, z_dyson, slope = trace_columns(h, betas)
+    except SelfCheckFailed as exc:
+        click.echo(str(exc), err=True)
         return 1
-    rounding = SPOT_CHECK_ROUNDING * sys.float_info.epsilon * beta * h_norm
-    if not rounding < 1.0:  # from 1 on, a check passes whatever the column holds
-        raise click.UsageError(f"{cfg.model} spot checks cannot resolve beta = {_fmt(beta)}: "
-                               f"beta |H| = {_fmt(beta * h_norm)} reaches "
-                               f"1/({SPOT_CHECK_ROUNDING} eps)")
-    for name, value, oracle_name, term in (("Z_formal", z_formal[-1], "mat_exp", 1.0),
-                                           ("Z1_dyson", z_dyson[-1], "Van Loan", hb * hb)):
-        oracle = oracles[oracle_name][0]
-        scale = max(1.0, abs(oracle))
-        allowed = SPOT_CHECK_TOL * scale + rounding * max(scale, term)
-        # written so that a NaN gap fails too
-        if not abs(value - oracle) <= allowed:
-            click.echo(
-                f"oracle self-check failed: {name} = {_fmt(value)} at beta = "
-                f"{_fmt(beta)}, {oracle_name} gives {_fmt(oracle)} "
-                f"(tol {allowed / scale:.1e})",
-                err=True,
-            )
-            return 1
-    slope_line = None
-    if hp_norm > 0.0:
-        try:
-            slope = dyson_convergence_slope(h0, hp)
-        except QuatstatError as exc:
-            click.echo(f"oracle self-check failed: order slope: {exc}", err=True)
-            return 1
-        ok = 2.8 <= slope <= 3.2
-        slope_line = (f"perturbation order slope = {slope:.3f} (expected 3.0 +- 0.2): "
-                      + ("ok" if ok else "FAIL"))
-        if not ok:
-            click.echo(slope_line, err=True)
-            return 1
+    except OverflowError as exc:
+        raise click.UsageError(f"{cfg.model} {exc}") from exc
     printed = closed_form_grid(sl, betas, n, k, False, quantities=())
     rederived = closed_form_grid(sl, betas, n, k, True, quantities=())
     z_spectral = z_spectral_grid(ensemble, betas)
@@ -538,8 +474,8 @@ def run_compare(cfg: SimpleNamespace) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             gap = np.abs(np.subtract(columns[i], columns[j])).max()
         click.echo(f"max |{label} = {_fmt(gap)}", err=True)
-    if slope_line:
-        click.echo(slope_line, err=True)
+    if slope is not None:
+        click.echo(ORDER_SLOPE_LINE % (slope, "ok"), err=True)
     return 0
 
 

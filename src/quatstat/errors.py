@@ -39,6 +39,10 @@ class NotDensity(QuatstatError):
     """Candidate density matrix is not Hermitian positive definite."""
 
 
+class SelfCheckFailed(QuatstatError):
+    """A fast path disagrees with its independent oracle beyond its allowance."""
+
+
 class DegenerateLevels(QuatstatError):
     """Display-form expression requires two distinct energy levels."""
 

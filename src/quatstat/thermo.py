@@ -25,6 +25,7 @@ Both paths are evaluated over a whole beta grid at once (:func:`closed_form_grid
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,11 +35,13 @@ from .errors import (
     DegenerateLevels,
     DomainError,
     NotNormal,
+    QuatstatError,
+    SelfCheckFailed,
     UnphysicalZ,
     ZeroMeanEnergy,
 )
-from .linalg import (QMatrix, _embedded_exp, _expm, embed, fro_norm, mat_exp, mat_mul,
-                     require_finite_norm, unembed)
+from .linalg import (QMatrix, _embedded_exp, _expm, embed, exp_re_trace, fro_norm, mat_exp,
+                     mat_mul, require_finite_norm, unembed)
 from .metric import MetricOperator, build_metric, is_quasi_anti_hermitian
 from .quaternion import Quaternion, Value, is_imaginary, qconj, qmul
 
@@ -500,6 +503,78 @@ def dyson_convergence_slope(h0: QMatrix, hp: QMatrix) -> float:
     return float(slope)
 
 
+#: Relative bound of :func:`trace_columns`' spot checks of its two columns
+#: against oracles (mat_exp and Van Loan's block exponential). They check a
+#: fast path, not a display form, so compare's ``--tolerance`` does not set it;
+#: at ordinary scale the largest gap seen is about 3e-13.
+SPOT_CHECK_TOL = 1e-10
+#: The spot checks also allow ``SPOT_CHECK_ROUNDING * eps * beta * |H|`` times
+#: the size of the terms a column sums: 1 per phase for ``Z_formal``, up to
+#: ``(beta |Hp|)^2`` for the second-order term of ``Z1_dyson``. ``beta H`` is
+#: known only to relative ``eps``, and that alone moves every phase
+#: ``exp(-beta E)`` by about ``eps * beta |E|``, on any path and in any oracle.
+#: Over 15000 seeded toy and spin models with ``beta |H|`` up to 1e10 and
+#: metric ratios from 0.01 to 100 the largest gap was 116 of these units. The
+#: allowance stays below ``SPOT_CHECK_TOL`` while ``beta |H|`` is under about
+#: 1e3, and below 1e-3 up to 1e10, so a wrong column still fails. A last beta
+#: where the factor reaches 1 (``beta |H|`` about 1.8e13) is refused.
+SPOT_CHECK_ROUNDING = 256
+#: The order study's report; a slope outside 2.8..3.2 fails.
+ORDER_SLOPE_LINE = "perturbation order slope = %.3f (expected 3.0 +- 0.2): %s"
+
+
+def _split_diagonal(h: QMatrix) -> tuple[QMatrix, QMatrix]:
+    """``H0 = diag(H)`` and the perturbation ``H - H0``."""
+    h0 = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
+    return h0, h - h0
+
+
+def trace_columns(h: QMatrix, beta: list[float]) -> tuple[list[float], list[float], float | None]:
+    """``Z_formal`` (:func:`formal_trace`) and ``Z1_dyson`` (:func:`dyson_trace`
+    of ``H0 = diag(H)`` and ``Hp = H - H0``) per beta, and the order slope of
+    :func:`dyson_convergence_slope` (None where ``Hp = 0``), once every check
+    passes. Raises :class:`SelfCheckFailed` where an evaluation raises; then
+    ``OverflowError`` where a column or a last-beta oracle is not finite, or the
+    last beta is past the checks' resolution; then ``SelfCheckFailed`` where a
+    column's last value is off its oracle beyond the allowance, or the slope is
+    off 2.8..3.2."""
+    h0, hp = _split_diagonal(h)
+    last, h_norm, hp_norm = beta[-1], fro_norm(h), fro_norm(hp)
+    hb = last * hp_norm  # squared as hb * hb: the float power hb ** 2 raises past 1e154
+    try:
+        z_formal = formal_trace(h, beta).tolist()
+        z_dyson = dyson_trace(h0, hp, beta).tolist()
+        oracles = {"mat_exp": [exp_re_trace(-h, last)],
+                   "Van Loan": [van_loan_trace(h0, hp, last)], "(beta |Hp|)^2": [hb * hb]}
+    except QuatstatError as exc:
+        raise SelfCheckFailed(f"oracle self-check failed: {exc}") from exc
+    if error := (first_non_finite(beta, {"Z_formal": z_formal, "Z1_dyson": z_dyson})
+                 or first_non_finite([last], oracles)):
+        raise OverflowError(f"trace columns overflow the float range: {error}")
+    rounding = SPOT_CHECK_ROUNDING * sys.float_info.epsilon * last * h_norm
+    if not rounding < 1.0:  # from 1 on, a check passes whatever the column holds
+        raise OverflowError(f"spot checks cannot resolve beta = {last:.17g}: beta |H| = "
+                            f"{last * h_norm:.17g} reaches 1/({SPOT_CHECK_ROUNDING} eps)")
+    for name, value, oracle_name, term in (("Z_formal", z_formal[-1], "mat_exp", 1.0),
+                                           ("Z1_dyson", z_dyson[-1], "Van Loan", hb * hb)):
+        oracle = oracles[oracle_name][0]
+        scale = max(1.0, abs(oracle))
+        allowed = SPOT_CHECK_TOL * scale + rounding * max(scale, term)
+        if not abs(value - oracle) <= allowed:  # written so that a NaN gap fails too
+            raise SelfCheckFailed(
+                f"oracle self-check failed: {name} = {value:.17g} at beta = {last:.17g}, "
+                f"{oracle_name} gives {oracle:.17g} (tol {allowed / scale:.1e})")
+    if not hp_norm > 0.0:
+        return z_formal, z_dyson, None
+    try:
+        slope = dyson_convergence_slope(h0, hp)
+    except QuatstatError as exc:
+        raise SelfCheckFailed(f"oracle self-check failed: order slope: {exc}") from exc
+    if not 2.8 <= slope <= 3.2:
+        raise SelfCheckFailed(ORDER_SLOPE_LINE % (slope, "FAIL"))
+    return z_formal, z_dyson, slope
+
+
 # ---------------------------------------------------------------------------
 # Closed forms on the commuting-scalar slice, over a beta grid
 # ---------------------------------------------------------------------------
@@ -709,7 +784,7 @@ def printed_pressure(
     vm: VolumeModel, beta: float, volume: float, n_particles: int = 1
 ) -> float:
     """Display form of the slice pressure, with parameter derivatives by
-    central differences of the volume model."""
+    central differences of the volume model; NaN past the float range."""
     p = vm.slice_at(volume)
     _require_distinct(p)
     h = vm.h
@@ -718,7 +793,7 @@ def printed_pressure(
     kpp = (vm.kappa(volume + h) - vm.kappa(volume - h)) / (2.0 * h)
     a, b, kp = p.aE, p.bE, p.kappa
     delta = a - b
-    ea, eb = math.exp(-a * beta), math.exp(-b * beta)
+    ea, eb = _math_each(math.exp, np.array([-a * beta, -b * beta])).tolist()
     num_a = -delta * delta * ap - kp * (beta * delta + 1.0) * ap + kp * bp + kpp * delta
     num_b = -delta * delta * bp - kp * (1.0 - beta * delta) * bp + kp * ap - kpp * delta
     den = (delta * delta + kp * beta * delta) * ea + (

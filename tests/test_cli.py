@@ -121,6 +121,10 @@ CONFIG_INPUTS = {
     "slice.json": '{"aE": 1, "bE": -1, "kappa": -0.2}',
     "text_alpha.json": '{"a": [0, 1, 0, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0], '
                        '"alpha": "one"}',
+    "list.json": "[1, 2]",
+    "three_a.json": '{"a": [0, 1, 0], "b": [0, -1, 0, 0], "c": [0, 0, 0.5, 0]}',
+    "no_y_metric.json": json.dumps({**SPIN_FILE, "metric": {"x": 1}}),
+    "no_be_slice.json": '{"aE": 1, "kappa": -0.2}',
 }
 
 
@@ -404,7 +408,7 @@ def test_compare_too_few_steps_is_usage_error(runner, tmp_path, steps):
 
 
 def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monkeypatch):
-    import quatstat.cli as cli_module
+    import quatstat.thermo as thermo_module
 
     def off_by_1e6(h, t):
         return quatstat.formal_trace(h, t) + 1e-6
@@ -413,7 +417,7 @@ def test_compare_trace_columns_have_a_mat_exp_spot_check(runner, tmp_path, monke
     with runner.isolated_filesystem(temp_dir=tmp_path):
         assert runner.invoke(cli, args).exit_code == 0
         Path("discrepancies.json").unlink()
-        monkeypatch.setattr(cli_module, "formal_trace", off_by_1e6)
+        monkeypatch.setattr(thermo_module, "formal_trace", off_by_1e6)
         result = runner.invoke(cli, args)
         assert result.exit_code == 1
         assert "oracle self-check failed: Z_formal" in result.stderr
@@ -450,7 +454,7 @@ def test_compare_spot_checks_pass_at_tolerance_zero(runner, tmp_path):
 
 
 def test_compare_order_slope_fails_before_any_output(runner, tmp_path, monkeypatch):
-    import quatstat.cli as cli_module
+    import quatstat.thermo as thermo_module
 
     args = ["compare", "--model", "spin", "--beta", "0.2:2:8"]
     with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -461,7 +465,7 @@ def test_compare_order_slope_fails_before_any_output(runner, tmp_path, monkeypat
             "perturbation order slope = 3.000 (expected 3.0 +- 0.2): ok")
         assert ok.stderr.splitlines()[-2].startswith("max |Z1_dyson - Z_formal|")
         Path("discrepancies.json").unlink()
-        monkeypatch.setattr(cli_module, "dyson_convergence_slope", lambda *a, **k: 2.0)
+        monkeypatch.setattr(thermo_module, "dyson_convergence_slope", lambda *a, **k: 2.0)
         result = runner.invoke(cli, args)
         assert result.exit_code == 1
         assert result.stdout == ""
@@ -474,11 +478,11 @@ def test_compare_order_slope_fails_before_any_output(runner, tmp_path, monkeypat
 def test_compare_spot_check_fails_before_any_output(runner, tmp_path, monkeypatch,
                                                     column, oracle):
     # a column off by 1e-9 relative at ordinary scale fails its oracle check
-    import quatstat.cli as cli_module
+    import quatstat.thermo as thermo_module
 
     name = {"Z_formal": "formal_trace", "Z1_dyson": "dyson_trace"}[column]
     fast = getattr(quatstat, name)
-    monkeypatch.setattr(cli_module, name, lambda *args: fast(*args) * (1.0 + 1e-9))
+    monkeypatch.setattr(thermo_module, name, lambda *args: fast(*args) * (1.0 + 1e-9))
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(cli, ["compare", "--model", "spin", "--beta", "0.2:2:8"])
         assert result.exit_code == 1
@@ -489,12 +493,12 @@ def test_compare_spot_check_fails_before_any_output(runner, tmp_path, monkeypatc
 
 def test_compare_order_slope_error_is_self_check_failure(runner, tmp_path, monkeypatch):
     # mat_exp refuses a result off its block symmetry, which large beta |H| can give
-    import quatstat.cli as cli_module
+    import quatstat.thermo as thermo_module
 
     def refuse(h0, hp):
         raise quatstat.NotSymplectic("block symmetry residual 5.6e-10")
 
-    monkeypatch.setattr(cli_module, "dyson_convergence_slope", refuse)
+    monkeypatch.setattr(thermo_module, "dyson_convergence_slope", refuse)
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(cli, ["compare", "--model", "spin", "--beta", "0.2:2:8"])
         assert result.exit_code == 1
@@ -619,6 +623,17 @@ def test_compare_spot_check_bound_grows_with_beta_norm(runner, tmp_path):
          "--x", "0.9629032177959622", "--beta", "1e17:2e17:3"],
         ["compare", "--model", "toy", "--params", "zero_gap_toy.json", "--beta", "9e153:9e153:1"],
         ["compare", "--model", "toy", "--params", "zero_gap_toy.json", "--beta", "1e14:1e14:1"],
+
+        # a grid that starts at or below 0, or has no step
+        ["thermo", "--beta", "0:1:3"],
+        ["compare", "--beta", "-1:1:3"],
+        ["thermo", "--beta", "1:2:0"],
+        # params that are not an object, a quaternion of 3 components, a metric
+        # without y, and slice params without bE
+        ["thermo", "--model", "toy", "--params", "list.json", "--beta", "1:2:2"],
+        ["thermo", "--model", "toy", "--params", "three_a.json", "--beta", "1:2:2"],
+        ["validate", "--params", "no_y_metric.json"],
+        ["thermo", "--model", "toy", "--params", "no_be_slice.json", "--beta", "1:2:2"],
     ],
     ids=lambda argv: " ".join(a if len(a) < 30 else f"<{len(a)} digits>" for a in argv),
 )

@@ -112,6 +112,21 @@ def test_from_matrix_indefinite():
         MetricOperator.from_matrix(QMatrix.diag([J, J]), require_positive=False)
 
 
+def test_from_matrix_takes_the_positive_square_root():
+    built = build_metric(1.3, 0.7, 0.2 + 0.1j)
+    m = MetricOperator.from_matrix(built.eta)
+    assert m.positive
+    assert fro_norm(m.theta - dagger(m.theta)) <= 1e-15 * fro_norm(m.theta)
+    assert fro_norm(mat_mul(m.theta, m.theta) - m.eta) <= 1e-15 * fro_norm(m.eta)
+    assert fro_norm(m.theta - built.theta) <= 1e-15 * fro_norm(built.theta)
+    # theta = [[-1.3, 0.2], [0.2, -0.7]] is negative definite: its square's
+    # positive root is -theta
+    negative = build_metric(-1.3, -0.7, 0.2)
+    root = MetricOperator.from_matrix(negative.eta).theta
+    assert fro_norm(root + negative.theta) <= 1e-15 * fro_norm(negative.theta)
+    assert np.linalg.eigvalsh(embed(root)).min() > 0.0
+
+
 # -- metric adjoint ----------------------------------------------------------
 
 

@@ -22,13 +22,16 @@ from quatstat import (
     QMatrix,
     Quaternion,
     QubitModelParams,
+    SelfCheckFailed,
     SpectralEnsemble,
+    SpinModelParams,
     ToyModelParams,
     UnphysicalZ,
     VolumeModel,
     ZeroMeanEnergy,
     bloch_propagator,
     build_qubit_model,
+    build_spin_model,
     build_toy_hamiltonian,
     closed_form_grid,
     discrepancies,
@@ -53,6 +56,7 @@ from quatstat import (
     thermo_closed_form,
     thermo_spectral,
     toy_metric,
+    trace_columns,
     van_loan_trace,
     z1_formula,
     z_spectral,
@@ -539,6 +543,36 @@ def test_formal_trace_overflow_is_reported():
         bloch_propagator(h, 800.0)
 
 
+def test_trace_columns_are_the_checked_traces():
+    h = TRACE_MODELS["spin-weak"]()
+    h0 = QMatrix.diag([h.entry(i, i) for i in range(h.n)])
+    betas = np.linspace(0.2, 2.0, 8).tolist()
+    z_formal, z_dyson, slope = trace_columns(h, betas)
+    assert z_formal == formal_trace(h, betas).tolist()
+    assert z_dyson == dyson_trace(h0, h - h0, betas).tolist()
+    assert slope == dyson_convergence_slope(h0, h - h0)
+    # a diagonal H has no perturbation, and so no order study
+    qubit = TRACE_MODELS["qubit"]()
+    assert trace_columns(qubit, betas)[2] is None
+
+
+def test_trace_columns_failed_evaluation_is_a_self_check_failure():
+    # formal_trace cannot diagonalise a quaternionic Jordan block
+    jordan = QMatrix.from_rows([[I, Quaternion(1.0)], [Quaternion(), I]])
+    with pytest.raises(SelfCheckFailed, match=r"^oracle self-check failed: matrix could not "
+                                              r"be diagonalized reliably \(residual "):
+        trace_columns(jordan, [0.5, 1.0])
+
+
+def test_trace_columns_refuse_a_last_beta_past_the_checks_resolution():
+    h, _, _ = build_spin_model(SpinModelParams(omega=2.028194642310593, v=1.005896909426147,
+                                               x=0.9629032177959622))
+    with pytest.raises(OverflowError) as refused:
+        trace_columns(h, np.linspace(1e17, 2e17, 3).tolist())
+    assert str(refused.value) == ("spot checks cannot resolve beta = 2e+17: beta |H| = "
+                                  "4.0428852987050554e+17 reaches 1/(256 eps)")
+
+
 # -- slice closed forms ---------------------------------------------------------
 
 
@@ -904,6 +938,16 @@ def test_pressure_domain_and_display_log():
     with pytest.raises(DegenerateLevels):
         printed_pressure(degenerate, 1.3, 2.0)
     assert len(pressure_log(degenerate, 1.3, 2.0)[1]) == 0
+
+
+def test_printed_pressure_is_nan_past_the_float_range():
+    # at the analytic test's beta = 2000, exp(c0 beta / vol) is past the float
+    # range: the display form is NaN, as every grid display form is, and gives no record
+    vm = two_level_volume_model()
+    assert math.isnan(printed_pressure(vm, 2000.0, 2.0, 7))
+    value, log = pressure_log(vm, 2000.0, 2.0, n=7)
+    assert value == pytest.approx(-(7 * 0.8 / 4.0) * math.tanh(800.0), rel=1e-6)
+    assert len(log) == 0
 
 
 def test_pressure_raises_where_the_printed_z1_is_not_positive():
