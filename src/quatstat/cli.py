@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -317,17 +316,21 @@ def _json_cells(column: Sequence) -> list[str]:
     return list(map(encode_basestring_ascii if types == {str} else json.dumps, column))
 
 
-def _json_table(names: list[str], cells: list[list[str]]) -> str:
+def _json_table(names: list[str], cells: list[Sequence[str]]) -> str:
     """Columns of :func:`_json_cells` as a JSON list of objects named by
     ``names``, laid out as ``json.dumps`` does with an indent of 2, plus a
-    newline, from one join of the cells, row by row, each after its key; the
-    pure-Python indent encoder is several times slower."""
+    newline: the separators, each ending in a key, and the cells interleaved
+    by slice assignment for one join; the pure-Python indent encoder is
+    several times slower."""
     if not cells or not cells[0]:
         return "[]\n"
     key = [f"\n    {json.dumps(name)}: " for name in names]
     separators = ["\n  },\n  {" + key[0], *("," + k for k in key[1:])] * len(cells[0])
     separators[0] = "[\n  {" + key[0]
-    pieces = chain.from_iterable(zip(separators, chain.from_iterable(zip(*cells))))
+    pieces = [""] * (2 * len(separators))
+    pieces[::2] = separators
+    for j, column in enumerate(cells):
+        pieces[2 * j + 1::2 * len(cells)] = column
     return "".join(pieces) + "\n  }\n]\n"
 
 
@@ -353,7 +356,10 @@ def _csv_table(header: list[str], columns: list[Sequence]) -> str:
     row = ",".join("%s" if set(map(type, column)) == {str} else "%.17g"
                    for column in columns)
     template = "\n".join([",".join(header).replace("%", "%%"), *[row] * len(columns[0])])
-    return template % tuple(chain.from_iterable(zip(*columns))) + "\n"
+    cells = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        cells[j::len(columns)] = column
+    return template % tuple(cells) + "\n"
 
 
 def _emit(cfg: SimpleNamespace, header: list[str], columns: list[Sequence],
@@ -364,9 +370,10 @@ def _emit(cfg: SimpleNamespace, header: list[str], columns: list[Sequence],
     JSON cells of the first column, the grid that ``at`` indexes, and under
     ``--output json`` a quantity's ``derived_value`` cells are those of the
     table column that ``derived_columns`` names for it. Both texts are
-    rendered and every destination is checked first, so that a path that
-    cannot be written, or names the ``--params`` input, is a usage error
-    with no output.
+    rendered and every destination is checked first, and the table goes to
+    stdout only after every write, so that a path that cannot be written, or
+    names the ``--params`` input, is a usage error with no output there; with
+    ``--out``, a file written before a failed write stays.
     """
     if cfg.output == "json":
         cells = dict(zip(header, map(_json_cells, columns)))
@@ -390,14 +397,14 @@ def _emit(cfg: SimpleNamespace, header: list[str], columns: list[Sequence],
             raise click.UsageError(f"cannot write {path}: it is a directory")
         if not (parent.is_dir() and os.access(parent, os.W_OK)):
             raise click.UsageError(f"cannot write {path}: {parent} is not a writable directory")
-    if not cfg.out_path:
-        click.echo(table, nl=False)
     for path, text, what in writes:
         try:
             Path(path).write_text(text)
         except OSError as exc:
             raise click.UsageError(f"cannot write {path}: {exc}") from exc
         click.echo(f"wrote {what} to {path}", err=True)
+    if not cfg.out_path:
+        click.echo(table, nl=False)
 
 
 # ---------------------------------------------------------------------------

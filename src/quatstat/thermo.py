@@ -600,29 +600,29 @@ def _math_each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _slice_kernel(p: EnergySliceParams, beta: np.ndarray, rederived: bool):
-    """Shift ``m`` and ``P`` with its beta derivatives, ``Z1 = exp(-m beta) P``,
-    at each ``beta``.
-
-    With ``m = min(aE, bE)``, ``x = |aE - bE|`` and the signed coupling ``mu``
-    of :func:`z1_formula`, ``P = 1 + exp(-x beta) + mu beta F`` where
-    ``F = beta phi(x beta)``, ``phi(y) = -expm1(-y)/y`` and ``phi(0) = 1``, so
-    a subnormal ``x`` still gives ``F = beta``. Nothing cancels or overflows.
-    """
-    mu = p.kappa if rederived else -p.kappa
+def _slice_terms(p: EnergySliceParams, beta: np.ndarray):
+    """``m = min(aE, bE)``, ``x = |aE - bE|``, ``y = x beta``, ``exp(-y)``,
+    ``F = beta phi(y)`` and ``exp(-m beta)`` at each ``beta``, which both
+    coupling branches and the display forms share; ``phi(y) = -expm1(-y)/y``
+    and ``phi(0) = 1``, so a subnormal ``x`` still gives ``F = beta``."""
     m, x = min(p.aE, p.bE), abs(p.aE - p.bE)
     y = x * beta
     e = _math_each(math.exp, -y)
     f = np.where(y != 0.0, beta * (-_math_each(math.expm1, -y) / y), beta)
-    bracket = 1.0 + e + mu * beta * f
-    return m, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
+    return m, x, y, e, f, _math_each(math.exp, -m * beta)
 
 
 @np.errstate(all="ignore")
-def _shifted(m: float, beta: np.ndarray, bracket: np.ndarray) -> np.ndarray:
-    """``exp(-m beta) * bracket``, or its signed infinity past the float range."""
-    scale = _math_each(math.exp, -m * beta)
-    return np.where(np.isnan(scale), np.copysign(np.inf, bracket), scale * bracket)
+def _slice_kernel(p: EnergySliceParams, beta: np.ndarray, rederived: bool, terms):
+    """``Z1 = exp(-m beta) P`` and ``P = 1 + exp(-y) + mu beta F`` with its beta
+    derivatives, from the :func:`_slice_terms` and the signed coupling ``mu``
+    of the branch (:func:`z1_formula`). Nothing cancels or overflows; where
+    ``exp(-m beta)`` passes the float range, ``Z1`` is the signed infinity of ``P``."""
+    mu = p.kappa if rederived else -p.kappa
+    m, x, y, e, f, scale = terms
+    bracket = 1.0 + e + mu * beta * f
+    z1 = np.where(np.isnan(scale), np.copysign(np.inf, bracket), scale * bracket)
+    return z1, bracket, -x * e + mu * (f + beta * e), e * (x * x + mu * (2.0 - y))
 
 
 def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> float:
@@ -639,8 +639,7 @@ def z1_formula(p: EnergySliceParams, beta: float, rederived: bool = False) -> fl
     of :func:`closed_form_grid`'s ``Z1`` column.
     """
     grid = np.array([float(beta)])
-    m, bracket, _, _ = _slice_kernel(p, grid, rederived)
-    return _shifted(m, grid, bracket)[0].item()
+    return _slice_kernel(p, grid, rederived, _slice_terms(p, grid))[0][0].item()
 
 
 def _require_distinct(p: EnergySliceParams):
@@ -662,26 +661,30 @@ def printed_grid(p: EnergySliceParams, beta: Sequence[float], n_particles: float
     of a ``Z1`` that is not positive) and everywhere for degenerate levels.
     """
     beta = np.asarray(beta, dtype=float)
+    return _printed_forms(p, beta, float(n_particles), k, _slice_terms(p, beta))
+
+
+@np.errstate(all="ignore")
+def _printed_forms(p: EnergySliceParams, beta: np.ndarray, n: float, k: float, terms):
+    """:func:`printed_grid`, its ``Z1`` from the :func:`_slice_terms` of ``beta``."""
     if abs(p.aE - p.bE) < DEGENERACY_TOL:
         return {q: np.full(beta.shape, np.nan) for q in ("U", "S", "Cv")}
-    n, a, b, kp = float(n_particles), p.aE, p.bE, p.kappa
+    a, b, kp = p.aE, p.bE, p.kappa
     delta = a - b
-    with np.errstate(all="ignore"):
-        m, z_bracket, _, _ = _slice_kernel(p, beta, rederived=False)
-        log_z1 = _math_each(math.log, _shifted(m, beta, z_bracket))
-        xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
-        plus, minus = delta + kp * beta, delta - kp * beta
-        den = xb * plus + xa * minus
-        u_num = xb * (a * plus - kp) + xa * (b * minus + kp)
-        s_num = (a * delta - kp + kp * beta * a) * xb + (b * delta + kp - kp * beta * b) * xa
-        kb2 = _math_each(lambda v: v ** 2, kp * beta)
-        bracket = delta * delta * (delta * delta - kb2 - 4.0 * kp)
-        cv_num = -_math_each(math.exp, beta * (a + b)) * (bracket + 2.0 * kp * kp) + kp * kp * (
-            _math_each(math.exp, 2.0 * beta * a) + _math_each(math.exp, 2.0 * beta * b)
-        )
-        return {"U": n * u_num / den,
-                "S": n * k * log_z1 + n * k * beta * s_num / den,
-                "Cv": (beta * beta * k / n) * cv_num / _math_each(lambda v: v ** 2, den)}
+    log_z1 = _math_each(math.log, _slice_kernel(p, beta, False, terms)[0])
+    xb, xa = _math_each(math.exp, beta * b), _math_each(math.exp, beta * a)
+    plus, minus = delta + kp * beta, delta - kp * beta
+    den = xb * plus + xa * minus
+    u_num = xb * (a * plus - kp) + xa * (b * minus + kp)
+    s_num = (a * delta - kp + kp * beta * a) * xb + (b * delta + kp - kp * beta * b) * xa
+    kb2 = _math_each(lambda v: v ** 2, kp * beta)
+    bracket = delta * delta * (delta * delta - kb2 - 4.0 * kp)
+    cv_num = -_math_each(math.exp, beta * (a + b)) * (bracket + 2.0 * kp * kp) + kp * kp * (
+        _math_each(math.exp, 2.0 * beta * a) + _math_each(math.exp, 2.0 * beta * b)
+    )
+    return {"U": n * u_num / den,
+            "S": n * k * log_z1 + n * k * beta * s_num / den,
+            "Cv": (beta * beta * k / n) * cv_num / _math_each(lambda v: v ** 2, den)}
 
 
 def printed_internal_energy(p: EnergySliceParams, beta: float, n_particles: int = 1) -> float:
@@ -755,9 +758,9 @@ def closed_form_grid(
     if (beta <= 0.0).any():
         raise ValueError("beta must be positive on the thermodynamic branch")
     n = float(int(n_particles))
-    m, bracket, d1, d2 = _slice_kernel(p, beta, rederived)
-    z1 = _shifted(m, beta, bracket).tolist()
-    log_p = _math_each(math.log, bracket)
+    terms = _slice_terms(p, beta)
+    z1, bracket, d1, d2 = _slice_kernel(p, beta, rederived, terms)
+    m, log_p = terms[0], _math_each(math.log, bracket)
     ratio = d1 / bracket
     a_free = -(n / beta) * (log_p - m * beta)
     u = n * (m - ratio)
@@ -766,11 +769,11 @@ def closed_form_grid(
     bad = np.flatnonzero(~(bracket > 0.0)).tolist()
     u[bad] = cv[bad] = np.nan  # A and S are already NaN there, through log_p
     derived = {"U": u, "S": s, "Cv": cv}
-    printed = printed_grid(p, beta, n, k) if quantities else {}
+    printed = _printed_forms(p, beta, n, k, terms) if quantities else {}
     checks = [(q, printed[q], derived[q]) for q in quantities]
     error = UnphysicalZ(f"Z1 = {z1[bad[0]]:.6g} is not positive at beta = "
                         f"{beta[bad[0]]:.6g}") if bad else None
-    return ThermoGrid(beta.tolist(), z1, a_free.tolist(), s.tolist(), u.tolist(),
+    return ThermoGrid(beta.tolist(), z1.tolist(), a_free.tolist(), s.tolist(), u.tolist(),
                       cv.tolist(), discrepancies(checks, beta, diff_tol), error)
 
 

@@ -852,6 +852,22 @@ def test_discrepancy_log_template_is_jsons_indent_2():
     for chosen in ([], rows[:1], rows[-3:-1], rows[-2:], rows, numpy_cells):
         columns = list(zip(*chosen)) or [[] for _ in header]
         assert _json_table(header, [_json_cells(c) for c in columns]) == json_text(header, chosen)
+        # the same cells as tuples, and a one-column table of each column
+        cells = [tuple(_json_cells(c)) for c in columns]
+        assert _json_table(header, cells) == json_text(header, chosen)
+        for name, column, cell in zip(header, columns, cells):
+            assert _json_table([name], [cell]) == json_text([name], [(v,) for v in column])
+    # thermo --output json: U, S and Cv records at every beta, each taking its
+    # derived cell from the table column of its quantity
+    grid, forms = values[3:] + [0.5], ("U", "S", "Cv")
+    table = {q: [v * (i + 1) for v in grid] for i, q in enumerate(forms)}
+    for chosen in (range(1), range(len(grid))):
+        quantity, at = [*forms] * len(chosen), [i for i in chosen for _ in forms]
+        log = DiscrepancyLog(quantity, [0.25 - i for i in at],
+                             [table[q][i] for q, i in zip(quantity, at)], [grid[i] for i in at], at)
+        shared = {q: _json_cells(table[q]) for q in forms}
+        assert _json_table(_RECORD_FIELDS, _log_cells(log, _json_cells(grid), shared)) == (
+            json.dumps(log_records(log), indent=2) + "\n")
 
 
 def test_json_writer_on_a_spectral_table_past_the_float_range():
@@ -921,14 +937,22 @@ def test_commands_build_no_record_objects(runner, tmp_path, monkeypatch, argv):
 def test_csv_template_is_the_per_cell_join():
     # one template per row, %.17g for a column of numbers and %s for a
     # column of strings, gives the bytes of _fmt joined by commas
+    def want(header, rows):
+        return "\n".join([",".join(header), *(
+            ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)]) + "\n"
+
     header = ["E", "S", "T"]
     cells = WRITER_CELLS
     plain = [tuple(cells[i:i + 3]) for i in range(0, 10)]
     mixed = [(c, 2.5, "infinite") for c in cells[:-1]]
-    for rows in ([], plain, mixed):
-        want = "\n".join([",".join(header), *(
-            ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)])
-        assert _csv_table(header, list(zip(*rows)) or [[] for _ in header]) == want + "\n"
+    for rows in ([], plain, mixed, mixed[:1], plain[-1:]):
+        # tuple columns, as run_negtemp and run_spectrum pass them, and lists
+        columns = list(zip(*rows)) or [[] for _ in header]
+        assert _csv_table(header, columns) == want(header, rows)
+        assert _csv_table(header, list(map(list, columns))) == want(header, rows)
+    # one-column tables, of numbers and of strings
+    for column in (tuple(cells[:-1]), ["infinite", "0"], [0.1]):
+        assert _csv_table(["T"], [column]) == want(["T"], [(v,) for v in column])
 
 
 def test_params_file_error_names_the_file(runner, tmp_path):
@@ -951,6 +975,19 @@ def test_unwritable_destination_writes_nothing(runner, tmp_path, command):
             assert "cannot write taken: it is a directory" in result.stderr
             assert result.stdout == ""
             assert sorted(os.listdir()) == ["taken"] and not os.listdir("taken")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", [["thermo", "--beta", "1:2:3"],
+                                     ["compare", "--beta", "0.2:1:3"]])
+def test_a_full_device_prints_no_table(runner, tmp_path, command):
+    # /dev/full passes every check on the destination, and the write itself
+    # fails: the table goes to stdout only after every file is written
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, [*command, "--discrepancies", "/dev/full"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "cannot write /dev/full: [Errno 28] No space left on device" in result.stderr
 
 
 def test_thermo_slice_log_is_written_without_records(runner, tmp_path):
@@ -1577,6 +1614,26 @@ def test_scipy_probe_sees_a_dataclasses_import(tmp_path, cli_env):
 #: exactly ``(0, 0)``, as for the spin model, so no node needs an exponential.
 JK_TOY = {"a": [0, 0.9, 0, 0], "b": [0, -0.9, 0, 0], "c": [0, 0, 0.3, 0.4],
           "alpha": 1.3, "gamma": 0.8}
+
+
+@pytest.mark.parametrize("rederived", [False, True], ids=["printed", "rederived"])
+def test_thermo_shares_the_slice_terms(monkeypatch, tmp_path, rederived):
+    # a structural guard in place of a timing test: the closed form and the
+    # display forms share one exp(-x beta), expm1(-x beta) and exp(-m beta),
+    # so a slice thermo makes 12 elementwise math passes, 4 for the closed
+    # form (those three and log P) and 8 for the display forms
+    from quatstat import thermo
+
+    passes, inner = [], thermo._math_each
+
+    def counted(fn, values):
+        passes.append(fn)
+        return inner(fn, values)
+    monkeypatch.setattr(thermo, "_math_each", counted)
+    argv = ["thermo", "--beta", "0.1:1:200", "--discrepancies", str(tmp_path / "d.json")]
+    result = CliRunner().invoke(cli, argv + ["--rederived"] * rederived)
+    assert result.exit_code == 0, result.output
+    assert passes.count(math.expm1) == 1 and len(passes) == 12
 
 
 @pytest.mark.parametrize("model", ["spin", "toy"])

@@ -753,8 +753,8 @@ def test_printed_forms_against_derivation_chain():
 
 def test_closed_form_checks_the_named_display_forms(monkeypatch):
     # a subset of the display forms logs the full check's records for its
-    # quantities, in the order named; one printed_grid call gives every form,
-    # and no quantity means no call
+    # quantities, in the order named; one call of the display forms gives
+    # every form, and no quantity means no call
     sl = EnergySliceParams(aE=1.0, bE=-1.0, kappa=-0.25)
     full = thermo_closed_form(sl, 0.5, 3, 1.3, rederived=True)
     log = full.discrepancies
@@ -768,11 +768,11 @@ def test_closed_form_checks_the_named_display_forms(monkeypatch):
             full.Z1, full.A, full.S, full.U, full.Cv)
     calls = []
 
-    def forms(p, beta, n, k):
+    def forms(p, beta, n, k, terms):
         calls.append((p, beta.tolist(), n, k))
         return {q: np.full(beta.shape, getattr(full, q)) for q in ("U", "S", "Cv")}
 
-    monkeypatch.setattr(thermo_module, "printed_grid", forms)
+    monkeypatch.setattr(thermo_module, "_printed_forms", forms)
     assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8).discrepancies == DiscrepancyLog()
     assert thermo_closed_form(sl, 0.5, 3, 1.3, True, 1e-8, ()).discrepancies == DiscrepancyLog()
     assert calls == [(sl, [0.5], 3.0, 1.3)]
