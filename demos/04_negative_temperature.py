@@ -20,7 +20,7 @@ print(f"{'E':>6} {'N+':>6} {'S (Stirling)':>13} {'S (exact)':>11} {'T':>12}")
 # one call gives every column over the whole energy grid; T is None where
 # 1/T is zero
 energies = np.linspace(gas.e_min, gas.e_max, 13).tolist()
-for energy, n_plus, _, s_model, s_exact, _, t in negtemp_grid(gas, energies):
+for energy, n_plus, _, s_model, s_exact, _, t in zip(*negtemp_grid(gas, energies)):
     t_cell = f"{'infinite':>12}" if t is None else f"{t:12.4f}"
     print(f"{energy:6.2f} {n_plus:6.2f} {s_model:13.6f} {s_exact:11.6f} {t_cell}")
 
@@ -28,7 +28,7 @@ print()
 print("slope check at a point above the midpoint (negative side):")
 energy = gas.midpoint + 2.0
 step = 1e-6
-below, at, above = negtemp_grid(gas, [energy - step, energy, energy + step])
-fd = (above[3] - below[3]) / (2 * step)
+_, _, _, s_model, _, inverse, _ = negtemp_grid(gas, [energy - step, energy, energy + step])
+fd = (s_model[2] - s_model[0]) / (2 * step)
 print(f"  dS/dE by differences: {fd:+.8f}")
-print(f"  1/T closed form     : {at[5]:+.8f}")
+print(f"  1/T closed form     : {inverse[1]:+.8f}")

@@ -490,10 +490,9 @@ def run_negtemp(cfg: SimpleNamespace) -> int:
     gas = _negtemp_gas(cfg)
     energies = _grid(cfg.grid_spec or (gas.e_min, gas.e_max, cfg.points), False)
     try:
-        grid = negtemp_grid(gas, energies, cfg.k)
+        energy, _, _, s_model, s_exact, _, t = negtemp_grid(gas, energies, cfg.k)
     except EnergyOutOfRange as exc:
         raise click.UsageError(f"E = {exc.energy}: {exc}") from exc
-    energy, _, _, s_model, s_exact, _, t = zip(*grid)
     cells = ["infinite" if value is None else _fmt(value) for value in t]
     _emit(cfg, ["E", "S_stirling", "S_exact", "T"], [energy, s_model, s_exact, cells])
     return 0

@@ -31,17 +31,15 @@ from .thermo import SpectralEnsemble, ToyModelParams, _math_each, build_toy_hami
 # ---------------------------------------------------------------------------
 
 
-def xlogy(x: float, y: float) -> float:
-    """``x * ln(y)``, and ``0`` where ``x == 0`` and ``y`` is not NaN.
+def xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * ln(y)`` at each pair, and ``0`` where ``x == 0`` and ``y`` is not NaN.
 
-    Bit for bit ``scipy.special.xlogy`` on floats: ``y == 0`` gives
-    ``x * -inf`` and ``y < 0`` gives NaN.
+    Bit for bit ``scipy.special.xlogy`` on float arrays: ``y == 0`` gives
+    ``x * -inf`` and ``y < 0`` gives NaN; every ``log`` is ``math``'s.
     """
-    if x == 0 and not math.isnan(y):
-        return 0.0
-    if y > 0:
-        return x * math.log(y)
-    return x * -math.inf if y == 0 else math.nan
+    with np.errstate(all="ignore"):
+        log_y = np.where(y == 0, -math.inf, _math_each(math.log, y))
+        return np.where((x == 0) & ~np.isnan(y), 0.0, x * log_y)
 
 
 def lgamma(x: float) -> float:
@@ -115,66 +113,67 @@ def _stirling_log_multiplicity(n: float, n_plus: float, n_minus: float) -> float
     return value
 
 
-def negtemp_grid(g: TwoLevelGas, energies, k: float = 1.0) -> list[tuple]:
-    """Rows ``(E, N+, N-, S_stirling, S_exact, 1/T, T)`` at each energy, in order.
+@np.errstate(all="ignore")
+def negtemp_grid(g: TwoLevelGas, energies, k: float = 1.0) -> tuple[list, ...]:
+    """Columns ``(E, N+, N-, S_stirling, S_exact, 1/T, T)`` over the energies,
+    in order, each a list of Python floats.
 
     ``N+ + N- = N`` exactly; ``S_exact`` is ``k ln Omega``; ``1/T = dS/dE`` is
     zero at the midpoint, positive below it, negative above it and ``+-inf``
-    at the edges, and ``T`` is None where it is zero. The gas's constants are
-    computed once, each energy's populations serve both entropies, and every
-    ``log`` and ``lgamma`` is ``math``'s (numpy's differ in the last bit). The
-    first energy outside the band raises EnergyOutOfRange.
+    at the edges, and ``T`` is None where it is zero. The populations serve
+    both entropies; the arithmetic is numpy's and every ``log`` and ``lgamma``
+    is ``math``'s (numpy's differ in the last bit), one pass over the grid
+    each. The first energy outside the band raises EnergyOutOfRange; a NaN
+    energy gives NaN.
     """
     n, e_min, e_max, mid, slack = float(g.n_particles), g.e_min, g.e_max, g.midpoint, g._slack()
-    floor, ceil, low_edge, high_edge = e_min - slack, e_max + slack, e_min + slack, e_max - slack
-    width, neg_k, scale = g.e_plus - g.e_minus, -k, k / (g.e_minus - g.e_plus)
-    log_total = lgamma(g.n_particles + 1.0)
-    log, log_gamma, inf = math.log, math.lgamma, math.inf
-    rows = []
-    for energy in energies:
-        if energy < floor or energy > ceil:
-            raise EnergyOutOfRange(
-                f"E = {energy} outside [{e_min}, {e_max}] for this gas", energy)
-        # N+ = (E - N E-)/(E+ - E-); N- = N - N+, so the pair sums to N exactly
-        n_plus = min(max((energy - e_min) / width, 0.0), n)
-        n_minus = n - n_plus
-        # + 0.0 normalizes -0.0 at the band edges
-        stirling = float(neg_k * (xlogy(n_plus, n_plus / n) + xlogy(n_minus, n_minus / n))) + 0.0
-        if log_total < inf:
-            exact = log_total - log_gamma(n_plus + 1.0) - log_gamma(n_minus + 1.0)
-        else:
-            exact = _stirling_log_multiplicity(n, n_plus, n_minus)
-        if abs(energy - mid) <= slack:
-            inverse = 0.0
-        elif energy <= low_edge:
-            inverse = inf
-        elif energy >= high_edge:
-            inverse = -inf
-        else:
-            inverse = scale * log(-(energy - e_min) / (energy - e_max))
-        t = (None if inverse == 0.0 else math.copysign(0.0, inverse)
-             if math.isinf(inverse) else 1.0 / inverse)
-        rows.append((energy, n_plus, n_minus, stirling, k * exact, inverse, t))
-    return rows
+    energy = np.asarray(energies, dtype=float)
+    out = (energy < e_min - slack) | (energy > e_max + slack)
+    if out.any():
+        bad = energies[int(out.argmax())]
+        raise EnergyOutOfRange(f"E = {bad} outside [{e_min}, {e_max}] for this gas", bad)
+    # N+ = (E - N E-)/(E+ - E-), clamped as min(max(N+, 0), N) clamps it (-0.0
+    # stays); N- = N - N+, so the pair sums to N exactly
+    n_plus = (energy - e_min) / (g.e_plus - g.e_minus)
+    n_plus = np.where(n < n_plus, n, np.where(n_plus < 0.0, 0.0, n_plus))
+    n_minus = n - n_plus
+    # + 0.0 normalizes -0.0 at the band edges
+    stirling = -k * (xlogy(n_plus, n_plus / n) + xlogy(n_minus, n_minus / n)) + 0.0
+    log_total = lgamma(n + 1.0)
+    if log_total < math.inf:
+        exact = (log_total - _math_each(math.lgamma, n_plus + 1.0)
+                 - _math_each(math.lgamma, n_minus + 1.0))
+    else:
+        exact = np.array([_stirling_log_multiplicity(n, *pair)
+                          for pair in zip(n_plus.tolist(), n_minus.tolist())])
+    inverse = np.select(
+        [abs(energy - mid) <= slack, energy <= e_min + slack, energy >= e_max - slack],
+        [0.0, math.inf, -math.inf],
+        k / (g.e_minus - g.e_plus) * _math_each(math.log, -(energy - e_min) / (energy - e_max)))
+    t = (1.0 / inverse).tolist()  # 1/(+-inf) is the edges' +-0.0
+    for i in np.flatnonzero(inverse == 0.0).tolist():
+        t[i] = None
+    return (energy.tolist(), n_plus.tolist(), n_minus.tolist(), stirling.tolist(),
+            (k * exact).tolist(), inverse.tolist(), t)
 
 
 def entropy_stirling(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
     """Stirling entropy ``k [N ln N - N+ ln N+ - N- ln N-]``, exact at the band
     edges (zero) and at the midpoint (``N k ln 2``)."""
-    return negtemp_grid(g, [energy], k)[0][3]
+    return negtemp_grid(g, [energy], k)[3][0]
 
 
 def log_multiplicity(g: TwoLevelGas, energy: float) -> float:
     """``ln N!/(N+! N-!)`` via log-gamma; exact for non-integer populations
     by analytic continuation, and Stirling's formula past ``N`` near 2.5e305."""
-    return negtemp_grid(g, [energy])[0][4]
+    return negtemp_grid(g, [energy])[4][0]
 
 
 def temperature(g: TwoLevelGas, energy: float, k: float = 1.0) -> float:
     """Combinatorial temperature; sign flips across the entropy maximum. At the
     band edges it is ``+0.0`` and ``-0.0``; where ``1/T`` is zero (the midpoint)
     :class:`InfiniteTemperature` is raised, which keeps a float overflow apart."""
-    t = negtemp_grid(g, [energy], k)[0][6]
+    t = negtemp_grid(g, [energy], k)[6][0]
     if t is None:
         raise InfiniteTemperature(f"E = {energy} is the entropy maximum of this gas; |T| diverges")
     return t
@@ -358,8 +357,8 @@ def printed_spin_entropy_combinatorial(
     """Display form of the spin gas Stirling entropy (literal transcription)."""
     upper = energy - n_particles * (omega / 2.0 + v)
     lower = energy - n_particles * (omega / 2.0 - v)
-    term_plus = xlogy(upper / (2.0 * v), -upper / (2.0 * v))
-    term_minus = xlogy(lower / (2.0 * v), lower / (2.0 * v))
+    plus, minus = upper / (2.0 * v), lower / (2.0 * v)
+    term_plus, term_minus = xlogy(np.array([plus, minus]), np.array([-plus, minus])).tolist()
     return float(
         k * (n_particles * math.log(n_particles) + term_plus - term_minus)
     )

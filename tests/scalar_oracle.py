@@ -9,7 +9,9 @@ and every error bit for bit. Only the imports are new, and the two record
 types below, as the package had them before its reports held the grid's
 columnar log. The Dyson order study and Van Loan's trace, as they were before
 ``compare`` shared their small-matrix work (one call per scale, ``np.block``),
-are kept here the same way. Nothing in the package imports this module.
+are kept here the same way, and so is the scalar ``xlogy`` that the gas
+functions called before ``models.xlogy`` took arrays. Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from quatstat.errors import (
     UnphysicalZ,
 )
 from quatstat.linalg import QMatrix, _expm, embed, fro_norm, mat_mul
-from quatstat.models import TwoLevelGas, lgamma, xlogy
+from quatstat.models import TwoLevelGas, lgamma
 from quatstat.quaternion import Value
 from quatstat.thermo import (
     DEGENERACY_TOL,
@@ -278,6 +280,19 @@ def thermo_spectral(e: SpectralEnsemble, beta: float) -> ThermoReport:
         U=u,
         Cv=cv,
     )
+
+
+def xlogy(x: float, y: float) -> float:
+    """``x * ln(y)``, and ``0`` where ``x == 0`` and ``y`` is not NaN.
+
+    Bit for bit ``scipy.special.xlogy`` on floats: ``y == 0`` gives
+    ``x * -inf`` and ``y < 0`` gives NaN.
+    """
+    if x == 0 and not math.isnan(y):
+        return 0.0
+    if y > 0:
+        return x * math.log(y)
+    return x * -math.inf if y == 0 else math.nan
 
 
 def occupation_numbers(g: TwoLevelGas, energy: float) -> tuple[float, float]:

@@ -252,7 +252,7 @@ def test_criterion_10_negative_temperature():
             qs.entropy_stirling(gas, energy + step)
             - qs.entropy_stirling(gas, energy - step)
         ) / (2 * step)
-        assert negtemp_grid(gas, [energy])[0][5] == pytest.approx(fd, rel=1e-6)
+        assert negtemp_grid(gas, [energy])[5][0] == pytest.approx(fd, rel=1e-6)
         assert qs.entropy_stirling(gas, energy) == pytest.approx(
             qs.log_multiplicity(gas, energy), rel=0.01
         )
@@ -267,7 +267,7 @@ def test_criterion_10_negative_temperature():
         if abs(energy - spin_gas.midpoint) > 1e-9:
             assert qs.printed_spin_inverse_temperature(
                 omega, v, energy, n_spin
-            ) == pytest.approx(negtemp_grid(spin_gas, [energy])[0][5], rel=1e-12)
+            ) == pytest.approx(negtemp_grid(spin_gas, [energy])[5][0], rel=1e-12)
     _report("criterion 10: entropy peak N k ln 2 at 1e-12, dS/dE identity at 1e-6, "
             "sign flip, Stirling within 1%, spin forms identical at 1e-12")
 

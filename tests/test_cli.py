@@ -946,7 +946,7 @@ def test_csv_template_is_the_per_cell_join():
     plain = [tuple(cells[i:i + 3]) for i in range(0, 10)]
     mixed = [(c, 2.5, "infinite") for c in cells[:-1]]
     for rows in ([], plain, mixed, mixed[:1], plain[-1:]):
-        # tuple columns, as run_negtemp and run_spectrum pass them, and lists
+        # tuple columns, as run_spectrum passes them, and lists
         columns = list(zip(*rows)) or [[] for _ in header]
         assert _csv_table(header, columns) == want(header, rows)
         assert _csv_table(header, list(map(list, columns))) == want(header, rows)
@@ -1634,6 +1634,24 @@ def test_thermo_shares_the_slice_terms(monkeypatch, tmp_path, rederived):
     result = CliRunner().invoke(cli, argv + ["--rederived"] * rederived)
     assert result.exit_code == 0, result.output
     assert passes.count(math.expm1) == 1 and len(passes) == 12
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_negtemp_makes_one_math_pass_per_transcendental(monkeypatch, output):
+    # a structural guard in place of a timing test: the energy grid takes its
+    # logs in three elementwise passes (the two xlogy terms and 1/T) and its
+    # log-gammas in two (N+! and N-!), not one call per energy
+    from quatstat import models
+
+    passes, inner = [], models._math_each
+
+    def counted(fn, values):
+        passes.append((fn, len(values)))
+        return inner(fn, values)
+    monkeypatch.setattr(models, "_math_each", counted)
+    result = CliRunner().invoke(cli, ["negtemp", "--points", "2001", "--output", output])
+    assert result.exit_code == 0, result.output
+    assert sorted(passes, key=str) == [(math.lgamma, 2001)] * 2 + [(math.log, 2001)] * 3
 
 
 @pytest.mark.parametrize("model", ["spin", "toy"])

@@ -124,3 +124,24 @@ def test_planted_byte_is_the_one_difference(differential, tmp_path, capsys):
     assert report[0].startswith("command 0: quatstat thermo ")
     assert report[1].startswith("  stdout differs at byte 15: base b'V\\n")
     assert report[2:] == ["5 commands: 4 identical, 1 differ"]
+
+
+def test_negtemp_draws_reach_the_band_edges_and_the_benchmark_grid(differential):
+    # --grid inside the band and past an edge by under and over the slack,
+    # the benchmark's 2001 points, and custom bands of subnormal width
+    cmds = [cmd for cmd in differential.commands(6, 2000) if cmd.argv[0] == "negtemp"]
+    flags = [dict(zip(cmd.argv[1::2], cmd.argv[2::2]))
+             for cmd in cmds if "--params" not in cmd.argv]
+    assert 0.3 * len(cmds) <= sum("--grid" in cmd.argv for cmd in cmds) <= 0.5 * len(cmds)
+    assert any(f.get("--points") == "2001" for f in flags)
+    widths = [float(f["--e-plus"]) - float(f["--e-minus"]) for f in flags if "--e-plus" in f]
+    assert any(0 < width < sys.float_info.min for width in widths)
+    # the qubit band [0, 2N] has the slack 2e-12 N: grids pass its edges by
+    # under and over it
+    shares = set()
+    for f in flags:
+        n = int(f["--n-particles"])
+        if "--grid" in f and f["--model"] == "qubit" and n < 1e300:
+            lo, hi = map(float, f["--grid"].split(":")[:2])
+            shares.add(round(max(-lo, hi - 2.0 * n) / (2e-12 * n), 2))
+    assert {0.5, 0.99, 1.5, 3.0} <= shares

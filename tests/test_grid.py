@@ -321,8 +321,8 @@ def test_spectral_grid_is_the_scalar_oracle():
 
 
 def oracle_negtemp(g, energies, k):
-    """Rows of the scalar gas functions over ``energies``, as
-    :func:`models.negtemp_grid` gives them, and the first error's text."""
+    """Rows of the scalar gas functions over ``energies`` (the rows of the
+    columns that :func:`models.negtemp_grid` gives), and the first error's text."""
     rows = []
     for energy in energies:
         try:
@@ -342,12 +342,14 @@ def oracle_negtemp(g, energies, k):
 def check_negtemp(g, energies, k):
     want, error = oracle_negtemp(g, energies, k)
     if error is None:
-        got = models.negtemp_grid(g, energies, k)
-        assert len(got) == len(want)
-        for got_row, want_row in zip(got, want):  # row by row: a short report
+        columns = models.negtemp_grid(g, energies, k)
+        assert [len(column) for column in columns] == [len(want)] * 7
+        # Python floats whatever the energies' type; only T holds None
+        assert all(type(v) is float for column in columns[:6] for v in column)
+        assert all(v is None or type(v) is float for v in columns[6])
+        for got_row, want_row in zip(zip(*columns), want):  # row by row: a short report
+            want_row = tuple(v if v is None else float(v) for v in want_row)
             assert repr(got_row) == repr(want_row), (g, k)
-        if all(type(e) is float for e in energies):
-            assert all(type(v) is float for row in got for v in row if v is not None)
     else:
         with pytest.raises(EnergyOutOfRange, match=f"^{re.escape(error)}$"):
             models.negtemp_grid(g, energies, k)
@@ -410,7 +412,15 @@ def test_negtemp_grid_at_the_edges():
     g = models.qubit_negative_temperature(2)
     error = check_negtemp(g, [0.0, 4.0, -1.0, 5.0], 1.0)
     assert error == "E = -1.0 outside [0.0, 4.0] for this gas"
-    # numpy floats keep the types the scalar functions gave them
+    # a NaN energy gives the oracle's row of NaN and raises nothing (and -0.0
+    # keeps its N+ = -0.0); an infinite one is out of the band, and the first
+    # in grid order names it
+    assert check_negtemp(g, [0.0, math.nan, -0.0, 2.0, 4.0, math.nan], 1.0) is None
+    error = check_negtemp(g, [1.0, math.nan, math.inf, 3.0, -math.inf], 1.0)
+    assert error == "E = inf outside [0.0, 4.0] for this gas"
+    error = check_negtemp(g, [math.nan, -math.inf, math.inf], 1.0)
+    assert error == "E = -inf outside [0.0, 4.0] for this gas"
+    # numpy float energies give Python float cells, of the scalar functions' values
     assert check_negtemp(g, np.linspace(-1.0, 5.0, 13), 1.0) is not None
     assert check_negtemp(g, np.linspace(0.0, 4.0, 13), 1.0) is None
 

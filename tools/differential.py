@@ -18,8 +18,11 @@ beta = 1e11 and 1e15, on both sides of where its spot checks stop
 resolving and it refuses the grid. About one command in ten moves a setting to
 the edge of the float range (a subnormal or a huge beta, a ``--k`` or
 ``--n-particles`` near the float limits, a subnormal level), so that the
-overflow refusals and the subnormal paths are compared too. Run from the
-repository root::
+overflow refusals and the subnormal paths are compared too. Four ``negtemp``
+commands in ten take a ``--grid``, inside the band or past an edge by less or
+more than the gas's slack (where the command is refused); one in ten takes
+the benchmark's ``--points 2001``, and some custom bands are of subnormal
+width. Run from the repository root::
 
     python3 tools/differential.py --base HEAD~1 --count 200 --seed 1
 
@@ -63,6 +66,52 @@ def _grid(rng: random.Random, hi: float, steps: int) -> str:
     if rng.random() < 0.1:
         lo, hi = hi, lo  # descending: the rows still ascend
     return f"{_num(lo)}:{_num(hi)}:{rng.randint(1, steps)}"
+
+
+def _negtemp_grid(rng: random.Random, cmd: Command) -> None:
+    """Now and then give a custom ``negtemp`` band a subnormal width, and
+    replace the command's ``--points`` by the benchmark's 2001 or by a
+    ``--grid`` inside the band or past an edge by a share of the gas's slack,
+    ``1e-12`` of the band's larger end: under the slack the grid runs, over it
+    the command is refused (exit 2)."""
+    argv = cmd.argv
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    gas = json.loads(cmd.files.get("levels.json", "{}"))  # a custom params file
+    n = gas.get("n_particles", int(flags["--n-particles"]))
+    if flags["--model"] == "spin":
+        omega, v = float(flags["--omega"]), float(flags["--v"])
+        e_plus, e_minus = omega / 2.0 + v, omega / 2.0 - v
+    elif flags["--model"] == "qubit":
+        e_plus, e_minus = 2.0, 0.0
+    elif rng.random() < 0.15:  # a custom band of subnormal width
+        e_minus = rng.choice((0.0, -1e-310, 3e-320))
+        e_plus = e_minus + rng.choice((5e-324, 1e-315, 2e-308))
+        if gas:
+            cmd.files["levels.json"] = json.dumps({**gas, "e_plus": e_plus, "e_minus": e_minus})
+        else:
+            argv[argv.index("--e-plus") + 1] = _num(e_plus)
+            argv[argv.index("--e-minus") + 1] = _num(e_minus)
+    else:
+        e_plus, e_minus = ((gas["e_plus"], gas["e_minus"]) if gas else
+                           (float(flags["--e-plus"]), float(flags["--e-minus"])))
+    at, draw = argv.index("--points"), rng.random()
+    if draw < 0.4:
+        argv[at:at + 2] = ["--grid", _band_grid(rng, n * e_minus, n * e_plus)]
+    elif draw > 0.9:
+        argv[at + 1] = "2001"
+
+
+def _band_grid(rng: random.Random, lo: float, hi: float) -> str:
+    """A ``--grid`` inside the band ``[lo, hi]``, or through one of its edges
+    by half, 0.99, 1.5 or 3 times its slack."""
+    slack = max(1e-12 * max(abs(lo), abs(hi)), 5e-324)
+    if rng.random() < 0.5:
+        lo, hi = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
+    elif rng.random() < 0.5:
+        lo -= rng.choice((0.5, 0.99, 1.5, 3.0)) * slack
+    else:
+        hi += rng.choice((0.5, 0.99, 1.5, 3.0)) * slack
+    return f"{_num(lo)}:{_num(hi)}:{rng.randint(1, 2001)}"
 
 
 def _toy(rng: random.Random) -> dict:
@@ -195,6 +244,9 @@ def command(rng: random.Random, kind: str) -> Command:
         n = rng.choice((1, 2, 10, 1000, 10 ** 12, 10 ** 308))
         cmd.argv += ["--n-particles", str(n), "--points", str(rng.randint(1, 60)),
                      "--k", _num(rng.uniform(0.5, 2.0))]
+        # a generator of its own, seeded by the --k text, so that these draws
+        # leave the commands after this one as the seed drew them before
+        _negtemp_grid(random.Random(cmd.argv[-1]), cmd)
         _outputs(rng, cmd, log=False)
     elif kind == "spectrum":
         cmd = _model(rng, "spectrum", ("spin", "qubit", "toy", "file"))
